@@ -6,11 +6,8 @@ from .ring import (
     RingParams,
     enumerate_ideals,
     ideal_elements,
-    is_unit,
     make_ring,
     p_adic_digits,
-    residue,
-    ring_mul,
     teichmuller_set,
 )
 from .poly import (
@@ -38,20 +35,16 @@ from .galois import (
     eval_at,
     gr_ideal_elements,
     gr_ideals,
-    gr_is_unit,
     nth_root_of_unity,
     unit_group_order,
 )
 from .codes import (
     BchCertificate,
     CanonicalGenerators,
-    ComponentIdeal,
     CrtSystem,
     CyclicCode,
     bch_bound_of,
     build_crt,
-    code_from_components,
-    components_of,
     count_cyclic_codes,
     enumerate_cyclic_codes,
 )

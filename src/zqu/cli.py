@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     common(pd, gens=True)
     pd.add_argument("--metric", choices=list(METRICS), default="hamming")
     pd.add_argument("--budget", type=int, default=None,
-                    help=f"word budget (default {config.DEFAULT_DISTANCE_BUDGET})")
+                    help=f"word budget (default $ZQU_BUDGET or {config.DEFAULT_DISTANCE_BUDGET})")
     pd.add_argument("--threads", type=int, default=1)
 
     pv = sub.add_parser("verify-paper", help="run the reference verification suite")

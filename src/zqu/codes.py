@@ -1,10 +1,11 @@
 """Cyclic codes of length n over R as ideals (or Z_q[x]-spans) of R[x]/(x^n-1).
 
 The CRT idempotent system splits the ambient ring along the basic irreducible
-factors of x^n - 1; each component is an ideal of a Galois extension GR(R, m)
-and is identified against the complete ideal census.  On top of that sit the
-canonical generator pair (f0 + u*f1, u*g1), cardinality, minimum generating
-sets, freeness, and BCH-style distance certificates.
+factors of x^n - 1; each component is an ideal of a Galois extension GR(R, m),
+read off its span as (p^i) mod u, u*(p^j) inside uGR and the u-coordinate
+alpha of p^i.  On top of that sit the canonical generator pair
+(f0 + u*f1, u*g1), cardinality, minimum generating sets, freeness (every
+component (1) or (0)), and BCH-style distance certificates.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Optional, Sequence
 
 from . import config
@@ -22,7 +23,7 @@ from .errors import (
     LengthNotCoprimeError,
     PreconditionError,
 )
-from .galois import GaloisRingCtx, build_ctx, eval_at, gr_ideal_span, gr_ideals, gr_span_of_elements, nth_root_of_unity
+from .galois import GaloisRingCtx, build_ctx, eval_at, gr_ideals, gr_span_of_elements, nth_root_of_unity
 from .howell import ZqSpan
 from .poly import (
     Factorization,
@@ -36,6 +37,7 @@ from .poly import (
 from .ring import (
     IdealDescriptor,
     KIND_P_ALPHA_U,
+    KIND_P_AND_U,
     KIND_P_POWER,
     KIND_U_P_POWER,
     RingParams,
@@ -93,6 +95,10 @@ def count_cyclic_codes(n: int, params: RingParams) -> int:
 MODE_IDEAL = "ideal"
 MODE_MODULE = "module"
 
+# (i, j, alpha): the component is (p^i) mod u and u*(p^j) inside uGR(R, m);
+# when i < s it holds p^i + alpha*u, with alpha reduced mod p^j.
+Reading = tuple[int, int, Optional[tuple[int, ...]]]
+
 
 def _word_vector(poly: RPoly, n: int) -> list[int]:
     # element of Z_q^{2n}: a-coordinates then u-coordinates
@@ -124,7 +130,7 @@ class CyclicCode:
         self.generators = tuple(g.reduce_cyclic(n) for g in generators)
         self.closure_mode = closure_mode
         self._span: Optional[ZqSpan] = None
-        self._components: Optional[tuple[IdealDescriptor, ...]] = None
+        self._readings: Optional[tuple[Reading, ...]] = None
         self._canonical = None
 
     # -- element-set machinery -------------------------------------------
@@ -145,8 +151,12 @@ class CyclicCode:
     def fingerprint(self) -> tuple:
         return self.span().fingerprint()
 
-    def same_elements(self, other: "CyclicCode") -> bool:
-        return self.fingerprint() == other.fingerprint()
+    @cached_property
+    def _ideal_closure(self) -> "CyclicCode":
+        """The ideal generated by the generators (the code itself in ideal closure)."""
+        if self.closure_mode == MODE_IDEAL:
+            return self
+        return CyclicCode(self.n, self.params, self.generators, MODE_IDEAL)
 
     def cardinality(self) -> tuple[int, int]:
         """|C| as (p, exponent)."""
@@ -166,23 +176,32 @@ class CyclicCode:
     def crt(self) -> CrtSystem:
         return build_crt(self.n, self.params)
 
-    def components(self) -> tuple[IdealDescriptor, ...]:
-        """Identify the component ideal of GR(R, eps_l) at every factor."""
-        if self.closure_mode != MODE_IDEAL:
-            raise PreconditionError("components are defined for ideal closure only")
-        if self._components is None:
-            crt = self.crt()
+    def _component_readings(self) -> tuple[Reading, ...]:
+        """(i, j, alpha) of the ideal the generators span at every factor."""
+        if self._readings is None:
             out = []
-            for l, f in enumerate(crt.factorization.factors):
+            for f in self.crt().factorization.factors:
                 ctx = _component_ctx(f)
                 reduced = [divmod_monic(g, f)[1] for g in self.generators]
                 span = gr_span_of_elements(ctx, [ctx.from_rpoly(r) for r in reduced])
-                desc = _component_lookup(ctx).get(span.fingerprint())
-                if desc is None:
-                    raise RuntimeError("component ideal missing from census")
-                out.append(desc)
-            self._components = tuple(out)
-        return self._components
+                out.append(_read_component(span, ctx.m))
+            self._readings = tuple(out)
+        return self._readings
+
+    def components(self) -> tuple[IdealDescriptor, ...]:
+        """The component ideal of GR(R, eps_l) at every factor."""
+        if self.closure_mode != MODE_IDEAL:
+            raise PreconditionError("components are defined for ideal closure only")
+        out = []
+        factors = self.crt().factorization.factors
+        for l, (reading, f) in enumerate(zip(self._component_readings(), factors)):
+            desc = _descriptor_of(reading, self.params)
+            if desc is None:
+                raise PreconditionError(
+                    f"component ideal at factor f_{l + 1} = {f} lies outside the four ideal families"
+                )
+            out.append(desc)
+        return tuple(out)
 
     @classmethod
     def from_components(cls, n: int, params: RingParams,
@@ -237,18 +256,26 @@ class CyclicCode:
     # -- freeness and BCH ----------------------------------------------------
 
     def is_free(self) -> Optional[RPoly]:
-        """The monic divisor g of x^n - 1 with C = (g), if one exists."""
-        crt = self.crt()
-        target = self.fingerprint()
-        for mask in range(1 << crt.t):
-            g = RPoly.one(self.params)
-            for l in range(crt.t):
-                if mask & (1 << l):
-                    g = g * crt.factorization.factors[l]
-            cand = CyclicCode(self.n, self.params, [g], MODE_IDEAL)
-            if cand.fingerprint() == target:
-                return g.reduce_cyclic(self.n) if g.degree < self.n else g
-        return None
+        """The monic divisor g of x^n - 1 with C = (g), if one exists.
+
+        An ideal is (g) exactly when every component is (1) or (0), i.e. has
+        (i, j) = (0, 0) or (s, s); g is the product of the factors whose
+        component is (0).  A module span is free when it fills its ideal
+        closure and that closure is free.
+        """
+        if self.closure_mode == MODE_MODULE:
+            closure = self._ideal_closure
+            if closure.span().size_exponent() != self.span().size_exponent():
+                return None
+            return closure.is_free()
+        s = self.params.s
+        g = RPoly.one(self.params)
+        for (i, j, _), f in zip(self._component_readings(), self.crt().factorization.factors):
+            if (i, j) == (s, s):
+                g = g * f
+            elif (i, j) != (0, 0):
+                return None
+        return g.reduce_cyclic(self.n) if g.degree < self.n else g
 
     def bch_bound(self) -> "BchCertificate":
         g = self.is_free()
@@ -298,8 +325,7 @@ class CyclicCode:
         base, exp = self.cardinality()
         out["cardinality"] = {"base": base, "exponent": exp}
         if self.closure_mode == MODE_MODULE:
-            ideal_twin = CyclicCode(self.n, self.params, self.generators, MODE_IDEAL)
-            _, ideal_exp = ideal_twin.cardinality()
+            _, ideal_exp = self._ideal_closure.cardinality()
             out["ideal_closure_cardinality"] = {"base": base, "exponent": ideal_exp}
             if ideal_exp != exp:
                 warnings.append(
@@ -317,7 +343,7 @@ class CyclicCode:
         return out
 
 
-# -- component census helpers ------------------------------------------------
+# -- component ideals ---------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -325,38 +351,43 @@ def _component_ctx(f: RPoly) -> GaloisRingCtx:
     return build_ctx(f)
 
 
-@lru_cache(maxsize=None)
-def _component_lookup(ctx: GaloisRingCtx) -> dict[tuple, IdealDescriptor]:
-    out = {}
-    for desc in gr_ideals(ctx):
-        span = gr_ideal_span(desc, ctx)
-        out[span.fingerprint()] = desc
-    return out
+def _read_component(span: ZqSpan, m: int) -> Reading:
+    """Read (i, j, alpha) off the Howell form of an ideal of GR(R, m) in
+    Z_q^{2m}, a-coordinates first.  Rows pivoting in the a-block generate the
+    image mod u; those pivoting in the u-block span the part inside uGR."""
+    p, s = span.p, span.s
+    i = min((e for c, e, _ in span.rows if c < m), default=s)
+    j = min((e for c, e, _ in span.rows if c >= m), default=s)
+    if i == s:
+        return i, j, None
+    # p^i + alpha*u lies in the ideal, so (p^i | 0) reduces to (0 | -alpha)
+    r = span.reduce([p**i] + [0] * (2 * m - 1))
+    return i, j, tuple(-b % p**j for b in r[m:])
 
 
-def components_of(code: CyclicCode) -> list["ComponentIdeal"]:
-    return [ComponentIdeal(l + 1, desc) for l, desc in enumerate(code.components())]
-
-
-@dataclass(frozen=True)
-class ComponentIdeal:
-    l: int  # 1-based factor index
-    descriptor: IdealDescriptor
-
-
-def code_from_components(n: int, params: RingParams,
-                         components: Sequence[ComponentIdeal]) -> CyclicCode:
-    ordered = sorted(components, key=lambda c: c.l)
-    if [c.l for c in ordered] != list(range(1, len(ordered) + 1)):
-        raise PreconditionError("component list must cover factors 1..t exactly once")
-    return CyclicCode.from_components(n, params, [c.descriptor for c in ordered])
+def _descriptor_of(reading: Reading, params: RingParams) -> Optional[IdealDescriptor]:
+    """The ideal family with this reading, or None outside the four families."""
+    i, j, alpha = reading
+    p, s = params.p, params.s
+    if i == s:
+        return IdealDescriptor(KIND_P_POWER, s) if j == s else IdealDescriptor(KIND_U_P_POWER, j)
+    if j == i and not any(alpha):  # i = 0 lands here: j = 0 and alpha mod 1 = 0
+        return IdealDescriptor(KIND_P_POWER, i)
+    if j == 0:
+        return IdealDescriptor(KIND_P_AND_U, i)
+    if j == min(i, s - i) and any(alpha) and max(alpha) < p:
+        return IdealDescriptor(KIND_P_ALPHA_U, i, alpha)
+    return None
 
 
 def enumerate_cyclic_codes(n: int, params: RingParams,
                            limit: Optional[int] = None) -> Iterator[CyclicCode]:
     """All cyclic codes in canonical component order (may be budget-guarded)."""
     total = count_cyclic_codes(n, params)
-    cap = limit if limit is not None else config.DEFAULT_ENUM_BUDGET
+    if limit is None:
+        cap = config.env_int("ZQU_ENUM_BUDGET", config.DEFAULT_ENUM_BUDGET)
+    else:
+        cap = limit
     if total > cap and limit is None:
         raise EnumerationBudgetError(
             f"{total} codes exceed the enumeration budget {cap}; pass an explicit limit"
@@ -402,26 +433,6 @@ class CanonicalGenerators:
         return s * (2 * n - self.k0 - self.k1)
 
 
-def _psi_exponent(desc: IdealDescriptor, s: int) -> int:
-    # exponent i with psi(component) = (p^i) in GR(q, eps)
-    if desc.kind == KIND_P_POWER:
-        return desc.index
-    if desc.kind == KIND_U_P_POWER:
-        return s
-    return desc.index
-
-
-def _u_quotient_exponent(desc: IdealDescriptor, s: int) -> int:
-    # exponent j with {h : u*h in component} = (p^j) in GR(q, eps)
-    if desc.kind == KIND_P_POWER:
-        return desc.index
-    if desc.kind == KIND_U_P_POWER:
-        return desc.index
-    if desc.kind == KIND_P_ALPHA_U:
-        return min(desc.index, s - desc.index)
-    return 0
-
-
 def _chain_generator(exponents: Sequence[int], crt: CrtSystem) -> ZqPoly:
     """Monic generator of the ideal with component (p^{e_l}) at each factor:
     unit-normalized sum of p^e * (product of factors with exponent > e)."""
@@ -441,11 +452,12 @@ def _chain_generator(exponents: Sequence[int], crt: CrtSystem) -> ZqPoly:
 
 def _canonical_form(code: CyclicCode) -> CanonicalGenerators:
     params = code.params
-    n, s = code.n, params.s
+    n = code.n
     crt = code.crt()
     comps = code.components()
-    i_exps = [_psi_exponent(d, s) for d in comps]
-    j_exps = [_u_quotient_exponent(d, s) for d in comps]
+    readings = code._component_readings()
+    i_exps = [i for i, _, _ in readings]
+    j_exps = [j for _, j, _ in readings]
     f0 = _chain_generator(i_exps, crt)
     g1 = _chain_generator(j_exps, crt)
 

@@ -1,25 +1,38 @@
-"""Tunable guards and budgets.  Defaults are desk scale; env vars override."""
+"""Tunable guards and budgets.  Defaults are desk scale; env vars override.
+
+Overrides are read where they are used, through `env_int`, so a malformed
+value is a precondition error rather than a crash at import time.
+"""
 
 import os
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return default if raw is None else int(raw)
-
+from .errors import PreconditionError
 
 # Largest q for which element-set oracles (ideal closures, censuses) will
-# enumerate explicitly.
-MAX_ORACLE_Q = _env_int("ZQU_MAX_ORACLE_Q", 1 << 10)
+# enumerate explicitly (ZQU_MAX_ORACLE_Q).
+MAX_ORACLE_Q = 1 << 10
 
-# Largest |GR(R, m)| = q^{2m} for exhaustive Galois-ring census checks.
-MAX_CENSUS_SIZE = _env_int("ZQU_MAX_CENSUS_SIZE", 1 << 16)
+# Largest |GR(R, m)| = q^{2m} for exhaustive Galois-ring census checks
+# (ZQU_MAX_CENSUS_SIZE).
+MAX_CENSUS_SIZE = 1 << 16
 
-# Largest q for which the distance engine builds its q*q weight table.
-MAX_DISTANCE_Q = _env_int("ZQU_MAX_DISTANCE_Q", 1 << 10)
+# Largest q for which the distance engine builds its q*q weight table
+# (ZQU_MAX_DISTANCE_Q).
+MAX_DISTANCE_Q = 1 << 10
 
-# Default word budget for minimum-distance scans.
-DEFAULT_DISTANCE_BUDGET = _env_int("ZQU_BUDGET", 1 << 24)
+# Default word budget for minimum-distance scans (ZQU_BUDGET).
+DEFAULT_DISTANCE_BUDGET = 1 << 24
 
-# Default cap on how many cyclic codes enumeration will stream.
-DEFAULT_ENUM_BUDGET = _env_int("ZQU_ENUM_BUDGET", 1 << 20)
+# Default cap on how many cyclic codes enumeration will stream (ZQU_ENUM_BUDGET).
+DEFAULT_ENUM_BUDGET = 1 << 20
+
+
+def env_int(name: str, default: int) -> int:
+    """The integer in environment variable `name`, or `default` when unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise PreconditionError(f"{name} must be an integer, got {raw!r}") from None

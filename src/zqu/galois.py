@@ -47,9 +47,6 @@ class GaloisRingCtx:
         pairs = [(a % q, b % q)] + [(0, 0)] * (self.m - 1)
         return GrElem(self, tuple(pairs[: self.m]))
 
-    def embed(self, e: RingElem) -> "GrElem":
-        return self.embed_pair(e.a, e.b)
-
     def from_rpoly(self, poly: RPoly) -> "GrElem":
         rem = divmod_monic(poly, self.modulus)[1] if poly.degree >= self.m else poly
         pairs = [rem[i] for i in range(self.m)]
@@ -158,10 +155,6 @@ def build_ctx(f: RPoly) -> GaloisRingCtx:
     return GaloisRingCtx(f.params, f, f.degree, is_basic_primitive(f))
 
 
-def gr_is_unit(e: GrElem) -> bool:
-    return e.is_unit()
-
-
 def unit_group_order(ctx: GaloisRingCtx) -> int:
     p, s, m = ctx.params.p, ctx.params.s, ctx.m
     return (p**m - 1) * p ** ((2 * s - 1) * m)
@@ -214,10 +207,9 @@ def gr_ideal_span(desc: IdealDescriptor, ctx: GaloisRingCtx) -> ZqSpan:
 
 
 def gr_ideal_elements(desc: IdealDescriptor, ctx: GaloisRingCtx) -> frozenset[GrElem]:
-    if ctx.size > config.MAX_CENSUS_SIZE:
-        raise GuardExceededError(
-            f"|GR(R, m)| = {ctx.size} exceeds the census guard {config.MAX_CENSUS_SIZE}"
-        )
+    guard = config.env_int("ZQU_MAX_CENSUS_SIZE", config.MAX_CENSUS_SIZE)
+    if ctx.size > guard:
+        raise GuardExceededError(f"|GR(R, m)| = {ctx.size} exceeds the census guard {guard}")
     span = gr_ideal_span(desc, ctx)
     m = ctx.m
     out = set()

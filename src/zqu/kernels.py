@@ -1,87 +1,28 @@
-"""Minimum-weight scan kernels.
+"""Minimum-weight scan kernel.
 
 The exhaustive distance scan walks the span of a Howell basis in mixed-radix
-order (digit 0 fastest), maintaining the current word by odometer updates and
-accumulating per-coordinate weights from a q*q lookup table with early exit.
-
-Two interchangeable backends: a numba-jitted scalar loop (default when numba
-imports) and a chunked vectorized numpy fallback.  Select explicitly with
-ZQU_KERNELS=numba|numpy.  Both scan linear indices [start, stop) and return
-(best weight, index of the first word attaining it, words scanned), so results
-are bit-identical across backends and thread partitions.
+order (digit 0 fastest): the words of the lowest digits form one precomputed
+block, each block is offset by the word of the remaining digits, and
+per-coordinate weights come from a q*q lookup table.  A scan of linear
+indices [start, stop) returns (best weight, index of the first word attaining
+it, words scanned), so results are bit-identical across thread partitions.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _BLOCK_TARGET = 1 << 14
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra; fall back to numpy
-    _HAVE_NUMBA = False
-
-_env = os.environ.get("ZQU_KERNELS")
-if _env not in (None, "", "numba", "numpy"):
-    raise RuntimeError(f"ZQU_KERNELS must be 'numba' or 'numpy', got {_env!r}")
-if _env == "numba" and not _HAVE_NUMBA:
-    raise RuntimeError("ZQU_KERNELS=numba but numba is not importable")
-_USE_NUMBA = _env == "numba" or (_env in (None, "") and _HAVE_NUMBA)
-
-
-def backend_name() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-def _scan_python(rows, ranges, wraps, table, q, n, start, stop):
-    # reference implementation; also the numba kernel body
-    k, width = rows.shape
-    digits = np.zeros(k, np.int64)
-    word = np.zeros(width, np.int64)
-    idx = start
-    for i in range(k):
-        d = idx % ranges[i]
-        idx //= ranges[i]
-        digits[i] = d
-        if d:
-            for j in range(width):
-                word[j] = (word[j] + d * rows[i, j]) % q
-    best = np.int64(1) << 62
-    best_idx = np.int64(-1)
-    for cur in range(start, stop):
-        if cur > start:
-            i = 0
-            while True:
-                digits[i] += 1
-                if digits[i] < ranges[i]:
-                    for j in range(width):
-                        word[j] = (word[j] + rows[i, j]) % q
-                    break
-                digits[i] = 0
-                for j in range(width):
-                    word[j] = (word[j] + wraps[i, j]) % q
-                i += 1
-        acc = 0
-        for j in range(n):
-            acc += table[word[j] * q + word[n + j]]
-            if acc >= best:
-                break
-        if acc < best:
-            best = acc
-            best_idx = cur
-    return best, best_idx, stop - start
-
-
-if _HAVE_NUMBA:
-    _scan_numba = njit(cache=True, nogil=True)(_scan_python)
-
-
-def _scan_numpy(rows, ranges, wraps, table, q, n, start, stop):
+def min_weight_scan(rows, ranges, table, q, n, start, stop):
+    """Scan span words with linear indices in [start, stop); returns
+    (min weight, first index attaining it, words scanned)."""
+    if stop <= start:
+        return (1 << 62, -1, 0)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    ranges = np.ascontiguousarray(ranges, dtype=np.int64)
+    table = np.ascontiguousarray(table, dtype=np.int64)
     k, width = rows.shape
     block_size = 1
     k0 = 0
@@ -96,7 +37,6 @@ def _scan_numpy(rows, ranges, wraps, table, q, n, start, stop):
     best = 1 << 62
     best_idx = -1
     scanned = 0
-    outer_ranges = ranges[k0:]
     for outer in range(start // block_size, (stop + block_size - 1) // block_size):
         lo = max(start, outer * block_size)
         hi = min(stop, (outer + 1) * block_size)
@@ -118,28 +58,6 @@ def _scan_numpy(rows, ranges, wraps, table, q, n, start, stop):
             best_idx = lo + j
         scanned += hi - lo
     return best, best_idx, scanned
-
-
-def min_weight_scan(rows, ranges, table, q, n, start, stop, backend=None):
-    """Scan span words with linear indices in [start, stop); returns
-    (min weight, first index attaining it, words scanned)."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    ranges = np.ascontiguousarray(ranges, dtype=np.int64)
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    wraps = ((1 - ranges)[:, None] * rows) % q
-    if stop <= start:
-        return (1 << 62, -1, 0)
-    use_numba = _USE_NUMBA if backend is None else backend == "numba"
-    if use_numba:
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        best, idx, scanned = _scan_numba(
-            rows, ranges, wraps, table,
-            np.int64(q), np.int64(n), np.int64(start), np.int64(stop),
-        )
-    else:
-        best, idx, scanned = _scan_numpy(rows, ranges, wraps, table, q, n, start, stop)
-    return int(best), int(idx), int(scanned)
 
 
 def word_at_index(rows, ranges, q, index) -> np.ndarray:

@@ -4,7 +4,7 @@ Hamming weight lives on R-words directly.  For q = 4 the map
 phi(a + bu) = (b, a+b) sends words into Z_4^{2n} preserving Lee weight, and
 the classical Gray map 0->00, 1->01, 2->11, 3->10 turns Lee weight into
 binary Hamming weight.  All three metrics reduce to a per-coordinate lookup
-on the (a, b) pair, which is what the scan kernels consume.
+on the (a, b) pair, which is what the scan kernel consumes.
 """
 
 from __future__ import annotations
@@ -105,10 +105,9 @@ def weight_of(word: WordR, metric: str) -> int:
 def weight_table(metric: str, params: RingParams) -> np.ndarray:
     """Per-coordinate weight of a + bu, indexed by a*q + b."""
     q = params.q
-    if q > config.MAX_DISTANCE_Q:
-        raise GuardExceededError(
-            f"q = {q} exceeds the distance-table guard {config.MAX_DISTANCE_Q}"
-        )
+    guard = config.env_int("ZQU_MAX_DISTANCE_Q", config.MAX_DISTANCE_Q)
+    if q > guard:
+        raise GuardExceededError(f"q = {q} exceeds the distance-table guard {guard}")
     table = np.zeros(q * q, np.int64)
     if metric == METRIC_HAMMING:
         for a in range(q):
@@ -158,7 +157,10 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
         raise UnsupportedMetricError(f"unknown metric {metric!r}")
     if threads < 1:
         raise PreconditionError("threads must be >= 1")
-    budget = config.DEFAULT_DISTANCE_BUDGET if budget is None else budget
+    if budget is None:
+        budget = config.env_int("ZQU_BUDGET", config.DEFAULT_DISTANCE_BUDGET)
+    if budget < 1:
+        raise PreconditionError("budget must be >= 1")
     table = weight_table(metric, code.params)
     span = code.span()
     total = span.size() - 1

@@ -44,10 +44,6 @@ class ZqPoly:
     def const(cls, params, c: int) -> "ZqPoly":
         return cls.make(params, [c])
 
-    @classmethod
-    def x_pow(cls, params, k: int, c: int = 1) -> "ZqPoly":
-        return cls.make(params, [0] * k + [c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -138,13 +134,6 @@ class ZqPoly:
         """Coefficients mod p (the image over F_p), stripped."""
         p = self.params.p
         return tuple(_strip([c % p for c in self.coeffs]))
-
-    def eval(self, x: int) -> int:
-        q = self.params.q
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % q
-        return acc
 
     def __str__(self):
         return format_zq_poly(self)

@@ -158,18 +158,6 @@ class RingElem:
         return f"{self.a}+{bu}"
 
 
-def ring_mul(x: RingElem, y: RingElem) -> RingElem:
-    return x * y
-
-
-def is_unit(x: RingElem) -> bool:
-    return x.is_unit()
-
-
-def residue(x: RingElem) -> int:
-    return x.residue()
-
-
 def teichmuller(a: int, p: int, q: int) -> int:
     """The Teichmuller representative of a in Z_q: iterate a -> a^p to a fixed point."""
     t = a % q
@@ -310,9 +298,8 @@ def ideal_span(desc: IdealDescriptor, params: RingParams) -> ZqSpan:
 
 def ideal_elements(desc: IdealDescriptor, params: RingParams) -> frozenset[RingElem]:
     """Explicit element set of the ideal; guarded to desk scale."""
-    if params.q > config.MAX_ORACLE_Q:
-        raise GuardExceededError(
-            f"q = {params.q} exceeds the enumeration guard {config.MAX_ORACLE_Q}"
-        )
+    guard = config.env_int("ZQU_MAX_ORACLE_Q", config.MAX_ORACLE_Q)
+    if params.q > guard:
+        raise GuardExceededError(f"q = {params.q} exceeds the enumeration guard {guard}")
     span = ideal_span(desc, params)
     return frozenset(RingElem(params, a, b) for a, b in span.elements())

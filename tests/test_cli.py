@@ -161,3 +161,51 @@ def test_threads_flag():
                "3*x^3+x^2+2*x+1, u*(x+3)", "--closure", "module",
                "--metric", "lee", "--threads", "2", "--format", "json")
     assert json.loads(proc.stdout)["value"] == 4
+
+
+def test_distance_nonpositive_budget_exits_2():
+    for budget in ("0", "-5"):
+        proc = run("distance", "--n", "7", "--p", "2", "--s", "2", "--gens", "x+3",
+                   "--budget", budget)
+        assert proc.returncode == 2
+        assert "budget must be >= 1" in proc.stderr
+        assert str(1 << 62) not in proc.stdout
+
+
+def test_malformed_env_values_exit_2():
+    import os
+
+    cases = [
+        ("ZQU_BUDGET", "abc", ("distance", "--n", "7", "--p", "2", "--s", "2", "--gens", "x+3")),
+        ("ZQU_ENUM_BUDGET", "1e3", ("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate")),
+        ("ZQU_MAX_DISTANCE_Q", "", ("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "1")),
+    ]
+    for name, value, args in cases:
+        proc = run(*args, env=dict(os.environ, **{name: value}))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and name in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_components_outside_the_four_families_exit_2():
+    # (4, 2u) is an ideal of Z8 + uZ8 outside the four listed families
+    for n, gens, factor in [("1", "4, u*(2)", "f_1 = x+7"),
+                            ("7", "4*x+4, u*(2)", "f_2 = x^3+3*x^2+2*x+7")]:
+        proc = run("analyze", "--n", n, "--p", "2", "--s", "3", "--gens", gens)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and factor in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_module_closure_outside_the_four_families_still_analyzed():
+    proc = run("analyze", "--n", "1", "--p", "2", "--s", "3", "--gens", "4, u*(2)",
+               "--closure", "module")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "cyclic code of length 1 over Z8+uZ8 [module closure]\n"
+        "  generators: 4, 0+u*(2)\n"
+        "  cardinality: 2^3\n"
+        "  free: False\n"
+        "  warning: module closure: canonical generators and components undefined\n"
+    )

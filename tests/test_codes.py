@@ -1,12 +1,15 @@
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zqu.codes import (
     CyclicCode,
+    _component_ctx,
+    _descriptor_of,
+    _read_component,
     build_crt,
-    code_from_components,
-    components_of,
     count_cyclic_codes,
     enumerate_cyclic_codes,
 )
@@ -16,7 +19,8 @@ from zqu.errors import (
     LengthNotCoprimeError,
     PreconditionError,
 )
-from zqu.poly import RPoly, factor_xn_minus_1, format_zq_poly, parse_r_poly
+from zqu.galois import gr_ideal_span, gr_ideals, gr_span_of_elements
+from zqu.poly import RPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
 from zqu.ring import IdealDescriptor, KIND_U_P_POWER, make_ring
 
 from helpers import code_element_set, rotate
@@ -131,10 +135,10 @@ def test_rejects_bad_length():
 
 def test_components_round_trip(all63):
     for c in all63:
-        comps = components_of(c)
-        again = code_from_components(3, R4, comps)
+        comps = c.components()
+        again = CyclicCode.from_components(3, R4, comps)
         assert again.fingerprint() == c.fingerprint()
-        assert [x.descriptor for x in components_of(again)] == [x.descriptor for x in comps]
+        assert again.components() == comps
 
 
 def test_components_examples():
@@ -147,6 +151,107 @@ def test_components_examples():
     descs = u_fhat1.components()
     assert descs[0] == IdealDescriptor(KIND_U_P_POWER, 0)
     assert descs[1].is_zero_ideal(R4.s)
+
+
+# The slow routes the closed forms replaced, kept as oracles: fingerprint
+# lookup in the complete ideal census of each GR(R, m), and the search over
+# all 2^t monic divisors of x^n - 1.
+
+
+@lru_cache(maxsize=None)
+def census_by_fingerprint(ctx):
+    return {gr_ideal_span(d, ctx).fingerprint(): d for d in gr_ideals(ctx)}
+
+
+def census_components(c):
+    out = []
+    for f in c.crt().factorization.factors:
+        ctx = _component_ctx(f)
+        reduced = [divmod_monic(g, f)[1] for g in c.generators]
+        span = gr_span_of_elements(ctx, [ctx.from_rpoly(r) for r in reduced])
+        out.append(census_by_fingerprint(ctx)[span.fingerprint()])
+    return tuple(out)
+
+
+def free_by_divisor_search(c):
+    crt = c.crt()
+    target = c.fingerprint()
+    for mask in range(1 << crt.t):
+        g = RPoly.one(c.params)
+        for l in range(crt.t):
+            if mask & (1 << l):
+                g = g * crt.factorization.factors[l]
+        if CyclicCode(c.n, c.params, [g]).fingerprint() == target:
+            return g.reduce_cyclic(c.n) if g.degree < c.n else g
+    return None
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4)])
+def test_reading_recovers_census_descriptors(p, s):
+    params = make_ring(p, s)
+    contexts = 0
+    for n in (1, 3, 5, 7):
+        if n % p == 0:
+            continue
+        for f in factor_xn_minus_1(n, params).factors:
+            if f.degree > 4:
+                continue
+            ctx = _component_ctx(f)
+            contexts += 1
+            for desc in gr_ideals(ctx):
+                reading = _read_component(gr_ideal_span(desc, ctx), ctx.m)
+                assert _descriptor_of(reading, params) == desc
+    assert contexts >= 4
+
+
+@pytest.mark.parametrize("params,total", [(R4, 63), (R8, 165)])
+def test_components_match_census_oracle(params, total):
+    codes3 = list(enumerate_cyclic_codes(3, params))
+    assert len(codes3) == total
+    for enumerated in codes3:
+        rebuilt = CyclicCode(3, params, enumerated.generators)
+        assert rebuilt.components() == census_components(rebuilt)
+
+
+@st.composite
+def generator_sets(draw):
+    params, lengths = draw(st.sampled_from([
+        (R4, (1, 3, 5, 7)), (R8, (1, 3, 5, 7)), (R9, (1, 2, 4, 5)),
+    ]))
+    n = draw(st.sampled_from(lengths))
+    q = params.q
+    pair = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):  # a scaled, shifted divisor of x^n - 1
+            g = RPoly.one(params)
+            for f in factor_xn_minus_1(n, params).factors:
+                if draw(st.booleans()):
+                    g = g * f
+            gens.append((g * RPoly.make(params, [draw(pair)])).shift(draw(st.integers(0, n - 1))))
+            if draw(st.booleans()):
+                gens.append(g.mul_u())
+        else:
+            gens.append(RPoly.make(params, draw(st.lists(pair, min_size=n, max_size=n))))
+    mode = draw(st.sampled_from(["ideal", "module"]))
+    return CyclicCode(n, params, gens, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_is_free_matches_divisor_search(c):
+    assert c.is_free() == free_by_divisor_search(c)
+
+
+def test_components_outside_the_four_families():
+    # (4, 2u) and (4 + 2u) over Z8, and (4 + 2u) over Z16, whose alpha = 2 is
+    # not a residue-field digit: ideals that the census does not list
+    for params, texts in [(R8, ["4", "u*(2)"]), (R8, ["4+u*(2)"]), (make_ring(2, 4), ["4+u*(2)"])]:
+        c = code(params, 1, texts)
+        with pytest.raises(PreconditionError, match=f"f_1 = x\\+{params.q - 1} "):
+            c.components()
+        assert c.is_free() is None
+        assert code(params, 1, texts, "module").is_free() is None
 
 
 def test_components_require_ideal_mode():

@@ -6,7 +6,6 @@ from zqu.galois import (
     eval_at,
     gr_ideal_elements,
     gr_ideals,
-    gr_is_unit,
     gr_teichmuller,
     gr_teichmuller_set,
     gr_zq_padic_digits,
@@ -51,11 +50,11 @@ def test_build_ctx_rejects_reducible():
 def test_gr_is_unit_examples():
     ctx = ctx_4_2()
     ux = ctx.from_rpoly(RPoly.make(R4, [(0, 0), (0, 1)]))
-    assert not gr_is_unit(ux)
+    assert not ux.is_unit()
     x = ctx.from_rpoly(RPoly.make(R4, [(0, 0), (1, 0)]))
-    assert gr_is_unit(x)
+    assert x.is_unit()
     ctx1 = ctx_m1(R4)
-    assert sum(1 for e in ctx1.elements() if gr_is_unit(e)) == 8
+    assert sum(1 for e in ctx1.elements() if e.is_unit()) == 8
 
 
 @pytest.mark.parametrize(

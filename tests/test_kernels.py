@@ -1,21 +1,11 @@
-"""Scan parity: every scan path must agree exactly with a word-by-word reference.
-
-The numpy scan and the kernel body ``_scan_python`` (run as plain Python) are
-checked against ``_reference_scan`` everywhere; the compiled numba kernel is
-checked only where numba imports.
-"""
+"""Scan parity: the numpy scan must agree exactly with a word-by-word reference."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from zqu import kernels
 from zqu.metrics import weight_table
 from zqu.ring import make_ring
-
-
-def test_backend_selected():
-    assert kernels.backend_name() in ("numba", "numpy")
 
 
 @st.composite
@@ -43,23 +33,8 @@ def test_backends_agree(instance):
     p, s, q, n, rows, ranges, start, stop = instance
     table = weight_table("hamming", make_ring(p, s))
     res_ref = _reference_scan(rows, ranges, table, q, n, start, stop)
-    res_numpy = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop, backend="numpy")
+    res_numpy = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
     assert res_numpy == res_ref
-    # the body numba compiles, run uncompiled with the wraps min_weight_scan passes it
-    wraps = ((1 - ranges)[:, None] * rows) % q
-    res_body = kernels._scan_python(rows, ranges, wraps, table, q, n, start, stop)
-    assert tuple(int(v) for v in res_body) == res_ref
-
-
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba not importable")
-@settings(max_examples=120, deadline=None)
-@given(scan_instance())
-def test_numba_backend_agrees(instance):
-    p, s, q, n, rows, ranges, start, stop = instance
-    table = weight_table("hamming", make_ring(p, s))
-    res_ref = _reference_scan(rows, ranges, table, q, n, start, stop)
-    res_numba = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop, backend="numba")
-    assert res_numba == res_ref
 
 
 def _reference_scan(rows, ranges, table, q, n, start, stop):
@@ -92,30 +67,3 @@ def test_partitioned_scans_merge_to_full_scan():
     right = kernels.min_weight_scan(rows, ranges, table, q, n, mid, total)
     assert min((left[0], left[1]), (right[0], right[1])) == (full[0], full[1])
     assert left[2] + right[2] == full[2]
-
-
-def test_env_flag_rejects_unknown():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, ZQU_KERNELS="cuda")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import zqu.kernels"], env=env, capture_output=True
-    )
-    assert proc.returncode != 0
-    assert b"ZQU_KERNELS" in proc.stderr
-
-
-def test_env_flag_numpy():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, ZQU_KERNELS="numpy")
-    proc = subprocess.run(
-        [sys.executable, "-c", "from zqu import kernels; print(kernels.backend_name())"],
-        env=env,
-        capture_output=True,
-    )
-    assert proc.stdout.strip() == b"numpy"
