@@ -1,11 +1,17 @@
 """Minimum-weight scan kernel.
 
 The exhaustive distance scan walks the span of a Howell basis in mixed-radix
-order (digit 0 fastest): the words of the lowest digits form one precomputed
-block, each block is offset by the word of the remaining digits, and
-per-coordinate weights come from a q*q lookup table.  A scan of linear
-indices [start, stop) returns (best weight, index of the first word attaining
-it, words scanned), so results are bit-identical across thread partitions.
+order (digit 0 fastest).  The words of the lowest digits form one block,
+built once per call and stored coordinate-major as pair indices a*2q + b in
+the narrowest unsigned dtype holding 4q^2 - 1.  Every other word is a block
+word plus the base word (a', b') of the remaining digits; since a + a' and
+b + b' stay below 2q, adding the base word's pair index a'*2q + b' once per
+block and gathering from the q*q weight table tiled 2 x 2 (a 2q*2q table)
+gives each coordinate's weight with one narrow add and one lookup, no mod q.
+Weights are non-negative and summed in the narrowest unsigned dtype holding
+max(table) * n.  A scan of linear indices [start, stop) returns (best
+weight, index of the first word attaining it, words scanned), so results
+are bit-identical across thread partitions.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
         mult = (np.arange(ranges[i], dtype=np.int64)[:, None] * rows[i][None, :]) % q
         block = (mult[:, None, :] + block[None, :, :]) % q
         block = block.reshape(-1, width)
+    # tiled[(a+a')*2q + b+b'] == table[((a+a') % q)*q + (b+b') % q] for a, a', b, b' < q.
+    pair_dt = np.min_scalar_type(4 * q * q - 1)
+    pairs = (block[:, :n] * (2 * q) + block[:, n:]).T.astype(pair_dt, order="C")
+    wdt = np.min_scalar_type(int(table.max()) * n)
+    tiled = np.tile(table.reshape(q, q), (2, 2)).ravel().astype(wdt)
     best = 1 << 62
     best_idx = -1
     scanned = 0
@@ -42,15 +53,10 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
         hi = min(stop, (outer + 1) * block_size)
         if lo >= hi:
             continue
-        base = np.zeros(width, np.int64)
-        rem = outer
-        for i in range(k0, k):
-            d = rem % ranges[i]
-            rem //= ranges[i]
-            if d:
-                base = (base + d * rows[i]) % q
-        words = (block[lo - outer * block_size : hi - outer * block_size] + base) % q
-        weights = table[words[:, :n] * q + words[:, n:]].sum(axis=1)
+        base = word_at_index(rows[k0:], ranges[k0:], q, outer)
+        off = (base[:n] * (2 * q) + base[n:]).astype(pair_dt)
+        cols = pairs[:, lo - outer * block_size : hi - outer * block_size]
+        weights = np.take(tiled, cols + off[:, None]).sum(axis=0, dtype=wdt)
         j = int(np.argmin(weights))
         value = int(weights[j])
         if value < best:

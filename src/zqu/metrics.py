@@ -9,6 +9,7 @@ on the (a, b) pair, which is what the scan kernel consumes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
@@ -172,6 +173,9 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
     exhaustive = total <= budget
     stop = total + 1 if exhaustive else budget + 1
     q, n = code.params.q, code.n
+    # One partition per worker, and no more workers than CPUs: the result
+    # does not depend on the partition count.
+    threads = min(threads, os.cpu_count() or 1)
 
     if threads == 1 or stop - 1 < 4 * threads:
         best, idx, scanned = kernels.min_weight_scan(rows, ranges_arr, table, q, n, 1, stop)

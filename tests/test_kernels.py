@@ -1,6 +1,7 @@
 """Scan parity: the numpy scan must agree exactly with a word-by-word reference."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from zqu import kernels
@@ -35,6 +36,81 @@ def test_backends_agree(instance):
     res_ref = _reference_scan(rows, ranges, table, q, n, start, stop)
     res_numpy = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
     assert res_numpy == res_ref
+
+
+@st.composite
+def table_instance(draw, pairs):
+    """A scan instance over one of `pairs` with a Lee, Gray-Hamming (q = 4) or
+    random non-negative table; random tables are asymmetric in (a, b)."""
+    p, s = draw(st.sampled_from(pairs))
+    q = p**s
+    kinds = ["random", "lee", "gray-hamming"] if q == 4 else ["random"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        top = draw(st.sampled_from([1, 7, 300]))
+        table = np.array(
+            draw(st.lists(st.integers(0, top), min_size=q * q, max_size=q * q)),
+            dtype=np.int64,
+        )
+    else:
+        table = weight_table(kind, make_ring(p, s))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    rows = np.array(
+        [[draw(st.integers(0, q - 1)) for _ in range(2 * n)] for _ in range(k)],
+        dtype=np.int64,
+    )
+    ranges = np.array(
+        [p ** draw(st.integers(1, s)) for _ in range(k)], dtype=np.int64
+    )
+    total = int(np.prod(ranges))
+    start = draw(st.integers(1, total))
+    stop = draw(st.integers(start, total))
+    return q, n, rows, ranges, table, start, stop
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_instance([(2, 2), (2, 3), (3, 1)]), st.integers(1, 16))
+def test_multi_block_scan_agrees(instance, block_target):
+    # A small block target splits even tiny spans into many blocks, so the
+    # per-block offset runs with nonzero base words and unaligned start/stop.
+    q, n, rows, ranges, table, start, stop = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_TARGET", block_target)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
+    assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_instance([(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]))
+def test_dtype_edges_agree(instance):
+    # (3, 2) needs uint16 pair indices; tables up to 300 need uint16 sums.
+    q, n, rows, ranges, table, start, stop = instance
+    res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
+    assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
+
+
+def test_gray_hamming_sums_pass_a_byte():
+    rng = np.random.default_rng(11)
+    q, n = 4, 160
+    ranges = np.array([4, 2, 4, 2, 2, 2], dtype=np.int64)
+    rows = rng.integers(0, q, size=(len(ranges), 2 * n)).astype(np.int64)
+    table = weight_table("gray-hamming", make_ring(2, 2))
+    total = int(np.prod(ranges))
+    res = kernels.min_weight_scan(rows, ranges, table, q, n, 1, total)
+    assert res == _reference_scan(rows, ranges, table, q, n, 1, total)
+    assert res[0] > 255
+
+
+def test_q1024_scan_agrees():
+    rng = np.random.default_rng(5)
+    q, n = 1024, 2
+    ranges = np.array([512, 64], dtype=np.int64)
+    rows = rng.integers(0, q, size=(2, 2 * n)).astype(np.int64)
+    table = rng.integers(0, 50, size=q * q).astype(np.int64)
+    total = int(np.prod(ranges))
+    res = kernels.min_weight_scan(rows, ranges, table, q, n, 3, total)
+    assert res == _reference_scan(rows, ranges, table, q, n, 3, total)
 
 
 def _reference_scan(rows, ranges, table, q, n, start, stop):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zqu import metrics
 from zqu.codes import CyclicCode, build_crt
 from zqu.errors import DistanceUndefinedError, UnsupportedMetricError
 from zqu.metrics import (
@@ -172,6 +173,32 @@ def test_threads_deterministic():
     multi = min_distance(c, "lee", threads=4)
     assert (single.value, single.witness) == (multi.value, multi.witness)
     assert single.words_scanned == multi.words_scanned
+
+
+def test_threads_capped_at_cpu_count(monkeypatch):
+    started = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    c = code(R4, 7, Z4_GENS, "module")
+    single = min_distance(c, "lee", threads=1)
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+    multi = min_distance(c, "lee", threads=64)
+    assert started == [3]
+    assert (multi.value, multi.witness, multi.words_scanned) == (
+        single.value, single.witness, single.words_scanned)
 
 
 def test_bch_delta_bounded_by_exact_distance():
