@@ -8,7 +8,6 @@ closure over rotated coefficient vectors, so the two routes stay independent.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -214,8 +213,7 @@ def check_z8_length15_chain(slow: bool = False) -> tuple[bool, str]:
     _fail(w == 7, f"weight of 4*g was {w}", notes)
     detail = "free (15, 64^5) code; delta=7 certificate and weight-7 word bracket d_H = 7"
     if slow:
-        threads = min(8, os.cpu_count() or 1)
-        report = min_distance(code, "hamming", budget=1 << 30, threads=threads)
+        report = min_distance(code, "hamming", budget=1 << 30, threads=8)
         _fail(report.exhaustive and report.value == 7,
               f"exhaustive sweep gave {report.value} (exhaustive={report.exhaustive})", notes)
         detail += f"; full 2^30-word sweep confirms 7 ({report.words_scanned} words)"
