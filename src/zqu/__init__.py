@@ -19,13 +19,13 @@ from .poly import (
     factor_xn_minus_1,
     format_r_poly,
     format_zq_poly,
-    hensel_lift,
     is_basic_irreducible,
     is_basic_primitive,
     parse_r_poly,
     parse_zq_poly,
     r_poly_from_json,
     r_poly_to_json,
+    teichmuller_lift,
     xn_minus_1,
 )
 from .galois import (

@@ -1,6 +1,6 @@
 """Polynomials over F_p as little-endian coefficient lists, plus the small
-finite-field machinery needed for factoring x^n - 1: cyclotomic cosets,
-minimal polynomials computed inside F_{p^m}, and primitive polynomial search.
+finite-field machinery needed for factoring x^n - 1: irreducibility and
+order tests, primitive polynomial search, and cyclotomic cosets.
 """
 
 from __future__ import annotations
@@ -14,16 +14,6 @@ def strip(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return strip(out)
 
 
 def sub(f, g, p):
@@ -201,91 +191,3 @@ def cyclotomic_cosets(n: int, p: int) -> list[list[int]]:
             b = (b * p) % n
         cosets.append(coset)
     return cosets
-
-
-class FpExt:
-    """F_{p^m} = F_p[y]/(modulus); elements are little-endian coefficient tuples."""
-
-    def __init__(self, p: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.modulus = list(modulus)
-        self.m = len(modulus) - 1
-
-    def reduce(self, f) -> tuple[int, ...]:
-        r = poly_divmod(list(f), self.modulus, self.p)[1]
-        return tuple(r + [0] * (self.m - len(r)))
-
-    @property
-    def zero(self):
-        return (0,) * self.m
-
-    @property
-    def one(self):
-        return self.reduce([1])
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        return self.reduce(mul(list(a), list(b), self.p))
-
-    def pow(self, a, e):
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def elements(self):
-        for enc in range(self.p**self.m):
-            digits = []
-            v = enc
-            for _ in range(self.m):
-                digits.append(v % self.p)
-                v //= self.p
-            yield tuple(digits)
-
-    def element_order(self, a) -> int:
-        n = self.p**self.m - 1
-        order = n
-        for ell in factorize(n):
-            while order % ell == 0 and self.pow(a, order // ell) == self.one:
-                order //= ell
-        return order
-
-
-def minimal_polynomials(n: int, p: int) -> list[list[int]]:
-    """Monic irreducible factors of x^n - 1 over F_p, one per cyclotomic coset.
-
-    Computed as prod_{j in coset} (X - w^j) inside F_{p^m} where w is a
-    primitive n-th root of unity; coefficients land in F_p.
-    """
-    import math
-
-    if math.gcd(n, p) != 1:
-        raise PreconditionError(f"gcd({n}, {p}) != 1")
-    m = multiplicative_order(p, n)
-    field = FpExt(p, smallest_primitive(p, m))
-    omega = field.pow(field.reduce([0, 1]), (p**m - 1) // n)
-    out = []
-    for coset in cyclotomic_cosets(n, p):
-        # polynomial over F_{p^m}, little-endian list of field elements
-        poly = [field.one]
-        for j in coset:
-            root = field.pow(omega, j)
-            shifted = [field.zero] + poly
-            scaled = [field.mul(root, c) for c in poly] + [field.zero]
-            poly = [field.sub(x, y) for x, y in zip(shifted, scaled)]
-        coeffs = []
-        for c in poly:
-            if any(c[1:]):
-                raise RuntimeError("minimal polynomial coefficient escaped F_p")
-            coeffs.append(c[0])
-        out.append(strip(coeffs))
-    return out

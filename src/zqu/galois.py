@@ -1,8 +1,8 @@
 """Galois extensions GR(R, m) = R[x]/(f(x)) for basic irreducible f.
 
 Elements are residue classes represented by coefficient pairs of degree < m.
-Provides the unit-group order, the ideal census of GR(R, m), Teichmuller
-lifts, and basic primitive n-th roots of unity for distance-bound work.
+Provides the unit-group order, the ideal census of GR(R, m), and basic
+primitive n-th roots of unity for distance-bound work.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 from . import config, fppoly
 from .errors import GuardExceededError, LengthNotCoprimeError, PreconditionError
 from .howell import ZqSpan
-from .poly import RPoly, divmod_monic, hensel_lift, is_basic_irreducible, is_basic_primitive
+from .poly import RPoly, divmod_monic, is_basic_irreducible, is_basic_primitive, teichmuller_lift
 from .ring import IdealDescriptor, KIND_P_ALPHA_U, KIND_P_POWER, KIND_U_P_POWER
 from .ring import RingElem, RingParams, ideal_descriptors
 
@@ -223,8 +223,9 @@ def gr_ideal_elements(desc: IdealDescriptor, ctx: GaloisRingCtx) -> frozenset[Gr
 def nth_root_of_unity(n: int, params: RingParams) -> tuple[GaloisRingCtx, GrElem]:
     """A canonical basic primitive n-th root of unity.
 
-    The context modulus is the Hensel lift of the canonical primitive
-    polynomial of degree m = ord_n(p); zeta = xi^{(p^m - 1)/n}.
+    The context modulus is the Teichmuller lift of the canonical primitive
+    polynomial of degree m = ord_n(p), so xi, the class of x, is the
+    Teichmuller lift of a primitive element of F_{p^m}; zeta = xi^{(p^m - 1)/n}.
     """
     if n < 1:
         raise PreconditionError("n must be positive")
@@ -232,7 +233,7 @@ def nth_root_of_unity(n: int, params: RingParams) -> tuple[GaloisRingCtx, GrElem
         raise LengthNotCoprimeError(f"gcd({n}, {params.p}) != 1")
     m = fppoly.multiplicative_order(params.p, n)
     pi = fppoly.smallest_primitive(params.p, m)
-    modulus = RPoly.from_zq(hensel_lift(list(pi), params))
+    modulus = RPoly.from_zq(teichmuller_lift(pi, params))
     ctx = build_ctx(modulus)
     zeta = ctx.xi ** ((params.p**m - 1) // n)
     return ctx, zeta
@@ -244,54 +245,3 @@ def eval_at(g: RPoly, e: GrElem, ctx: GaloisRingCtx) -> GrElem:
     for i in range(g.degree, -1, -1):
         acc = acc * e + ctx.embed_pair(*g[i])
     return acc
-
-
-def gr_teichmuller(e: GrElem) -> GrElem:
-    """Teichmuller representative: iterate z -> z^{p^m} to its fixed point."""
-    step = e.ctx.params.p ** e.ctx.m
-    t = e
-    prev = None
-    while t != prev:
-        prev = t
-        t = t**step
-    return t
-
-
-def gr_teichmuller_set(ctx: GaloisRingCtx) -> list[GrElem]:
-    """{0} plus the (p^m - 1)-th roots of unity of GR(R, m).
-
-    Obtained as powers of the Teichmuller lift of a residue-field generator,
-    so no discrete logarithms are needed.
-    """
-    p, m = ctx.params.p, ctx.m
-    if ctx.primitive:
-        gen = ctx.xi
-    else:
-        field = fppoly.FpExt(p, ctx.modulus.residue())
-        gen_res = None
-        for cand in field.elements():
-            if any(cand) and field.element_order(cand) == p**m - 1:
-                gen_res = cand
-                break
-        lifted = RPoly.make(ctx.params, [(c, 0) for c in gen_res])
-        gen = gr_teichmuller(ctx.from_rpoly(lifted))
-    out = [ctx.zero()]
-    acc = ctx.one()
-    for _ in range(p**m - 1):
-        out.append(acc)
-        acc = acc * gen
-    return out
-
-
-def gr_zq_padic_digits(e: GrElem) -> list[GrElem]:
-    """p-adic digits of the Z_q-part of e over the Teichmuller set."""
-    ctx = e.ctx
-    p, s = ctx.params.p, ctx.params.s
-    v = GrElem(ctx, tuple((a, 0) for a, _ in e.pairs))
-    digits = []
-    for _ in range(s):
-        d = gr_teichmuller(v)
-        digits.append(d)
-        diff = v - d
-        v = GrElem(ctx, tuple((a // p, 0) for a, _ in diff.pairs))
-    return digits

@@ -3,8 +3,8 @@
 Coefficients are little-endian with trailing zeros stripped.  An R-polynomial
 is a pair of Z_q coefficient streams (a-part, u-part); u^2 = 0 keeps
 multiplication a single cross term.  Includes coprimality with exact Bezout
-witnesses, quadratic Hensel lifting, and the complete factorization of
-x^n - 1 into basic irreducible polynomials.
+witnesses, Teichmuller lifts of irreducible polynomials over F_p, and the
+complete factorization of x^n - 1 into basic irreducible polynomials.
 """
 
 from __future__ import annotations
@@ -333,40 +333,47 @@ def coprime_with_witness(f: RPoly, g: RPoly):
     return kappa * a0, kappa * b0
 
 
-def _hensel_pair(target: ZqPoly, gbar: list[int], hbar: list[int]) -> tuple[ZqPoly, ZqPoly]:
-    """Lift a coprime factor pair of `target` mod p to an exact pair mod q.
+def _powmod(base: ZqPoly, e: int, modulus: ZqPoly) -> ZqPoly:
+    result = ZqPoly.const(base.params, 1)
+    while e:
+        if e & 1:
+            result = (result * base) % modulus
+        base = (base * base) % modulus
+        e >>= 1
+    return result
 
-    Quadratic iteration: the factorization and its Bezout witnesses are
-    refined together, doubling precision each step.
+
+@lru_cache(maxsize=None)
+def _teichmuller_root(gbar: tuple[int, ...], params: RingParams) -> tuple[ZqPoly, ZqPoly]:
+    """(G, T) with G = gbar read over Z_q and T = x^(p^(m(s-1))) mod G.
+
+    Z_q[x]/(G) is the Galois ring of degree m = deg gbar over Z_q, and T is
+    the Teichmuller lift of the residue root x (Wan 2003): the p^m-th power
+    fixes a unit's Teichmuller part and sends a factor 1 + p^k*e to
+    1 + p^(k+1)*e', so s - 1 such steps leave only the Teichmuller part.
     """
-    params = target.params
-    p, q = params.p, params.q
-    d, abar, bbar = fppoly.xgcd(gbar, hbar, p)
-    if len(d) != 1:
-        raise PreconditionError("factor pair is not coprime mod p")
-    G = ZqPoly.make(params, gbar)
-    H = ZqPoly.make(params, hbar)
-    A = ZqPoly.make(params, abar)
-    B = ZqPoly.make(params, bbar)
-    one = ZqPoly.const(params, 1)
-    precision = p
-    while precision < q:
-        e = target - G * H
-        quo, rem = divmod(B * e, G)
-        G = G + rem
-        H = H + A * e + quo * H
-        delta = A * G + B * H - one
-        quo2, rem2 = divmod(B * delta, G)
-        B = B - rem2
-        A = A - A * delta - quo2 * H
-        precision = precision * precision
-    assert (target - G * H).is_zero(), "Hensel iteration failed to converge"
-    return G, H
+    modulus = ZqPoly.make(params, gbar)
+    p, m = params.p, len(gbar) - 1
+    return modulus, _powmod(ZqPoly.make(params, [0, 1]), p ** (m * (params.s - 1)), modulus)
 
 
-def hensel_lift(gbar, params: RingParams) -> ZqPoly:
+def _conjugate_product(roots, modulus: ZqPoly) -> ZqPoly:
+    """prod_r (X - r) over Galois-ring elements r of Z_q[x]/(modulus); the
+    roots form whole Frobenius orbits, so every coefficient lands in Z_q."""
+    params = modulus.params
+    coeffs = [ZqPoly.const(params, 1)]
+    for r in roots:
+        coeffs = [ZqPoly.zero(params)] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] = coeffs[i] - (coeffs[i + 1] * r) % modulus
+    assert all(c.degree <= 0 for c in coeffs), "conjugate product escaped Z_q"
+    return ZqPoly.make(params, [c[0] for c in coeffs])
+
+
+def teichmuller_lift(gbar, params: RingParams) -> ZqPoly:
     """The unique monic lift of an irreducible gbar over F_p to Z_q that still
-    divides x^N - 1, N the multiplicative order of gbar's roots."""
+    divides x^N - 1, N the multiplicative order of gbar's roots: the product
+    of X - T^(p^k), k < m, over the conjugates of the Teichmuller root T."""
     coeffs = [int(c) % params.p for c in (gbar.residue() if isinstance(gbar, (ZqPoly, RPoly)) else gbar)]
     coeffs = _strip(coeffs)
     if not coeffs or coeffs[-1] != 1:
@@ -377,28 +384,11 @@ def hensel_lift(gbar, params: RingParams) -> ZqPoly:
         raise PreconditionError("x divides the input; it cannot divide x^N - 1")
     if not fppoly.is_irreducible(coeffs, params.p):
         raise PreconditionError("input is reducible over F_p")
-    root_order = fppoly.order_of_x(coeffs, params.p)
-    target = xn_minus_1_zq(params, root_order)
-    cofactor, rem = fppoly.poly_divmod([c % params.p for c in ([-1] + [0] * (root_order - 1) + [1])], coeffs, params.p)
-    assert not rem
-    if len(cofactor) == 1:
-        return target
-    lifted, _ = _hensel_pair(target, coeffs, cofactor)
-    return lifted
-
-
-def lift_factorization(target: ZqPoly, fbars: list[list[int]]) -> list[ZqPoly]:
-    """Simultaneously Hensel-lift a full pairwise-coprime monic factorization
-    of `target` mod p, by splitting the factor list in halves."""
-    if len(fbars) == 1:
-        return [target]
-    mid = len(fbars) // 2
-    left, right = fbars[:mid], fbars[mid:]
-    p = target.params.p
-    lbar = reduce(lambda x, y: fppoly.mul(x, y, p), left)
-    rbar = reduce(lambda x, y: fppoly.mul(x, y, p), right)
-    L, R = _hensel_pair(target, lbar, rbar)
-    return lift_factorization(L, left) + lift_factorization(R, right)
+    modulus, t = _teichmuller_root(tuple(coeffs), params)
+    conjugates = [t]
+    for _ in range(modulus.degree - 1):
+        conjugates.append(_powmod(conjugates[-1], params.p, modulus))
+    return _conjugate_product(conjugates, modulus)
 
 
 @dataclass(frozen=True)
@@ -425,17 +415,25 @@ def _factor_sort_key(f: RPoly):
 
 @lru_cache(maxsize=None)
 def factor_xn_minus_1(n: int, params: RingParams) -> Factorization:
-    """Factor x^n - 1 over R into basic irreducibles via cyclotomic cosets
-    over F_p followed by a simultaneous Hensel lift."""
+    """Factor x^n - 1 over R into basic irreducibles: one factor
+    prod_{k in C} (X - zeta^k) per p-cyclotomic coset C of Z_n, where
+    zeta = T^((p^m - 1)/n) for the Teichmuller root T of the canonical
+    primitive polynomial of degree m = ord_n(p)."""
     if n < 1:
         raise PreconditionError(f"length n = {n} must be positive")
-    if math.gcd(n, params.p) != 1:
+    p = params.p
+    if math.gcd(n, p) != 1:
         raise LengthNotCoprimeError(
-            f"gcd(n, p) = gcd({n}, {params.p}) != 1; length must be prime to p"
+            f"gcd(n, p) = gcd({n}, {p}) != 1; length must be prime to p"
         )
-    minpolys = fppoly.minimal_polynomials(n, params.p)
-    target = xn_minus_1_zq(params, n)
-    lifted = lift_factorization(target, minpolys)
+    m = fppoly.multiplicative_order(p, n)
+    modulus, t = _teichmuller_root(fppoly.smallest_primitive(p, m), params)
+    zeta = _powmod(t, (p**m - 1) // n, modulus)
+    powers = [ZqPoly.const(params, 1)]
+    for _ in range(n - 1):
+        powers.append((powers[-1] * zeta) % modulus)
+    lifted = [_conjugate_product([powers[k] for k in coset], modulus)
+              for coset in fppoly.cyclotomic_cosets(n, p)]
     factors = sorted((RPoly.from_zq(f) for f in lifted), key=_factor_sort_key)
     fact = Factorization(n, params, tuple(factors))
     assert (fact.product() - xn_minus_1(params, n)).is_zero(), "factor product mismatch"

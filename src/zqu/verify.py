@@ -24,7 +24,8 @@ from .errors import ZquError
 from .galois import build_ctx, gr_ideal_elements, nth_root_of_unity, unit_group_order
 from .howell import ZqSpan
 from .metrics import WordR, hamming_weight, min_distance
-from .poly import RPoly, divmod_monic, factor_xn_minus_1, hensel_lift, is_basic_primitive, parse_r_poly, xn_minus_1
+from .poly import (RPoly, divmod_monic, factor_xn_minus_1, is_basic_primitive, parse_r_poly,
+                   teichmuller_lift, xn_minus_1)
 from .ring import IdealDescriptor, make_ring
 
 
@@ -246,7 +247,8 @@ def check_z4_length7_chain() -> tuple[bool, str]:
 
 def check_property_suite() -> tuple[bool, str]:
     notes: list[str] = []
-    # Hensel postconditions on every factor of every tested (n, q)
+    # every factor re-lifts from its own residue (not from the primitive
+    # polynomial the factorization used) and divides x^order - 1
     import zqu.fppoly as fppoly
 
     for n, p, s in [(3, 2, 2), (7, 2, 2), (15, 2, 3), (5, 3, 2)]:
@@ -256,7 +258,7 @@ def check_property_suite() -> tuple[bool, str]:
             res = list(f.residue())
             _fail(f.is_monic(), f"factor {f} not monic", notes)
             _fail(fppoly.is_irreducible(res, p), f"residue of {f} reducible", notes)
-            relift = hensel_lift(res, params)
+            relift = teichmuller_lift(res, params)
             _fail(relift == f.a_part(), f"re-lift of {f} differs", notes)
             order = fppoly.order_of_x(res, p)
             target = xn_minus_1(params, order)

@@ -3,9 +3,15 @@
 Everything here deliberately avoids the library's Howell-basis machinery:
 element sets come from breadth-first additive closure over explicitly rotated
 coefficient vectors, so library results are checked against a second route.
+Teichmuller lifts are checked against the routes the library's closed form
+replaced: quadratic Hensel lifting inside x^N - 1 and the fixed-point loop.
 """
 
 from __future__ import annotations
+
+from zqu import fppoly
+from zqu.errors import PreconditionError
+from zqu.poly import ZqPoly, xn_minus_1_zq
 
 
 def additive_closure(vectors, q):
@@ -77,3 +83,70 @@ def hamming_pairs(pairs):
 def lee_pairs(pairs):
     table = (0, 1, 2, 1)
     return sum(table[b % 4] + table[(a + b) % 4] for a, b in pairs)
+
+
+def _hensel_pair(target, gbar, hbar):
+    """Lift a coprime factor pair of `target` mod p to an exact pair mod q.
+
+    Quadratic iteration: the factorization and its Bezout witnesses are
+    refined together, doubling precision each step.
+    """
+    params = target.params
+    p, q = params.p, params.q
+    d, abar, bbar = fppoly.xgcd(gbar, hbar, p)
+    if len(d) != 1:
+        raise PreconditionError("factor pair is not coprime mod p")
+    G = ZqPoly.make(params, gbar)
+    H = ZqPoly.make(params, hbar)
+    A = ZqPoly.make(params, abar)
+    B = ZqPoly.make(params, bbar)
+    one = ZqPoly.const(params, 1)
+    precision = p
+    while precision < q:
+        e = target - G * H
+        quo, rem = divmod(B * e, G)
+        G = G + rem
+        H = H + A * e + quo * H
+        delta = A * G + B * H - one
+        quo2, rem2 = divmod(B * delta, G)
+        B = B - rem2
+        A = A - A * delta - quo2 * H
+        precision = precision * precision
+    assert (target - G * H).is_zero(), "Hensel iteration failed to converge"
+    return G, H
+
+
+def hensel_lift(gbar, params):
+    """The monic lift of an irreducible gbar over F_p (nonzero constant term)
+    that divides x^N - 1, N the order of gbar's roots, by Hensel lifting the
+    split x^N - 1 = gbar * cofactor mod p."""
+    coeffs = [int(c) % params.p for c in gbar]
+    root_order = fppoly.order_of_x(coeffs, params.p)
+    target = xn_minus_1_zq(params, root_order)
+    xn1 = [params.p - 1] + [0] * (root_order - 1) + [1]
+    cofactor, rem = fppoly.poly_divmod(xn1, coeffs, params.p)
+    assert not rem
+    if len(cofactor) == 1:
+        return target
+    return _hensel_pair(target, coeffs, cofactor)[0]
+
+
+def teichmuller_loop(a, p, q):
+    """Teichmuller representative of a in Z_q: iterate a -> a^p to a fixed point."""
+    t = a % q
+    prev = None
+    while t != prev:
+        prev = t
+        t = pow(t, p, q)
+    return t
+
+
+def gr_teichmuller_loop(e):
+    """Teichmuller representative in GR(R, m): iterate z -> z^(p^m) to a fixed point."""
+    step = e.ctx.params.p ** e.ctx.m
+    t = e
+    prev = None
+    while t != prev:
+        prev = t
+        t = t**step
+    return t

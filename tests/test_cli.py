@@ -94,6 +94,31 @@ def test_analyze_reference_free_code():
     assert data["bch"] == {"b": 1, "delta": 7}
 
 
+def _x_plus_7_text(n, cardinality_exponent, factors):
+    components = ["p_power@3"] + ["p_power@0"] * (factors - 1)
+    return (f"cyclic code of length {n} over Z8+uZ8 [ideal closure]\n"
+            "  generators: x+7\n"
+            f"  cardinality: 2^{cardinality_exponent}\n"
+            "  canonical: f0 = x+7, f1 = 0, g1 = x+7\n"
+            f"  components: {components}\n"
+            "  free: True\n"
+            "  bch bound: delta = 2 from exponent b = 0\n")
+
+
+def test_analyze_x_plus_7_degree_12_root():
+    # zeta lives in GR(Z8 + uZ8, 12); the root of unity must not need the
+    # factors of x^4095 - 1
+    proc = run("analyze", "--n", "45", "--p", "2", "--s", "3", "--gens", "x+7")
+    assert proc.returncode == 0
+    assert proc.stdout == _x_plus_7_text(45, 264, 8)
+
+
+def test_analyze_x_plus_7_degree_6_root():
+    proc = run("analyze", "--n", "63", "--p", "2", "--s", "3", "--gens", "x+7")
+    assert proc.returncode == 0
+    assert proc.stdout == _x_plus_7_text(63, 372, 13)
+
+
 def test_analyze_u_generator():
     proc = run("analyze", "--n", "3", "--p", "2", "--s", "2", "--gens", "u",
                "--format", "json")

@@ -2,18 +2,18 @@ import pytest
 
 from zqu.errors import PreconditionError
 from zqu.galois import (
+    GrElem,
     build_ctx,
     eval_at,
     gr_ideal_elements,
     gr_ideals,
-    gr_teichmuller,
-    gr_teichmuller_set,
-    gr_zq_padic_digits,
     nth_root_of_unity,
     unit_group_order,
 )
 from zqu.poly import RPoly, factor_xn_minus_1, parse_r_poly, xn_minus_1
 from zqu.ring import census_size, make_ring
+
+from helpers import gr_teichmuller_loop
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -139,30 +139,47 @@ def test_eval_examples():
     assert eval_at(one, zeta, ctx) == ctx.one()
 
 
+def zq_part(e):
+    return GrElem(e.ctx, tuple((a, 0) for a, _ in e.pairs))
+
+
+def teichmuller(e):
+    """Closed-form Teichmuller representative of e's residue: the Z_q-part
+    of e raised to p^(m(s-1))."""
+    p, s = e.ctx.params.p, e.ctx.params.s
+    return zq_part(e) ** (p ** (e.ctx.m * (s - 1)))
+
+
+def teichmuller_set(ctx):
+    return {teichmuller(e) for e in ctx.elements() if e == zq_part(e)}
+
+
 def test_teichmuller_set_and_digits():
     ctx = ctx_4_2()
-    teich = gr_teichmuller_set(ctx)
+    teich = teichmuller_set(ctx)
     assert len(teich) == ctx.residue_field_size
     step = ctx.params.p**ctx.m
     for t in teich:
         assert t**step == t
-    # digits reconstruct the Z_q-part
+        assert gr_teichmuller_loop(t) == t
+    # digits of the Z_q-part over the Teichmuller set reconstruct it
     p, s = ctx.params.p, ctx.params.s
     for e in list(ctx.elements())[:64]:
-        digits = gr_zq_padic_digits(e)
+        v = zq_part(e)
         acc = ctx.zero()
-        for i, d in enumerate(reversed(digits)):
-            scale = ctx.embed_pair(p ** (s - 1 - i), 0)
-            acc = acc + d * scale
+        for i in range(s):
+            d = teichmuller(v)
+            assert d in teich
+            acc = acc + d * ctx.embed_pair(p**i, 0)
+            v = GrElem(ctx, tuple((a // p, 0) for a, _ in (v - d).pairs))
         assert acc.a_coeffs() == e.a_coeffs()
 
 
 def test_unit_group_decomposition():
-    # every unit splits uniquely as (Teichmuller power) * (kernel element)
+    # every unit splits uniquely as (Teichmuller element) * (kernel element)
     for ctx in (ctx_m1(R4), ctx_4_2(), ctx_m1(R8), ctx_m1(R9)):
-        teich = gr_teichmuller_set(ctx)
-        nonzero_teich = teich[1:]
-        index = {t: i for i, t in enumerate(nonzero_teich)}
+        nonzero_teich = teichmuller_set(ctx) - {ctx.zero()}
+        order = ctx.residue_field_size - 1
         one = ctx.one()
         seen = set()
         count = 0
@@ -170,18 +187,28 @@ def test_unit_group_decomposition():
             if not e.is_unit():
                 continue
             count += 1
-            lead = gr_teichmuller(GrVal(e))
-            assert lead in index
-            inv = nonzero_teich[(-index[lead]) % len(nonzero_teich)]
-            tail = inv * e
-            assert gr_teichmuller(GrVal(tail)) == one
-            assert nonzero_teich[index[lead]] * tail == e
+            lead = teichmuller(e)
+            assert lead in nonzero_teich
+            tail = lead ** (order - 1) * e
+            assert teichmuller(tail) == one
+            assert lead * tail == e
             seen.add((lead, tail))
         assert len(seen) == count == unit_group_order(ctx)
 
 
-def GrVal(e):
-    # Teichmuller digit of the Z_q-part
-    from zqu.galois import GrElem
-
-    return GrElem(e.ctx, tuple((a, 0) for a, _ in e.pairs))
+def test_closed_form_teichmuller_matches_loop():
+    # The closed form applies to the Z_q-part only: a u-part u*b picks up
+    # just a factor p^(m(s-1)), short of p^s when m(s-1) < s (m = 1 here),
+    # so e^(p^(m(s-1))) is not yet the fixed point the loop reaches.
+    u_part_differs = 0
+    for ctx in (ctx_m1(R4), ctx_4_2(), ctx_m1(R8), ctx_m1(R9), ctx_m1(make_ring(2, 4))):
+        p, s = ctx.params.p, ctx.params.s
+        for e in ctx.elements():
+            assert teichmuller(e) == gr_teichmuller_loop(e)
+            if e ** (p ** (ctx.m * (s - 1))) != gr_teichmuller_loop(e):
+                u_part_differs += 1
+    assert u_part_differs > 0
+    ctx = ctx_m1(R4)
+    e = ctx.embed_pair(1, 1)  # 1 + u
+    assert e**2 == ctx.embed_pair(1, 2)
+    assert teichmuller(e) == gr_teichmuller_loop(e) == ctx.one()

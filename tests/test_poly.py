@@ -15,16 +15,18 @@ from zqu.poly import (
     factor_xn_minus_1,
     format_r_poly,
     format_zq_poly,
-    hensel_lift,
     is_basic_irreducible,
     is_basic_primitive,
     parse_r_poly,
     parse_zq_poly,
     r_poly_from_json,
     r_poly_to_json,
+    teichmuller_lift,
     xn_minus_1,
 )
 from zqu.ring import make_ring
+
+from helpers import hensel_lift
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -140,36 +142,60 @@ def test_witness_iff_residues_coprime(params, data):
         assert witness is None
 
 
-# -- Hensel lifting ---------------------------------------------------------------
+# -- Teichmuller lifts (Hensel lifting as the oracle) -----------------------------
 
 
 def test_hensel_examples():
-    assert format_zq_poly(hensel_lift([1, 1, 1], R4)) == "x^2+x+1"
-    assert format_zq_poly(hensel_lift([1, 1, 0, 0, 1], R8)) == Z8_QUARTIC
+    assert format_zq_poly(teichmuller_lift([1, 1, 1], R4)) == "x^2+x+1"
+    assert format_zq_poly(teichmuller_lift([1, 1, 0, 0, 1], R8)) == Z8_QUARTIC
     for params in (R4, R9):
-        lifted = hensel_lift([params.p - 1, 1], params)
+        lifted = teichmuller_lift([params.p - 1, 1], params)
         assert format_zq_poly(lifted) == f"x+{params.q - 1}"
 
 
 def test_hensel_rejects_bad_input():
     with pytest.raises(PreconditionError):
-        hensel_lift([1, 0, 1], R4)  # x^2+1 = (x+1)^2 over F_2
+        teichmuller_lift([1, 0, 1], R4)  # x^2+1 = (x+1)^2 over F_2
     with pytest.raises(PreconditionError):
-        hensel_lift([0, 1], R4)  # x itself
+        teichmuller_lift([0, 1], R4)  # x itself
     with pytest.raises(PreconditionError):
-        hensel_lift([1, 2], R4)  # not monic over F_2
+        teichmuller_lift([1, 2], R4)  # not monic over F_2
 
 
-@pytest.mark.parametrize("n,params", [(3, R4), (7, R4), (15, R8), (5, R9)])
+@pytest.mark.parametrize("n,params", [(3, R4), (7, R4), (15, R8), (5, R9),
+                                      (45, R8), (63, R4), (85, R4), (91, R9)])
 def test_hensel_postconditions_per_factor(n, params):
     import zqu.fppoly as fppoly
 
     for f in factor_xn_minus_1(n, params).factors:
         res = list(f.residue())
         assert fppoly.is_irreducible(res, params.p)
+        assert teichmuller_lift(res, params) == f.a_part()
         assert hensel_lift(res, params) == f.a_part()
         order = fppoly.order_of_x(res, params.p)
         assert divmod_monic(xn_minus_1(params, order), f)[1].is_zero()
+
+
+def _monic_irreducibles(p, m):
+    import zqu.fppoly as fppoly
+
+    for enc in range(p**m):
+        coeffs = [(enc // p**i) % p for i in range(m)] + [1]
+        if coeffs[0] and fppoly.is_irreducible(coeffs, p):
+            yield coeffs
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in range(1, 9) if p**m <= 256])
+def test_teichmuller_lift_matches_hensel_oracle(p, m):
+    # every monic irreducible of degree m, not only the primitive ones; the
+    # lift over Z_{p^s} is the reduction of the unique lift over Z_{p^4}, so
+    # one oracle run per gbar serves s = 1..4
+    for gbar in _monic_irreducibles(p, m):
+        oracle = hensel_lift(gbar, make_ring(p, 4))
+        for s in range(1, 5):
+            params = make_ring(p, s)
+            expected = ZqPoly.make(params, oracle.coeffs)
+            assert teichmuller_lift(gbar, params) == expected, (gbar, s)
 
 
 # -- factorization -----------------------------------------------------------------
@@ -183,7 +209,8 @@ def test_factor_examples():
     assert Z8_QUARTIC in [str(f) for f in f15.factors]
 
 
-@pytest.mark.parametrize("n,params", [(3, R4), (7, R4), (15, R8), (5, R9), (9, R4), (4, R9)])
+@pytest.mark.parametrize("n,params", [(3, R4), (7, R4), (15, R8), (5, R9), (9, R4), (4, R9),
+                                      (45, R8), (63, R4), (85, R4), (91, R9)])
 def test_factor_product_and_coprimality(n, params):
     import zqu.fppoly as fppoly
 

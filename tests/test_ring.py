@@ -14,8 +14,11 @@ from zqu.ring import (
     ideal_elements,
     make_ring,
     p_adic_digits,
+    teichmuller,
     teichmuller_set,
 )
+
+from helpers import teichmuller_loop
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -102,6 +105,14 @@ def test_p_adic_digit_examples():
     assert p_adic_digits(5, R9) == (8, 8)
     assert p_adic_digits(0, R9) == (0, 0)
     assert teichmuller_set(R9) == (0, 1, 8)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_teichmuller_closed_form_matches_loop(p):
+    for s in range(1, 6):
+        q = p**s
+        for a in range(q):
+            assert teichmuller(a, p, q) == teichmuller_loop(a, p, q), (a, q)
 
 
 @pytest.mark.parametrize("params", [R4, R8, R9, make_ring(5, 2), make_ring(3, 3)])
