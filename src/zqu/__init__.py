@@ -4,8 +4,7 @@ from .ring import (
     IdealDescriptor,
     RingElem,
     RingParams,
-    enumerate_ideals,
-    ideal_elements,
+    ideal_descriptors,
     make_ring,
     p_adic_digits,
     teichmuller_set,
@@ -34,7 +33,7 @@ from .galois import (
     build_ctx,
     eval_at,
     gr_ideal_elements,
-    gr_ideals,
+    ideal_elements,
     nth_root_of_unity,
     unit_group_order,
 )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 from . import config
@@ -23,7 +23,7 @@ from .errors import (
     LengthNotCoprimeError,
     PreconditionError,
 )
-from .galois import GaloisRingCtx, build_ctx, eval_at, gr_ideals, gr_span_of_elements, nth_root_of_unity
+from .galois import GaloisRingCtx, eval_at, ideal_span_mod, nth_root_of_unity
 from .howell import ZqSpan
 from .poly import (
     Factorization,
@@ -36,11 +36,11 @@ from .poly import (
 )
 from .ring import (
     IdealDescriptor,
-    KIND_P_ALPHA_U,
-    KIND_P_AND_U,
-    KIND_P_POWER,
-    KIND_U_P_POWER,
+    Reading,
     RingParams,
+    census_size,
+    ideal_descriptors,
+    reading_generators,
 )
 
 
@@ -86,18 +86,11 @@ def build_crt(n: int, params: RingParams) -> CrtSystem:
 def count_cyclic_codes(n: int, params: RingParams) -> int:
     """Product over the factor degrees of the per-component ideal counts."""
     fact = factor_xn_minus_1(n, params)
-    p, s = params.p, params.s
-    return reduce(
-        lambda acc, eps: acc * ((p**eps - 1) * (s - 1) + 3 * s), fact.degrees, 1
-    )
+    return math.prod(census_size(params.p, params.s, m) for m in fact.degrees)
 
 
 MODE_IDEAL = "ideal"
 MODE_MODULE = "module"
-
-# (i, j, alpha): the component is (p^i) mod u and u*(p^j) inside uGR(R, m);
-# when i < s it holds p^i + alpha*u, with alpha reduced mod p^j.
-Reading = tuple[int, int, Optional[tuple[int, ...]]]
 
 
 def _word_vector(poly: RPoly, n: int) -> list[int]:
@@ -181,10 +174,8 @@ class CyclicCode:
         if self._readings is None:
             out = []
             for f in self.crt().factorization.factors:
-                ctx = _component_ctx(f)
-                reduced = [divmod_monic(g, f)[1] for g in self.generators]
-                span = gr_span_of_elements(ctx, [ctx.from_rpoly(r) for r in reduced])
-                out.append(_read_component(span, ctx.m))
+                span = ideal_span_mod(self.generators, f)
+                out.append(_read_component(span, f.degree))
             self._readings = tuple(out)
         return self._readings
 
@@ -195,7 +186,7 @@ class CyclicCode:
         out = []
         factors = self.crt().factorization.factors
         for l, (reading, f) in enumerate(zip(self._component_readings(), factors)):
-            desc = _descriptor_of(reading, self.params)
+            desc = IdealDescriptor.from_reading(reading, self.params.p, self.params.s)
             if desc is None:
                 raise PreconditionError(
                     f"component ideal at factor f_{l + 1} = {f} lies outside the four ideal families"
@@ -211,22 +202,10 @@ class CyclicCode:
         crt = build_crt(n, params)
         if len(descriptors) != crt.t:
             raise PreconditionError(f"expected {crt.t} component descriptors")
-        p = params.p
         gens = []
-        for desc, fhat in zip(descriptors, crt.cofactors):
-            if desc.is_zero_ideal(params.s):
-                continue
-            if desc.kind == KIND_P_POWER:
-                gens.append((fhat * (p**desc.index)).reduce_cyclic(n))
-            elif desc.kind == KIND_U_P_POWER:
-                gens.append((fhat.mul_u() * (p**desc.index)).reduce_cyclic(n))
-            elif desc.kind == KIND_P_ALPHA_U:
-                alpha = RPoly.make(params, [(0, c) for c in desc.alpha])
-                gen = fhat * (p**desc.index) + alpha * fhat
-                gens.append(gen.reduce_cyclic(n))
-            else:  # (p^j, u)
-                gens.append((fhat * (p**desc.index)).reduce_cyclic(n))
-                gens.append(fhat.mul_u().reduce_cyclic(n))
+        for desc, fhat, m in zip(descriptors, crt.cofactors, crt.factorization.degrees):
+            for g in reading_generators(desc.reading(params.s, m), params):
+                gens.append((RPoly.make(params, g) * fhat).reduce_cyclic(n))
         return cls(n, params, gens, MODE_IDEAL)
 
     # -- canonical generators ----------------------------------------------
@@ -346,11 +325,6 @@ class CyclicCode:
 # -- component ideals ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _component_ctx(f: RPoly) -> GaloisRingCtx:
-    return build_ctx(f)
-
-
 def _read_component(span: ZqSpan, m: int) -> Reading:
     """Read (i, j, alpha) off the Howell form of an ideal of GR(R, m) in
     Z_q^{2m}, a-coordinates first.  Rows pivoting in the a-block generate the
@@ -365,24 +339,11 @@ def _read_component(span: ZqSpan, m: int) -> Reading:
     return i, j, tuple(-b % p**j for b in r[m:])
 
 
-def _descriptor_of(reading: Reading, params: RingParams) -> Optional[IdealDescriptor]:
-    """The ideal family with this reading, or None outside the four families."""
-    i, j, alpha = reading
-    p, s = params.p, params.s
-    if i == s:
-        return IdealDescriptor(KIND_P_POWER, s) if j == s else IdealDescriptor(KIND_U_P_POWER, j)
-    if j == i and not any(alpha):  # i = 0 lands here: j = 0 and alpha mod 1 = 0
-        return IdealDescriptor(KIND_P_POWER, i)
-    if j == 0:
-        return IdealDescriptor(KIND_P_AND_U, i)
-    if j == min(i, s - i) and any(alpha) and max(alpha) < p:
-        return IdealDescriptor(KIND_P_ALPHA_U, i, alpha)
-    return None
-
-
 def enumerate_cyclic_codes(n: int, params: RingParams,
                            limit: Optional[int] = None) -> Iterator[CyclicCode]:
     """All cyclic codes in canonical component order (may be budget-guarded)."""
+    if limit is not None and limit < 0:
+        raise PreconditionError("limit must be >= 0")
     total = count_cyclic_codes(n, params)
     if limit is None:
         cap = config.env_int("ZQU_ENUM_BUDGET", config.DEFAULT_ENUM_BUDGET)
@@ -393,9 +354,7 @@ def enumerate_cyclic_codes(n: int, params: RingParams,
             f"{total} codes exceed the enumeration budget {cap}; pass an explicit limit"
         )
     crt = build_crt(n, params)
-    per_factor = [
-        gr_ideals(_component_ctx(f)) for f in crt.factorization.factors
-    ]
+    per_factor = [ideal_descriptors(params.p, params.s, m) for m in crt.factorization.degrees]
     produced = 0
     for combo in itertools.product(*per_factor):
         if produced >= cap:
@@ -454,23 +413,23 @@ def _canonical_form(code: CyclicCode) -> CanonicalGenerators:
     params = code.params
     n = code.n
     crt = code.crt()
-    comps = code.components()
+    code.components()  # raises for an ideal outside the four families
     readings = code._component_readings()
     i_exps = [i for i, _, _ in readings]
     j_exps = [j for _, j, _ in readings]
     f0 = _chain_generator(i_exps, crt)
     g1 = _chain_generator(j_exps, crt)
 
-    # f1: only the (p^j + alpha u) components contribute a u-part;
+    # f1: only components with a nonzero alpha contribute a u-part;
     # assembled through the Z_q-side idempotents and reduced mod g1.
     f1 = ZqPoly.zero(params)
-    for desc, f, e_l, i_exp in zip(comps, crt.factorization.factors, crt.idempotents, i_exps):
-        if desc.kind != KIND_P_ALPHA_U:
+    for (i_exp, _, alpha), f, e_l in zip(readings, crt.factorization.factors, crt.idempotents):
+        if alpha is None or not any(alpha):
             continue
         f_zq = f.a_part()
         f0_mod = f0 % f_zq
         unit_part = ZqPoly.make(params, [c // params.p**i_exp for c in f0_mod.coeffs])
-        alpha = ZqPoly.make(params, desc.alpha)
+        alpha = ZqPoly.make(params, alpha)
         contrib = (alpha * unit_part) % f_zq
         f1 = f1 + contrib * e_l.a_part()
     f1 = _reduce_cyclic_zq(f1, n)

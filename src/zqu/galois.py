@@ -1,8 +1,10 @@
 """Galois extensions GR(R, m) = R[x]/(f(x)) for basic irreducible f.
 
 Elements are residue classes represented by coefficient pairs of degree < m.
-Provides the unit-group order, the ideal census of GR(R, m), and basic
-primitive n-th roots of unity for distance-bound work.
+Provides the unit-group order, the one ideal-span builder of R[x]/(f) (which
+serves GR(R, m) for every m, the base ring R at m = 1 and the component
+readings of cyclic codes), and basic primitive n-th roots of unity for
+distance-bound work.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from . import config, fppoly
 from .errors import GuardExceededError, LengthNotCoprimeError, PreconditionError
 from .howell import ZqSpan
-from .poly import RPoly, divmod_monic, is_basic_irreducible, is_basic_primitive, teichmuller_lift
-from .ring import IdealDescriptor, KIND_P_ALPHA_U, KIND_P_POWER, KIND_U_P_POWER
-from .ring import RingElem, RingParams, ideal_descriptors
+from .poly import (RPoly, divmod_monic, is_basic_irreducible, is_basic_primitive, teichmuller_lift,
+                   xn_minus_1)
+from .ring import IdealDescriptor, RingElem, RingParams, reading_generators
 
 
 @dataclass(frozen=True)
@@ -122,13 +125,6 @@ class GrElem:
             k >>= 1
         return result
 
-    def scalar_mul(self, e: RingElem) -> "GrElem":
-        q = self.ctx.params.q
-        return GrElem(
-            self.ctx,
-            tuple(((a * e.a) % q, (a * e.b + b * e.a) % q) for a, b in self.pairs),
-        )
-
     def residue(self) -> tuple[int, ...]:
         """Image in the residue field F_{p^m}, as F_p coordinates."""
         p = self.ctx.params.p
@@ -160,50 +156,39 @@ def unit_group_order(ctx: GaloisRingCtx) -> int:
     return (p**m - 1) * p ** ((2 * s - 1) * m)
 
 
-def gr_ideals(ctx: GaloisRingCtx) -> list[IdealDescriptor]:
-    """All ideals of GR(R, m): 3s + (s-1)(p^m - 1) descriptors in canonical order."""
-    return ideal_descriptors(ctx.params.p, ctx.params.s, ctx.m)
+def ideal_span_mod(gens: Sequence[RPoly], f: RPoly) -> ZqSpan:
+    """The ideal that `gens` (reduced mod f here) generate in R[x]/(f), f
+    monic of degree m, as a Z_q-span inside Z_q^{2m} (a-coordinates first,
+    then u-coordinates).
 
-
-def descriptor_generators(desc: IdealDescriptor, ctx: GaloisRingCtx) -> list[GrElem]:
-    """Realize a descriptor's generators inside GR(R, m)."""
-    p = ctx.params.p
-    if desc.kind == KIND_P_POWER:
-        return [ctx.embed_pair(p**desc.index, 0)]
-    if desc.kind == KIND_U_P_POWER:
-        return [ctx.embed_pair(0, p**desc.index)]
-    if desc.kind == KIND_P_ALPHA_U:
-        pairs = [(0, c) for c in desc.alpha] + [(0, 0)] * ctx.m
-        gen = RPoly.make(ctx.params, pairs[: ctx.m])
-        return [ctx.embed_pair(p**desc.index, 0) + ctx.from_rpoly(gen)]
-    return [ctx.embed_pair(p**desc.index, 0), ctx.embed_pair(0, 1)]
-
-
-def _gr_vector(e: GrElem) -> list[int]:
-    # coordinates in Z_q^{2m}: a-parts then b-parts
-    return [a for a, _ in e.pairs] + [b for _, b in e.pairs]
-
-
-def gr_span_of_elements(ctx: GaloisRingCtx, gens: list[GrElem]) -> ZqSpan:
-    """The ideal generated by `gens` as a Z_q-span inside Z_q^{2m}.
-
-    Multiplier rows alpha^i * g and u * alpha^i * g suffice: any scalar
-    sum_i (a_i + b_i u) alpha^i acts through them Z_q-linearly.
+    Multiplier rows x^k * g and u * x^k * g for k < m suffice: any scalar
+    sum_k (a_k + b_k u) x^k acts through them Z_q-linearly.  Each x^k * g
+    comes from the previous one by a shift and one subtraction of f.
     """
-    alpha = ctx.from_rpoly(RPoly.make(ctx.params, [(0, 0), (1, 0)])) if ctx.m > 1 else ctx.one()
-    u = ctx.params.u
+    params, m = f.params, f.degree
+    q = params.q
+    tail = [f[k] for k in range(m)]
     rows = []
     for g in gens:
-        acc = g
-        for _ in range(ctx.m):
-            rows.append(_gr_vector(acc))
-            rows.append(_gr_vector(acc.scalar_mul(u)))
-            acc = acc * alpha
-    return ZqSpan.from_rows(rows, ctx.params.p, ctx.params.s, 2 * ctx.m)
+        if g.degree >= m:
+            g = divmod_monic(g, f)[1]
+        acc = [g[k] for k in range(m)]
+        for _ in range(m):
+            a_part = [a for a, _ in acc]
+            rows.append(a_part + [b for _, b in acc])
+            rows.append([0] * m + a_part)
+            ta, tb = acc[-1]  # x^m = -(f_0 + ... + f_{m-1} x^{m-1})
+            acc = [(0, 0)] + acc[:-1]
+            acc = [((a - ta * fa) % q, (b - ta * fb - tb * fa) % q)
+                   for (a, b), (fa, fb) in zip(acc, tail)]
+    return ZqSpan.from_rows(rows, params.p, params.s, 2 * m)
 
 
 def gr_ideal_span(desc: IdealDescriptor, ctx: GaloisRingCtx) -> ZqSpan:
-    return gr_span_of_elements(ctx, descriptor_generators(desc, ctx))
+    """The span of a census ideal of GR(R, m), from its reading's generators."""
+    params = ctx.params
+    gens = reading_generators(desc.reading(params.s, ctx.m), params)
+    return ideal_span_mod([RPoly.make(params, g) for g in gens], ctx.modulus)
 
 
 def gr_ideal_elements(desc: IdealDescriptor, ctx: GaloisRingCtx) -> frozenset[GrElem]:
@@ -217,6 +202,16 @@ def gr_ideal_elements(desc: IdealDescriptor, ctx: GaloisRingCtx) -> frozenset[Gr
         pairs = tuple((vec[i], vec[m + i]) for i in range(m))
         out.add(GrElem(ctx, pairs))
     return frozenset(out)
+
+
+def ideal_elements(desc: IdealDescriptor, params: RingParams) -> frozenset[RingElem]:
+    """Explicit element set of an ideal of R itself: the m = 1 case, over the
+    degree-1 factor x - 1 of x^1 - 1.  Guarded to desk scale."""
+    guard = config.env_int("ZQU_MAX_ORACLE_Q", config.MAX_ORACLE_Q)
+    if params.q > guard:
+        raise GuardExceededError(f"q = {params.q} exceeds the enumeration guard {guard}")
+    span = gr_ideal_span(desc, build_ctx(xn_minus_1(params, 1)))
+    return frozenset(RingElem(params, a, b) for a, b in span.elements())
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,8 @@
 """Exact arithmetic in R = Z_q + uZ_q (q = p^s, u^2 = 0) and its ideal census.
 
+The census names four ideal families; only this module maps them to and from
+(i, j, alpha) readings and turns a reading into generators.
+
 Elements are stored as least nonnegative residue pairs (a, b) meaning a + bu.
 Every operation reduces eagerly, so equality and hashing are canonical.
 p-adic digits of Z_q run over the Teichmuller set, reached in closed form.
@@ -11,9 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from . import config
-from .errors import GuardExceededError, PreconditionError
-from .howell import ZqSpan
+from .errors import PreconditionError
+from .howell import pval
 
 
 def is_prime(n: int) -> bool:
@@ -203,6 +205,11 @@ _KIND_ORDER = {
     KIND_P_AND_U: 3,
 }
 
+# (i, j, alpha): an ideal of GR(R, m) is (p^i) mod u and u*(p^j) inside
+# uGR(R, m); when i < s it holds p^i + alpha*u, alpha (m coefficients)
+# reduced mod p^j, and alpha is None when i = s.
+Reading = tuple[int, int, Optional[tuple[int, ...]]]
+
 
 @dataclass(frozen=True)
 class IdealDescriptor:
@@ -238,6 +245,49 @@ class IdealDescriptor:
             return f"(p^{self.index}+[{alpha}]*u)"
         return f"(p^{self.index}, u)"
 
+    def reading(self, s: int, m: int) -> Reading:
+        """The (i, j, alpha) of this ideal inside GR(R, m)."""
+        k = self.index
+        if self.kind == KIND_U_P_POWER or self.is_zero_ideal(s):
+            return s, k, None
+        if self.kind == KIND_P_ALPHA_U:
+            return k, min(k, s - k), self.alpha
+        return k, (k if self.kind == KIND_P_POWER else 0), (0,) * m
+
+    @classmethod
+    def from_reading(cls, reading: Reading, p: int, s: int) -> Optional["IdealDescriptor"]:
+        """The ideal family with this reading, or None outside the four families."""
+        i, j, alpha = reading
+        if i == s:
+            return cls(KIND_P_POWER, s) if j == s else cls(KIND_U_P_POWER, j)
+        if j == i and not any(alpha):  # i = 0 lands here: j = 0 and alpha mod 1 = 0
+            return cls(KIND_P_POWER, i)
+        if j == 0:
+            return cls(KIND_P_AND_U, i)
+        if j == min(i, s - i) and any(alpha) and max(alpha) < p:
+            return cls(KIND_P_ALPHA_U, i, alpha)
+        return None
+
+
+def reading_generators(reading: Reading, params: RingParams) -> list[tuple[tuple[int, int], ...]]:
+    """Generators of the ideal with this reading, as coefficient pairs (a, b)
+    of polynomials in the basis 1, x, ..., x^(m-1) of GR(R, m).
+
+    p^i + alpha*u (when i < s) already holds u*p^i and, through
+    p^(s-i) * (p^i + alpha*u), u*p^(s-i+v_p(alpha)); u*p^j is added only when
+    j lies below both.
+    """
+    i, j, alpha = reading
+    p, s = params.p, params.s
+    gens = []
+    implied = s
+    if i < s:
+        gens.append(((p**i, alpha[0]),) + tuple((0, b) for b in alpha[1:]))
+        implied = min(i, s - i + min(pval(b, p, s) for b in alpha))
+    if j < implied:
+        gens.append(((0, p**j),))
+    return gens
+
 
 def census_size(p: int, s: int, m: int = 1) -> int:
     """Number of ideals of GR(R, m): 3s + (s-1)(p^m - 1)."""
@@ -265,38 +315,3 @@ def ideal_descriptors(p: int, s: int, m: int = 1) -> list[IdealDescriptor]:
     out += [IdealDescriptor(KIND_P_AND_U, j) for j in range(1, s)]
     out.sort(key=IdealDescriptor.sort_key)
     return out
-
-
-def enumerate_ideals(params: RingParams) -> list[IdealDescriptor]:
-    """The complete ideal list of R itself (extension degree 1)."""
-    return ideal_descriptors(params.p, params.s, 1)
-
-
-def _base_generators(desc: IdealDescriptor, params: RingParams) -> list[RingElem]:
-    p = params.p
-    if desc.kind == KIND_P_POWER:
-        return [params.elem(p**desc.index)]
-    if desc.kind == KIND_U_P_POWER:
-        return [params.elem(0, p**desc.index)]
-    if desc.kind == KIND_P_ALPHA_U:
-        (alpha,) = desc.alpha
-        return [params.elem(p**desc.index, alpha)]
-    return [params.elem(p**desc.index), params.elem(0, 1)]
-
-
-def ideal_span(desc: IdealDescriptor, params: RingParams) -> ZqSpan:
-    """The ideal of R generated by desc, as a Z_q-span of (a, b) vectors."""
-    rows = []
-    for g in _base_generators(desc, params):
-        rows.append((g.a, g.b))
-        rows.append((0, g.a))  # u * (a+bu) = a*u
-    return ZqSpan.from_rows(rows, params.p, params.s, 2)
-
-
-def ideal_elements(desc: IdealDescriptor, params: RingParams) -> frozenset[RingElem]:
-    """Explicit element set of the ideal; guarded to desk scale."""
-    guard = config.env_int("ZQU_MAX_ORACLE_Q", config.MAX_ORACLE_Q)
-    if params.q > guard:
-        raise GuardExceededError(f"q = {params.q} exceeds the enumeration guard {guard}")
-    span = ideal_span(desc, params)
-    return frozenset(RingElem(params, a, b) for a, b in span.elements())

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import ring
 from .codes import (
     CyclicCode,
     bch_bound_of,
@@ -21,12 +20,12 @@ from .codes import (
     enumerate_cyclic_codes,
 )
 from .errors import ZquError
-from .galois import build_ctx, gr_ideal_elements, nth_root_of_unity, unit_group_order
+from .galois import build_ctx, ideal_elements, nth_root_of_unity, unit_group_order
 from .howell import ZqSpan
 from .metrics import WordR, hamming_weight, min_distance
 from .poly import (RPoly, divmod_monic, factor_xn_minus_1, is_basic_primitive, parse_r_poly,
                    teichmuller_lift, xn_minus_1)
-from .ring import IdealDescriptor, make_ring
+from .ring import IdealDescriptor, RingElem, ideal_descriptors, make_ring
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,9 @@ def check_ideal_census() -> tuple[bool, str]:
     for (p, s), expected in [((2, 2), 7), ((3, 2), 8)]:
         params = make_ring(p, s)
         q = params.q
-        descs = ring.enumerate_ideals(params)
+        descs = ideal_descriptors(p, s)
         _fail(len(descs) == expected, f"q={q}: found {len(descs)} ideals, expected {expected}", notes)
-        census = {ring.ideal_elements(d, params) for d in descs}
+        census = {ideal_elements(d, params) for d in descs}
         _fail(len(census) == expected, f"q={q}: descriptor element sets collide", notes)
         # brute force: principal ideals are plain multiple sets (already
         # additively closed); 2-generator ideals are their pairwise sumsets
@@ -152,20 +151,20 @@ def check_code_census() -> tuple[bool, str]:
     _fail(len(codes) == 63, f"enumerated {len(codes)} codes", notes)
     sets = {_code_element_set(c) for c in codes}
     _fail(len(sets) == 63, f"only {len(sets)} distinct element sets", notes)
-    # single-factor codes carry exactly the base-ring ideals
-    crt = build_crt(3, r4)
-    ctx1 = build_ctx(crt.factorization.factors[0])
-    zero_desc = IdealDescriptor(ring.KIND_P_POWER, r4.s)
-    for desc in ring.enumerate_ideals(r4):
+    # single-factor codes carry exactly the base-ring ideals: their BFS
+    # element sets, evaluated at x = 1 (coordinate sums mod q), are the
+    # ideals of R at the factor x - 1
+    q = r4.q
+    zero_desc = IdealDescriptor.from_reading((r4.s, r4.s, None), r4.p, r4.s)
+    for desc in ideal_descriptors(r4.p, r4.s):
         code = CyclicCode.from_components(3, r4, [desc, zero_desc])
         comps = code.components()
         _fail(comps[0] == desc and comps[1] == zero_desc,
               f"component round-trip failed for {desc.label()}", notes)
         realized = {
-            ring.RingElem(r4, e.pairs[0][0], e.pairs[0][1])
-            for e in gr_ideal_elements(desc, ctx1)
+            RingElem(r4, sum(v[:3]) % q, sum(v[3:]) % q) for v in _code_element_set(code)
         }
-        _fail(realized == set(ring.ideal_elements(desc, r4)),
+        _fail(realized == set(ideal_elements(desc, r4)),
               f"component elements differ for {desc.label()}", notes)
     return not notes, "; ".join(notes) or "63 codes, distinct element sets; 7 single-factor codes match the base-ring ideals"
 
@@ -332,7 +331,7 @@ def check_property_suite() -> tuple[bool, str]:
                 _fail(cert.delta <= report.value,
                       f"BCH delta {cert.delta} exceeds exact distance {report.value}", notes)
                 checked_free += 1
-    detail = (f"Hensel/CRT identities hold; 63 round-trips pass; generator-count formula "
+    detail = (f"Teichmuller/CRT identities hold; 63 round-trips pass; generator-count formula "
               f"verified on {hypothesis_codes} codes; BCH <= exact on {checked_free} free codes")
     return not notes, "; ".join(notes) or detail
 

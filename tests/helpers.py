@@ -5,13 +5,16 @@ element sets come from breadth-first additive closure over explicitly rotated
 coefficient vectors, so library results are checked against a second route.
 Teichmuller lifts are checked against the routes the library's closed form
 replaced: quadratic Hensel lifting inside x^N - 1 and the fixed-point loop.
+Ideal spans in GR(R, m) are checked against the route the shift-and-subtract
+builder replaced: rows from Galois-ring element multiplication.
 """
 
 from __future__ import annotations
 
 from zqu import fppoly
 from zqu.errors import PreconditionError
-from zqu.poly import ZqPoly, xn_minus_1_zq
+from zqu.howell import ZqSpan
+from zqu.poly import RPoly, ZqPoly, xn_minus_1_zq
 
 
 def additive_closure(vectors, q):
@@ -83,6 +86,23 @@ def hamming_pairs(pairs):
 def lee_pairs(pairs):
     table = (0, 1, 2, 1)
     return sum(table[b % 4] + table[(a + b) % 4] for a, b in pairs)
+
+
+def gr_span_by_multiplication(ctx, gens):
+    """The ideal generated by GrElem `gens` as a Z_q-span inside Z_q^{2m}
+    (a-coordinates first), from rows alpha^k * g and u * alpha^k * g with
+    alpha^k * g computed by GrElem multiplication."""
+    m = ctx.m
+    alpha = ctx.from_rpoly(RPoly.make(ctx.params, [(0, 0), (1, 0)])) if m > 1 else ctx.one()
+    rows = []
+    for g in gens:
+        acc = g
+        for _ in range(m):
+            a_part = [a for a, _ in acc.pairs]
+            rows.append(a_part + [b for _, b in acc.pairs])
+            rows.append([0] * m + a_part)  # u * (a + bu) = a u
+            acc = acc * alpha
+    return ZqSpan.from_rows(rows, ctx.params.p, ctx.params.s, 2 * m)
 
 
 def _hensel_pair(target, gbar, hbar):

@@ -1,9 +1,12 @@
 """End-to-end CLI runs through the module entry point (stable exit codes,
 byte-identical repeated output, JSON round-trips)."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 CMD = [sys.executable, "-m", "zqu"]
 
@@ -67,6 +70,28 @@ def test_codes_enumerate_stream_distinct():
     assert len(keys) == 63
     for d in descriptors[:5]:
         assert json.dumps(json.loads(json.dumps(d))) == json.dumps(d)
+
+
+@pytest.mark.parametrize("n,p,s,fmt,md5", [
+    ("3", "2", "2", "json", "6a185ae821cddc8beb03c981b5829ac7"),
+    ("3", "2", "3", "json", "3cec7eff64c0eec80aa6c31b9dd43e82"),
+    ("5", "3", "2", "json", "0e9b7e835df83720d973671c17c6c24e"),
+    ("3", "2", "3", "csv", "83947d795240073606689486834e3a8f"),
+])
+def test_codes_enumerate_output_pinned(n, p, s, fmt, md5):
+    # every ideal family, alpha with 2 and 4 digits; stdout is part of the contract
+    proc = run("codes", "--n", n, "--p", p, "--s", s, "--enumerate", "--format", fmt)
+    assert proc.returncode == 0
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
+
+
+def test_codes_negative_limit_exits_2():
+    proc = run("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate", "--limit", "-1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: limit must be >= 0\n"
+    assert proc.stdout == ""
+    empty = run("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate", "--limit", "0")
+    assert empty.returncode == 0 and empty.stdout == ""
 
 
 def test_codes_budget_exceeded_exits_3():

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from zqu.codes import (
     CyclicCode,
-    _component_ctx,
-    _descriptor_of,
     _read_component,
     build_crt,
     count_cyclic_codes,
@@ -19,11 +17,11 @@ from zqu.errors import (
     LengthNotCoprimeError,
     PreconditionError,
 )
-from zqu.galois import gr_ideal_span, gr_ideals, gr_span_of_elements
+from zqu.galois import build_ctx, gr_ideal_span, ideal_elements
 from zqu.poly import RPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
-from zqu.ring import IdealDescriptor, KIND_U_P_POWER, make_ring
+from zqu.ring import IdealDescriptor, KIND_U_P_POWER, ideal_descriptors, make_ring
 
-from helpers import code_element_set, rotate
+from helpers import code_element_set, gr_span_by_multiplication, rotate
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -94,6 +92,9 @@ def test_enumeration_includes_reference_codes(all63):
 def test_enumeration_limit():
     few = list(enumerate_cyclic_codes(7, R4, limit=5))
     assert len(few) == 5
+    assert list(enumerate_cyclic_codes(7, R4, limit=0)) == []
+    with pytest.raises(PreconditionError, match="limit must be >= 0"):
+        list(enumerate_cyclic_codes(7, R4, limit=-1))
 
 
 def test_enumeration_n7_fingerprint_sample():
@@ -103,8 +104,6 @@ def test_enumeration_n7_fingerprint_sample():
 
 
 def test_enumeration_n1_embeds_base_ring_ideals():
-    from zqu.ring import enumerate_ideals, ideal_elements
-
     codes1 = list(enumerate_cyclic_codes(1, R4))
     assert len(codes1) == 7
     sets = set()
@@ -112,7 +111,7 @@ def test_enumeration_n1_embeds_base_ring_ideals():
         sets.add(frozenset((v[0], v[1]) for v in code_element_set(c)))
     ring_sets = {
         frozenset((e.a, e.b) for e in ideal_elements(d, R4))
-        for d in enumerate_ideals(R4)
+        for d in ideal_descriptors(R4.p, R4.s)
     }
     assert sets == ring_sets
 
@@ -154,21 +153,28 @@ def test_components_examples():
 
 
 # The slow routes the closed forms replaced, kept as oracles: fingerprint
-# lookup in the complete ideal census of each GR(R, m), and the search over
-# all 2^t monic divisors of x^n - 1.
+# lookup in the complete ideal census of each GR(R, m), with the component
+# span built by Galois-ring multiplication, and the search over all 2^t monic
+# divisors of x^n - 1.
+
+
+@lru_cache(maxsize=None)
+def component_ctx(f):
+    return build_ctx(f)
 
 
 @lru_cache(maxsize=None)
 def census_by_fingerprint(ctx):
-    return {gr_ideal_span(d, ctx).fingerprint(): d for d in gr_ideals(ctx)}
+    descs = ideal_descriptors(ctx.params.p, ctx.params.s, ctx.m)
+    return {gr_ideal_span(d, ctx).fingerprint(): d for d in descs}
 
 
 def census_components(c):
     out = []
     for f in c.crt().factorization.factors:
-        ctx = _component_ctx(f)
+        ctx = component_ctx(f)
         reduced = [divmod_monic(g, f)[1] for g in c.generators]
-        span = gr_span_of_elements(ctx, [ctx.from_rpoly(r) for r in reduced])
+        span = gr_span_by_multiplication(ctx, [ctx.from_rpoly(r) for r in reduced])
         out.append(census_by_fingerprint(ctx)[span.fingerprint()])
     return tuple(out)
 
@@ -196,11 +202,12 @@ def test_reading_recovers_census_descriptors(p, s):
         for f in factor_xn_minus_1(n, params).factors:
             if f.degree > 4:
                 continue
-            ctx = _component_ctx(f)
+            ctx = component_ctx(f)
             contexts += 1
-            for desc in gr_ideals(ctx):
+            for desc in ideal_descriptors(p, s, ctx.m):
                 reading = _read_component(gr_ideal_span(desc, ctx), ctx.m)
-                assert _descriptor_of(reading, params) == desc
+                assert reading == desc.reading(s, ctx.m)
+                assert IdealDescriptor.from_reading(reading, p, s) == desc
     assert contexts >= 4
 
 
@@ -326,16 +333,13 @@ def test_cardinality_examples():
 
 
 def test_cardinality_matches_element_sets_and_components(all63):
-    from zqu.codes import _component_ctx
-    from zqu.galois import gr_ideal_span
-
     crt = build_crt(3, R4)
     for c in all63:
         base, exp = c.cardinality()
         assert base**exp == len(code_element_set(c))
         total = 1
         for desc, f in zip(c.components(), crt.factorization.factors):
-            total *= gr_ideal_span(desc, _component_ctx(f)).size()
+            total *= gr_ideal_span(desc, component_ctx(f)).size()
         assert base**exp == total
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zqu.errors import PreconditionError
 from zqu.galois import (
@@ -6,14 +7,14 @@ from zqu.galois import (
     build_ctx,
     eval_at,
     gr_ideal_elements,
-    gr_ideals,
+    ideal_span_mod,
     nth_root_of_unity,
     unit_group_order,
 )
 from zqu.poly import RPoly, factor_xn_minus_1, parse_r_poly, xn_minus_1
-from zqu.ring import census_size, make_ring
+from zqu.ring import census_size, ideal_descriptors, make_ring
 
-from helpers import gr_teichmuller_loop
+from helpers import gr_span_by_multiplication, gr_teichmuller_loop
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -78,11 +79,52 @@ def test_unit_group_order_vs_brute_force(make_ctx, expected):
 )
 def test_gr_ideal_census(make_ctx, expected):
     ctx = make_ctx()
-    descs = gr_ideals(ctx)
+    descs = ideal_descriptors(ctx.params.p, ctx.params.s, ctx.m)
     assert len(descs) == expected
     assert census_size(ctx.params.p, ctx.params.s, ctx.m) == expected
     element_sets = {gr_ideal_elements(d, ctx) for d in descs}
     assert len(element_sets) == expected
+
+
+# Every factor of degree m <= 4 of x^n - 1, n in {1, 3, 5, 7}, over Z4, Z8,
+# Z9 and Z16; n = 1 gives the base ring R itself (m = 1, factor x - 1).
+SPAN_FACTORS = [
+    (params, f)
+    for params in (R4, R8, R9, make_ring(2, 4))
+    for n in (1, 3, 5, 7)
+    if n % params.p
+    for f in factor_xn_minus_1(n, params).factors
+    if f.degree <= 4
+]
+
+
+@st.composite
+def generator_lists(draw):
+    params, f = draw(st.sampled_from(SPAN_FACTORS))
+    p, s, q, m = params.p, params.s, params.q, f.degree
+
+    def coeff():  # p-power multiples, so that proper ideals come up often
+        return p ** draw(st.integers(0, s)) * draw(st.integers(0, q - 1)) % q
+
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(0, 2 * m))  # degrees up to 2m - 1 need reducing
+        gens.append(RPoly.make(params, [(coeff(), coeff()) for _ in range(length)]))
+    return f, gens
+
+
+def test_span_factors_cover_every_ring_and_degree():
+    seen = {(params.q, f.degree) for params, f in SPAN_FACTORS}
+    assert seen == {(q, m) for q in (4, 8, 16) for m in (1, 2, 3, 4)} | {(9, 1), (9, 4)}
+
+
+@given(generator_lists())
+@settings(max_examples=150, deadline=None)
+def test_ideal_span_mod_matches_multiplication_oracle(case):
+    f, gens = case
+    ctx = build_ctx(f)
+    oracle = gr_span_by_multiplication(ctx, [ctx.from_rpoly(g) for g in gens])
+    assert ideal_span_mod(gens, f).fingerprint() == oracle.fingerprint()
 
 
 def test_unit_iff_invertible_small_ctx():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zqu.errors import GuardExceededError, PreconditionError
+from zqu.galois import ideal_elements
 from zqu.ring import (
     IdealDescriptor,
     KIND_P_AND_U,
@@ -10,8 +11,7 @@ from zqu.ring import (
     KIND_P_POWER,
     KIND_U_P_POWER,
     census_size,
-    enumerate_ideals,
-    ideal_elements,
+    ideal_descriptors,
     make_ring,
     p_adic_digits,
     teichmuller,
@@ -129,7 +129,7 @@ def test_p_adic_round_trip(params):
     "params,expected", [(R4, 7), (make_ring(2, 1), 3), (R9, 8), (R8, 11)]
 )
 def test_census_counts(params, expected):
-    descs = enumerate_ideals(params)
+    descs = ideal_descriptors(params.p, params.s)
     assert len(descs) == expected
     assert census_size(params.p, params.s) == expected
     sets = {ideal_elements(d, params) for d in descs}
@@ -138,7 +138,7 @@ def test_census_counts(params, expected):
 
 def test_census_q2_is_three_named_ideals():
     r2 = make_ring(2, 1)
-    labels = [d.label() for d in enumerate_ideals(r2)]
+    labels = [d.label() for d in ideal_descriptors(r2.p, r2.s)]
     assert labels == ["(p^0)", "(p^1)", "(u)"]
 
 
@@ -164,7 +164,8 @@ def test_units_and_maximal_ideal_partition():
 
 def test_every_two_generated_ideal_is_in_census():
     for params in (R4, R9):
-        census = {frozenset(ideal_elements(d, params)) for d in enumerate_ideals(params)}
+        census = {frozenset(ideal_elements(d, params))
+                  for d in ideal_descriptors(params.p, params.s)}
         principal = set()
         for g in params.elements():
             principal.add(frozenset(r * g for r in params.elements()))
@@ -188,6 +189,15 @@ def test_descriptor_validation():
         IdealDescriptor(KIND_P_POWER, 1, (1,))
     with pytest.raises(PreconditionError):
         IdealDescriptor("bogus", 1)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4)])
+def test_descriptor_reading_round_trip(p, s):
+    for m in (1, 2, 3, 4):
+        for d in ideal_descriptors(p, s, m):
+            reading = d.reading(s, m)
+            assert IdealDescriptor.from_reading(reading, p, s) == d
+            assert reading[2] is None or len(reading[2]) == m
 
 
 def test_elem_text_forms():
