@@ -98,12 +98,15 @@ def _emit_csv(rows: list[dict]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _parse_gens(raw: str, params):
+def _parse_gens(raw: str, params, n: int):
+    # CyclicCode reduces generators mod x^n - 1, so exponents are folded while
+    # parsing and x^(10^12) costs no memory.  A length below 1 is rejected by
+    # CyclicCode right after parsing; folding mod 1 keeps the parse cheap.
     gens = []
     for part in raw.split(","):
         part = part.strip()
         if part:
-            gens.append(parse_r_poly(part, params))
+            gens.append(parse_r_poly(part, params, max(n, 1)))
     if not gens:
         raise PreconditionError("no generators given")
     return gens
@@ -178,7 +181,7 @@ def _cmd_codes(args) -> int:
 
 def _cmd_analyze(args) -> int:
     params = make_ring(args.p, args.s)
-    gens = _parse_gens(args.gens, params)
+    gens = _parse_gens(args.gens, params, args.n)
     code = CyclicCode(args.n, params, gens, args.closure)
     desc = code.to_descriptor()
     if args.format == "csv":
@@ -204,7 +207,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_distance(args) -> int:
     params = make_ring(args.p, args.s)
-    gens = _parse_gens(args.gens, params)
+    gens = _parse_gens(args.gens, params, args.n)
     code = CyclicCode(args.n, params, gens, args.closure)
     try:
         report = min_distance(code, args.metric, budget=args.budget, threads=args.threads)

@@ -12,6 +12,10 @@ Weights are non-negative and summed in the narrowest unsigned dtype holding
 max(table) * n.  A scan of linear indices [start, stop) returns (best
 weight, index of the first word attaining it, words scanned), so results
 are bit-identical across thread partitions.
+
+This is the only zqu module that imports numpy; `metrics.min_distance`
+imports it on the first scan and passes plain lists and tuples, which the
+functions here convert.
 """
 
 from __future__ import annotations

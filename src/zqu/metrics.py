@@ -5,18 +5,19 @@ phi(a + bu) = (b, a+b) sends words into Z_4^{2n} preserving Lee weight, and
 the classical Gray map 0->00, 1->01, 2->11, 3->10 turns Lee weight into
 binary Hamming weight.  All three metrics reduce to a per-coordinate lookup
 on the (a, b) pair, which is what the scan kernel consumes.
+
+This module is pure Python: numpy is loaded with `zqu.kernels` on the first
+scan, and the thread pool only when a scan is split over several workers, so
+the algebra commands never pay for either.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import config, kernels
+from . import config
 from .codes import CyclicCode
 from .errors import (
     DistanceUndefinedError,
@@ -103,30 +104,29 @@ def weight_of(word: WordR, metric: str) -> int:
     raise UnsupportedMetricError(f"unknown metric {metric!r}")
 
 
-def weight_table(metric: str, params: RingParams) -> np.ndarray:
+def weight_table(metric: str, params: RingParams) -> tuple[int, ...]:
     """Per-coordinate weight of a + bu, indexed by a*q + b."""
     q = params.q
     guard = config.env_int("ZQU_MAX_DISTANCE_Q", config.MAX_DISTANCE_Q)
     if q > guard:
         raise GuardExceededError(f"q = {q} exceeds the distance-table guard {guard}")
-    table = np.zeros(q * q, np.int64)
     if metric == METRIC_HAMMING:
-        for a in range(q):
-            for b in range(q):
-                table[a * q + b] = 1 if (a or b) else 0
-        return table
+        return tuple(1 if (a or b) else 0 for a in range(q) for b in range(q))
     if metric not in (METRIC_LEE, METRIC_GRAY_HAMMING):
         raise UnsupportedMetricError(f"unknown metric {metric!r}")
     if q != 4:
         raise UnsupportedMetricError(f"{metric} requires q = 4, got q = {q}")
-    for a in range(4):
-        for b in range(4):
-            if metric == METRIC_LEE:
-                w = LEE_WEIGHT_Z4[b] + LEE_WEIGHT_Z4[(a + b) % 4]
-            else:
-                w = sum(GRAY_IMAGE_Z4[b]) + sum(GRAY_IMAGE_Z4[(a + b) % 4])
-            table[a * 4 + b] = w
-    return table
+    if metric == METRIC_LEE:
+        return tuple(LEE_WEIGHT_Z4[b] + LEE_WEIGHT_Z4[(a + b) % 4]
+                     for a in range(4) for b in range(4))
+    return tuple(sum(GRAY_IMAGE_Z4[b]) + sum(GRAY_IMAGE_Z4[(a + b) % 4])
+                 for a in range(4) for b in range(4))
+
+
+def partition_bounds(stop: int, parts: int) -> list[int]:
+    """Integer bounds 1 = b_0 <= ... <= b_parts = stop splitting [1, stop)
+    into `parts` near-equal index ranges (exact for any size of stop)."""
+    return [1 + (stop - 1) * k // parts for k in range(parts + 1)]
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,6 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
     if total == 0:
         raise DistanceUndefinedError("the zero code has no nonzero codeword")
     basis, ranges = span.enumeration_basis()
-    rows = np.array(basis, dtype=np.int64).reshape(len(basis), 2 * code.n)
-    ranges_arr = np.array(ranges, dtype=np.int64)
     exhaustive = total <= budget
     stop = total + 1 if exhaustive else budget + 1
     q, n = code.params.q, code.n
@@ -177,22 +175,24 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
     # does not depend on the partition count.
     threads = min(threads, os.cpu_count() or 1)
 
+    from . import kernels
+
     if threads == 1 or stop - 1 < 4 * threads:
-        best, idx, scanned = kernels.min_weight_scan(rows, ranges_arr, table, q, n, 1, stop)
+        best, idx, scanned = kernels.min_weight_scan(basis, ranges, table, q, n, 1, stop)
     else:
-        bounds = np.linspace(1, stop, threads + 1, dtype=np.int64)
+        from concurrent.futures import ThreadPoolExecutor
+
+        bounds = partition_bounds(stop, threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(
                 pool.map(
-                    lambda se: kernels.min_weight_scan(
-                        rows, ranges_arr, table, q, n, int(se[0]), int(se[1])
-                    ),
+                    lambda se: kernels.min_weight_scan(basis, ranges, table, q, n, *se),
                     zip(bounds[:-1], bounds[1:]),
                 )
             )
         best, idx = min((b, i) for b, i, _ in parts)
         scanned = sum(sc for _, _, sc in parts)
 
-    vec = kernels.word_at_index(rows, ranges, q, idx)
+    vec = kernels.word_at_index(basis, ranges, q, idx)
     witness = WordR(code.params, tuple((int(vec[i]), int(vec[n + i])) for i in range(n)))
     return DistanceReport(metric, int(best), witness, exhaustive, scanned)

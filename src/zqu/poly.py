@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import Optional
 
 from . import fppoly
 from .errors import LengthNotCoprimeError, NonMonicDivisorError, PolyParseError, PreconditionError
@@ -482,7 +483,9 @@ def format_zq_poly(poly: ZqPoly) -> str:
     return "+".join(terms)
 
 
-def parse_zq_poly(text: str, params: RingParams) -> ZqPoly:
+def parse_zq_poly(text: str, params: RingParams, n: Optional[int] = None) -> ZqPoly:
+    """Parse `c*x^k + ...`; with n given, exponents are folded mod n, so the
+    result is the polynomial reduced mod x^n - 1 (and never longer than n)."""
     text = text.replace(" ", "")
     if not text:
         raise PolyParseError("empty polynomial text")
@@ -496,6 +499,8 @@ def parse_zq_poly(text: str, params: RingParams) -> ZqPoly:
         else:
             c = int(m.group(1)) if m.group(1) else 1
             k = int(m.group(2)) if m.group(2) else 1
+        if n is not None:
+            k %= n
         coeffs[k] = coeffs.get(k, 0) + c
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
@@ -510,19 +515,20 @@ def format_r_poly(poly: RPoly) -> str:
     return f"{format_zq_poly(a)}+u*({format_zq_poly(b)})"
 
 
-def parse_r_poly(text: str, params: RingParams) -> RPoly:
+def parse_r_poly(text: str, params: RingParams, n: Optional[int] = None) -> RPoly:
+    """Parse `a + u*(b)`; an optional n folds exponents as in parse_zq_poly."""
     text = text.replace(" ", "")
     # bare "u" is accepted as shorthand for "u*(1)"
     text = re.sub(r"(?<![\w*])u(?!\*\()", "u*(1)", text)
     idx = text.find("u*(")
     if idx < 0:
-        return RPoly.from_zq(parse_zq_poly(text, params))
+        return RPoly.from_zq(parse_zq_poly(text, params, n))
     if not text.endswith(")"):
         raise PolyParseError(f"unterminated u-part in {text!r}")
     head = text[:idx].rstrip("+")
     inner = text[idx + 3 : -1]
-    a = parse_zq_poly(head, params) if head else ZqPoly.zero(params)
-    b = parse_zq_poly(inner, params)
+    a = parse_zq_poly(head, params, n) if head else ZqPoly.zero(params)
+    b = parse_zq_poly(inner, params, n)
     return RPoly.from_parts(a, b)
 
 

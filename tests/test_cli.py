@@ -3,6 +3,7 @@ byte-identical repeated output, JSON round-trips)."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -223,8 +224,6 @@ def test_distance_nonpositive_budget_exits_2():
 
 
 def test_malformed_env_values_exit_2():
-    import os
-
     cases = [
         ("ZQU_BUDGET", "abc", ("distance", "--n", "7", "--p", "2", "--s", "2", "--gens", "x+3")),
         ("ZQU_ENUM_BUDGET", "1e3", ("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate")),
@@ -259,3 +258,71 @@ def test_module_closure_outside_the_four_families_still_analyzed():
         "  free: False\n"
         "  warning: module closure: canonical generators and components undefined\n"
     )
+
+
+def test_huge_generator_exponent_folds_mod_n():
+    # 10^12 = 1 mod 3; the dense parse used to end in a MemoryError traceback
+    args = ("analyze", "--n", "3", "--p", "2", "--s", "2", "--gens")
+    proc = run(*args, "x^1000000000000")
+    assert proc.returncode == 0
+    assert proc.stdout == run(*args, "x").stdout
+    assert proc.stderr == ""
+
+
+def test_generator_exponent_above_n_output_unchanged():
+    proc = run("analyze", "--n", "3", "--p", "2", "--s", "2", "--gens", "x^4+x")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "cyclic code of length 3 over Z4+uZ4 [ideal closure]\n"
+        "  generators: 2*x\n"
+        "  cardinality: 2^6\n"
+        "  canonical: f0 = x^3+1, f1 = 0, g1 = x^3+1\n"
+        "  components: ['p_power@1', 'p_power@1']\n"
+        "  free: False\n"
+        "  warning: canonical generators violate the divisor-chain hypotheses;"
+        " the q^(2n-k0-k1) cardinality formula does not apply\n"
+    )
+
+
+_IMPORT_PROBE = """
+import json, sys
+import zqu, zqu.cli
+codes = [zqu.cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+print(json.dumps({"exit": codes, "loaded": loaded}), file=sys.stderr)
+"""
+
+DISTANCE_README = ["distance", "--n", "7", "--p", "2", "--s", "2", "--gens",
+                   "3*x^3+x^2+2*x+1, u*(x+3)", "--closure", "module", "--metric", "lee"]
+
+
+def probe_imports(*argvs):
+    """Run zqu.cli.main on each argv in one fresh interpreter; return its
+    stdout and which of numpy / concurrent.futures it loaded."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_algebra_commands_load_neither_numpy_nor_thread_pool():
+    _, report = probe_imports(
+        ["factor", "--n", "15", "--p", "2", "--s", "3"],
+        ["codes", "--n", "3", "--p", "2", "--s", "2", "--count"],
+        ["analyze", "--n", "15", "--p", "2", "--s", "3", "--gens",
+         "x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1"],
+    )
+    assert report == {"exit": [0, 0, 0], "loaded": []}
+
+
+def test_single_thread_distance_loads_numpy_only():
+    _, report = probe_imports(DISTANCE_README + ["--threads", "1"])
+    assert report == {"exit": [0], "loaded": ["numpy"]}
+
+
+def test_two_thread_distance_output_matches_one_thread():
+    one, _ = probe_imports(DISTANCE_README + ["--threads", "1"])
+    two, report = probe_imports(DISTANCE_README + ["--threads", "2"])
+    assert two == one
+    assert report["exit"] == [0]
+    # with two CPUs the scan really is partitioned (and so loads the pool)
+    assert ("concurrent.futures" in report["loaded"]) == ((os.cpu_count() or 1) >= 2)

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,12 +195,24 @@ def test_threads_capped_at_cpu_count(monkeypatch):
 
     c = code(R4, 7, Z4_GENS, "module")
     single = min_distance(c, "lee", threads=1)
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
     monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
     multi = min_distance(c, "lee", threads=64)
     assert started == [3]
     assert (multi.value, multi.witness, multi.words_scanned) == (
         single.value, single.witness, single.words_scanned)
+
+
+def test_partition_bounds_are_exact_integers():
+    # np.linspace rounded these through float64: at 2^53 + 3 its last bound was 2^53 + 4.
+    for stop in (2**53 + 3, 2**53 + 4, 2**63 - 1, 10**30 + 7):
+        for parts in (1, 2, 3, 7, 64):
+            bounds = metrics.partition_bounds(stop, parts)
+            assert len(bounds) == parts + 1
+            assert bounds[0] == 1 and bounds[-1] == stop
+            assert all(type(b) is int for b in bounds)
+            sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+            assert min(sizes) >= 0 and max(sizes) - min(sizes) <= 1
 
 
 def test_bch_delta_bounded_by_exact_distance():

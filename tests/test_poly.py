@@ -287,6 +287,25 @@ def test_parse_handles_least_residue_reduction():
     assert parse_zq_poly("7*x+5", R4) == ZqPoly.make(R4, [1, 3])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PARAMS), st.integers(1, 9), st.data())
+def test_parse_with_length_folds_mod_xn_minus_1(params, n, data):
+    def part():
+        terms = data.draw(st.lists(st.tuples(st.integers(0, 2 * params.q),
+                                             st.integers(0, 40)), min_size=1, max_size=5))
+        return "+".join(f"{c}*x^{k}" for c, k in terms)
+
+    text = data.draw(st.sampled_from(["{}", "{}+u*({})", "u*({})"])).format(part(), part())
+    folded = parse_r_poly(text, params, n)
+    assert folded.degree < n
+    assert folded == parse_r_poly(text, params).reduce_cyclic(n)
+
+
+def test_parse_with_length_takes_huge_exponents():
+    assert parse_zq_poly("x^1000000000000+2", R4, 3) == ZqPoly.make(R4, [2, 1])
+    assert parse_r_poly("u*(x^4+x)", R4, 3) == parse_r_poly("u*(2*x)", R4)
+
+
 def test_parse_errors():
     with pytest.raises(PolyParseError):
         parse_r_poly("x^", R4)
