@@ -23,7 +23,7 @@ from .errors import (
     LengthNotCoprimeError,
     PreconditionError,
 )
-from .galois import GaloisRingCtx, eval_at, ideal_span_mod, nth_root_of_unity
+from .galois import ideal_span_mod
 from .howell import ZqSpan
 from .poly import (
     Factorization,
@@ -46,13 +46,12 @@ from .ring import (
 
 @dataclass(frozen=True)
 class CrtSystem:
-    """Factorization of x^n - 1 with Bezout witnesses and orthogonal idempotents."""
+    """Factorization of x^n - 1 with cofactors and orthogonal idempotents."""
 
     n: int
     params: RingParams
     factorization: Factorization
     cofactors: tuple[RPoly, ...]  # (x^n - 1) / f_l
-    witnesses: tuple[tuple[RPoly, RPoly], ...]  # a_l f_l + b_l fhat_l = 1
     idempotents: tuple[RPoly, ...]  # e_l = b_l fhat_l mod (x^n - 1)
 
     @property
@@ -67,7 +66,6 @@ def build_crt(n: int, params: RingParams) -> CrtSystem:
 
     fact = factor_xn_minus_1(n, params)
     cofactors = []
-    witnesses = []
     idempotents = []
     whole = xn_minus_1(params, n)
     for f in fact.factors:
@@ -76,11 +74,10 @@ def build_crt(n: int, params: RingParams) -> CrtSystem:
         w = coprime_with_witness(f, fhat)
         if w is None:
             raise RuntimeError("factor and cofactor unexpectedly not coprime")
-        a, b = w
+        b = w[1]  # a*f + b*fhat = 1
         cofactors.append(fhat)
-        witnesses.append((a, b))
         idempotents.append((b * fhat).reduce_cyclic(n))
-    return CrtSystem(n, params, fact, tuple(cofactors), tuple(witnesses), tuple(idempotents))
+    return CrtSystem(n, params, fact, tuple(cofactors), tuple(idempotents))
 
 
 def count_cyclic_codes(n: int, params: RingParams) -> int:
@@ -91,15 +88,6 @@ def count_cyclic_codes(n: int, params: RingParams) -> int:
 
 MODE_IDEAL = "ideal"
 MODE_MODULE = "module"
-
-
-def _word_vector(poly: RPoly, n: int) -> list[int]:
-    # element of Z_q^{2n}: a-coordinates then u-coordinates
-    return [poly[i][0] for i in range(n)] + [poly[i][1] for i in range(n)]
-
-
-def _vector_poly(vec: Sequence[int], n: int, params: RingParams) -> RPoly:
-    return RPoly.make(params, [(vec[i], vec[n + i]) for i in range(n)])
 
 
 class CyclicCode:
@@ -129,16 +117,11 @@ class CyclicCode:
     # -- element-set machinery -------------------------------------------
 
     def span(self) -> ZqSpan:
-        """The code as a Z_q-span in Z_q^{2n} (this is exactly the element set)."""
+        """The code as a Z_q-span in Z_q^{2n} (this is exactly the element set):
+        the ideal of R[x]/(x^n - 1), or in module closure the Z_q[x]-span."""
         if self._span is None:
-            rows = []
-            for g in self.generators:
-                for i in range(self.n):
-                    shifted = g.shift(i).reduce_cyclic(self.n)
-                    rows.append(_word_vector(shifted, self.n))
-                    if self.closure_mode == MODE_IDEAL:
-                        rows.append(_word_vector(shifted.mul_u(), self.n))
-            self._span = ZqSpan.from_rows(rows, self.params.p, self.params.s, 2 * self.n)
+            self._span = ideal_span_mod(self.generators, xn_minus_1(self.params, self.n),
+                                        with_u=self.closure_mode == MODE_IDEAL)
         return self._span
 
     def fingerprint(self) -> tuple:
@@ -157,12 +140,9 @@ class CyclicCode:
 
     def contains(self, word) -> bool:
         if isinstance(word, RPoly):
-            word = _word_vector(word.reduce_cyclic(self.n), self.n)
+            pairs = [word.reduce_cyclic(self.n)[i] for i in range(self.n)]
+            word = [a for a, _ in pairs] + [b for _, b in pairs]
         return self.span().contains(word)
-
-    def words(self) -> Iterator[RPoly]:
-        for vec in self.span().elements():
-            yield _vector_poly(vec, self.n, self.params)
 
     # -- CRT components ----------------------------------------------------
 
@@ -228,8 +208,9 @@ class CyclicCode:
             )
         f = RPoly.from_parts(can.f0, can.f1)
         ug1 = RPoly.from_zq(can.g1).mul_u()
-        beta = [f.shift(i) for i in range(self.n - can.k0)]
-        beta += [ug1.shift(j) for j in range(can.k0 - can.k1)]
+        x = [RPoly.make(self.params, [0] * i + [1]) for i in range(self.n)]
+        beta = [x[i] * f for i in range(self.n - can.k0)]
+        beta += [x[j] * ug1 for j in range(can.k0 - can.k1)]
         return [b.reduce_cyclic(self.n) for b in beta]
 
     # -- freeness and BCH ----------------------------------------------------
@@ -432,13 +413,13 @@ def _canonical_form(code: CyclicCode) -> CanonicalGenerators:
         alpha = ZqPoly.make(params, alpha)
         contrib = (alpha * unit_part) % f_zq
         f1 = f1 + contrib * e_l.a_part()
-    f1 = _reduce_cyclic_zq(f1, n)
+    xn1 = xn_minus_1_zq(params, n)
+    f1 = f1 % xn1
     if g1.degree == 0:
         f1 = ZqPoly.zero(params)
     else:
         f1 = f1 % g1
 
-    xn1 = xn_minus_1_zq(params, n)
     can = CanonicalGenerators(
         f0=f0,
         f1=f1,
@@ -460,14 +441,6 @@ def _canonical_form(code: CyclicCode) -> CanonicalGenerators:
     return can
 
 
-def _reduce_cyclic_zq(poly: ZqPoly, n: int) -> ZqPoly:
-    q = poly.params.q
-    acc = [0] * n
-    for i, c in enumerate(poly.coeffs):
-        acc[i % n] = (acc[i % n] + c) % q
-    return ZqPoly.make(poly.params, acc)
-
-
 # -- BCH bound ---------------------------------------------------------------
 
 
@@ -480,20 +453,26 @@ class BchCertificate:
     b: int
     delta: int
     root_exponents: tuple[int, ...]
-    ctx: GaloisRingCtx
 
 
 def bch_bound_of(g: RPoly, n: int, params: RingParams) -> BchCertificate:
-    """Longest cyclic run of consecutive root exponents of g at powers of a
-    basic primitive n-th root of unity; delta = run length + 1."""
-    ctx, zeta = nth_root_of_unity(n, params)
-    is_root = []
-    acc = ctx.one()
-    for _ in range(n):
-        is_root.append(eval_at(g, acc, ctx).is_zero())
-        acc = acc * zeta
+    """Longest cyclic run of consecutive root exponents of g at powers of the
+    basic primitive n-th root of unity zeta; delta = run length + 1.
+
+    zeta^k is a root exactly when the factor prod_{j in C} (X - zeta^j) of
+    x^n - 1 over the p-cyclotomic coset C of k divides g: Frobenius carries
+    a root zeta^k to every zeta^j with j in C, and the remainder of g mod that
+    factor, of degree < |C|, then has |C| roots whose differences are units,
+    so it is zero.
+    """
+    fact = factor_xn_minus_1(n, params)
+    is_root = [False] * n
+    for f, coset in zip(fact.factors, fact.cosets):
+        if divmod_monic(g, f)[1].is_zero():
+            for k in coset:
+                is_root[k] = True
     if all(is_root):
-        return BchCertificate(n, 0, n + 1, tuple(range(n)), ctx)
+        return BchCertificate(n, 0, n + 1, tuple(range(n)))
     best_len, best_b = 0, 0
     for b in range(n):
         if is_root[b] and is_root[b - 1]:
@@ -504,6 +483,6 @@ def bch_bound_of(g: RPoly, n: int, params: RingParams) -> BchCertificate:
         if length > best_len:
             best_len, best_b = length, b
     if best_len == 0:
-        return BchCertificate(n, 0, 1, (), ctx)
+        return BchCertificate(n, 0, 1, ())
     exps = tuple((best_b + i) % n for i in range(best_len))
-    return BchCertificate(n, best_b, best_len + 1, exps, ctx)
+    return BchCertificate(n, best_b, best_len + 1, exps)

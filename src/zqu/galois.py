@@ -2,9 +2,9 @@
 
 Elements are residue classes represented by coefficient pairs of degree < m.
 Provides the unit-group order, the one ideal-span builder of R[x]/(f) (which
-serves GR(R, m) for every m, the base ring R at m = 1 and the component
-readings of cyclic codes), and basic primitive n-th roots of unity for
-distance-bound work.
+serves GR(R, m) for every m, the base ring R at m = 1, the component
+readings of cyclic codes and, at f = x^n - 1, the codes themselves), and
+basic primitive n-th roots of unity for distance-bound work.
 """
 
 from __future__ import annotations
@@ -156,10 +156,10 @@ def unit_group_order(ctx: GaloisRingCtx) -> int:
     return (p**m - 1) * p ** ((2 * s - 1) * m)
 
 
-def ideal_span_mod(gens: Sequence[RPoly], f: RPoly) -> ZqSpan:
+def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True) -> ZqSpan:
     """The ideal that `gens` (reduced mod f here) generate in R[x]/(f), f
     monic of degree m, as a Z_q-span inside Z_q^{2m} (a-coordinates first,
-    then u-coordinates).
+    then u-coordinates).  With `with_u` false, only the Z_q[x]-span.
 
     Multiplier rows x^k * g and u * x^k * g for k < m suffice: any scalar
     sum_k (a_k + b_k u) x^k acts through them Z_q-linearly.  Each x^k * g
@@ -176,7 +176,8 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly) -> ZqSpan:
         for _ in range(m):
             a_part = [a for a, _ in acc]
             rows.append(a_part + [b for _, b in acc])
-            rows.append([0] * m + a_part)
+            if with_u:
+                rows.append([0] * m + a_part)
             ta, tb = acc[-1]  # x^m = -(f_0 + ... + f_{m-1} x^{m-1})
             acc = [(0, 0)] + acc[:-1]
             acc = [((a - ta * fa) % q, (b - ta * fb - tb * fa) % q)

@@ -111,16 +111,13 @@ def weight_table(metric: str, params: RingParams) -> tuple[int, ...]:
     if q > guard:
         raise GuardExceededError(f"q = {q} exceeds the distance-table guard {guard}")
     if metric == METRIC_HAMMING:
+        # up to 2^20 entries: a one-pair WordR each would cost seconds
         return tuple(1 if (a or b) else 0 for a in range(q) for b in range(q))
-    if metric not in (METRIC_LEE, METRIC_GRAY_HAMMING):
+    if metric not in METRICS:
         raise UnsupportedMetricError(f"unknown metric {metric!r}")
     if q != 4:
         raise UnsupportedMetricError(f"{metric} requires q = 4, got q = {q}")
-    if metric == METRIC_LEE:
-        return tuple(LEE_WEIGHT_Z4[b] + LEE_WEIGHT_Z4[(a + b) % 4]
-                     for a in range(4) for b in range(4))
-    return tuple(sum(GRAY_IMAGE_Z4[b]) + sum(GRAY_IMAGE_Z4[(a + b) % 4])
-                 for a in range(4) for b in range(4))
+    return tuple(weight_of(WordR(params, ((a, b),)), metric) for a in range(q) for b in range(q))
 
 
 def partition_bounds(stop: int, parts: int) -> list[int]:

@@ -396,11 +396,13 @@ def teichmuller_lift(gbar, params: RingParams) -> ZqPoly:
 class Factorization:
     """x^n - 1 = product of monic basic irreducible factors, in canonical
     order (ascending degree, then coefficient vectors compared from the
-    leading end down)."""
+    leading end down).  cosets[l] is the p-cyclotomic coset C of Z_n with
+    factors[l] = prod_{k in C} (X - zeta^k)."""
 
     n: int
     params: RingParams
     factors: tuple[RPoly, ...]
+    cosets: tuple[tuple[int, ...], ...]
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -433,10 +435,11 @@ def factor_xn_minus_1(n: int, params: RingParams) -> Factorization:
     powers = [ZqPoly.const(params, 1)]
     for _ in range(n - 1):
         powers.append((powers[-1] * zeta) % modulus)
-    lifted = [_conjugate_product([powers[k] for k in coset], modulus)
+    lifted = [(RPoly.from_zq(_conjugate_product([powers[k] for k in coset], modulus)), tuple(coset))
               for coset in fppoly.cyclotomic_cosets(n, p)]
-    factors = sorted((RPoly.from_zq(f) for f in lifted), key=_factor_sort_key)
-    fact = Factorization(n, params, tuple(factors))
+    lifted.sort(key=lambda pair: _factor_sort_key(pair[0]))
+    factors, cosets = zip(*lifted)
+    fact = Factorization(n, params, factors, cosets)
     assert (fact.product() - xn_minus_1(params, n)).is_zero(), "factor product mismatch"
     return fact
 

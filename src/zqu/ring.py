@@ -10,7 +10,7 @@ p-adic digits of Z_q run over the Teichmuller set, reached in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -31,23 +31,30 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True, order=True)
 class RingParams:
-    """The ambient ring R = Z_q + uZ_q with q = p^s."""
+    """The ambient ring R = Z_q + uZ_q with q = p^s, built as RingParams(p, s).
+
+    The checks run cheapest first: s >= 1 and p < 2^16 before the primality
+    test, and s is bounded before p^s is built (p >= 2 and s >= 32 give
+    q^2 >= 2^64).
+    """
 
     p: int
     s: int
-    q: int
+    q: int = field(init=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise PreconditionError(f"p = {self.p} is not prime")
-        if self.p >= 1 << 16:
-            raise PreconditionError(f"p = {self.p} exceeds the 16-bit prime bound")
-        if self.s < 1:
-            raise PreconditionError(f"s = {self.s} must be >= 1")
-        if self.q != self.p**self.s:
-            raise PreconditionError(f"q = {self.q} is not {self.p}^{self.s}")
-        if self.q * self.q >= 1 << 63:
-            raise PreconditionError(f"q^2 = {self.q}^2 does not fit a 64-bit word")
+        p, s = self.p, self.s
+        if not isinstance(p, int) or not isinstance(s, int):
+            raise PreconditionError("p and s must be integers")
+        if s < 1:
+            raise PreconditionError(f"s = {s} must be >= 1")
+        if p >= 1 << 16:
+            raise PreconditionError(f"p = {p} exceeds the 16-bit prime bound")
+        if not is_prime(p):
+            raise PreconditionError(f"p = {p} is not prime")
+        if s >= 32 or p ** (2 * s) >= 1 << 63:
+            raise PreconditionError(f"q^2 = {p}^{2 * s} does not fit a 64-bit word")
+        object.__setattr__(self, "q", p**s)
 
     def elem(self, a: int, b: int = 0) -> "RingElem":
         return RingElem(self, a % self.q, b % self.q)
@@ -75,13 +82,7 @@ class RingParams:
 
 def make_ring(p: int, s: int) -> RingParams:
     """Build parameters for R = Z_{p^s} + uZ_{p^s}, validating p and overflow."""
-    if not isinstance(p, int) or not isinstance(s, int):
-        raise PreconditionError("p and s must be integers")
-    if not is_prime(p):
-        raise PreconditionError(f"p = {p} is not prime")
-    if s < 1:
-        raise PreconditionError(f"s = {s} must be >= 1")
-    return RingParams(p, s, p**s)
+    return RingParams(p, s)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,16 @@ coefficient vectors, so library results are checked against a second route.
 Teichmuller lifts are checked against the routes the library's closed form
 replaced: quadratic Hensel lifting inside x^N - 1 and the fixed-point loop.
 Ideal spans in GR(R, m) are checked against the route the shift-and-subtract
-builder replaced: rows from Galois-ring element multiplication.
+builder replaced: rows from Galois-ring element multiplication.  Code spans
+are checked against the rotation rows x^i * g and u * x^i * g, and BCH root
+exponents against Horner evaluation of g at the powers of zeta.
 """
 
 from __future__ import annotations
 
 from zqu import fppoly
 from zqu.errors import PreconditionError
+from zqu.galois import eval_at, nth_root_of_unity
 from zqu.howell import ZqSpan
 from zqu.poly import RPoly, ZqPoly, xn_minus_1_zq
 
@@ -86,6 +89,45 @@ def hamming_pairs(pairs):
 def lee_pairs(pairs):
     table = (0, 1, 2, 1)
     return sum(table[b % 4] + table[(a + b) % 4] for a, b in pairs)
+
+
+def span_by_rotation(code):
+    """A code as a Z_q-span of its rotated generator rows: the route that
+    ideal_span_mod at f = x^n - 1 replaced in CyclicCode.span()."""
+    return ZqSpan.from_rows(code_generator_rows(code), code.params.p, code.params.s, 2 * code.n)
+
+
+def root_exponents_by_evaluation(f, n, params):
+    """The k < n with f(zeta^k) = 0, by Horner evaluation in the Galois ring."""
+    ctx, zeta = nth_root_of_unity(n, params)
+    roots = set()
+    acc = ctx.one()
+    for k in range(n):
+        if eval_at(f, acc, ctx).is_zero():
+            roots.add(k)
+        acc = acc * zeta
+    return frozenset(roots)
+
+
+def bch_by_evaluation(g, n, params):
+    """(b, delta, root_exponents) of the BCH certificate of g, with the roots
+    found by evaluation."""
+    roots = root_exponents_by_evaluation(g, n, params)
+    is_root = [k in roots for k in range(n)]
+    if all(is_root):
+        return 0, n + 1, tuple(range(n))
+    best_len, best_b = 0, 0
+    for b in range(n):
+        if is_root[b] and is_root[b - 1]:
+            continue  # not the start of a run
+        length = 0
+        while length < n and is_root[(b + length) % n]:
+            length += 1
+        if length > best_len:
+            best_len, best_b = length, b
+    if best_len == 0:
+        return 0, 1, ()
+    return best_b, best_len + 1, tuple((best_b + i) % n for i in range(best_len))
 
 
 def gr_span_by_multiplication(ctx, gens):

@@ -54,6 +54,17 @@ def test_nonprime_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("p,s", [("2305843009213693951", "1"), ("2", "14300"), ("3", "100000000")])
+def test_out_of_range_ring_exits_2_at_once(p, s):
+    # a 61-bit prime, a q whose digits exceed int-to-str limits, and a p^s
+    # too large to build: each is refused before any expensive step
+    proc = subprocess.run(CMD + ["factor", "--n", "3", "--p", p, "--s", s],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_codes_count():
     proc = run("codes", "--n", "3", "--p", "2", "--s", "2", "--count", "--format", "json")
     assert json.loads(proc.stdout)["count"] == 63

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from zqu.codes import (
     CyclicCode,
     _read_component,
+    bch_bound_of,
     build_crt,
     count_cyclic_codes,
     enumerate_cyclic_codes,
@@ -21,7 +22,13 @@ from zqu.galois import build_ctx, gr_ideal_span, ideal_elements
 from zqu.poly import RPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
 from zqu.ring import IdealDescriptor, KIND_U_P_POWER, ideal_descriptors, make_ring
 
-from helpers import code_element_set, gr_span_by_multiplication, rotate
+from helpers import (
+    bch_by_evaluation,
+    code_element_set,
+    gr_span_by_multiplication,
+    rotate,
+    span_by_rotation,
+)
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -463,6 +470,88 @@ def test_bch_no_roots():
 def test_bch_requires_free():
     with pytest.raises(PreconditionError):
         code(R4, 3, ["u"]).bch_bound()
+
+
+BCH_GRID = [(params, n) for params in (R4, R8, R9) for n in (1, 3, 5, 7, 9, 15, 17)
+            if n % params.p]
+
+
+def product(polys, params):
+    out = RPoly.one(params)
+    for f in polys:
+        out = out * f
+    return out
+
+
+def test_bch_matches_evaluation_oracle_on_every_divisor():
+    divisors = 0
+    for params, n in BCH_GRID:
+        factors = factor_xn_minus_1(n, params).factors
+        for mask in range(1 << len(factors)):
+            g = product([f for l, f in enumerate(factors) if mask >> l & 1], params)
+            cert = bch_bound_of(g, n, params)
+            assert (cert.b, cert.delta, cert.root_exponents) == bch_by_evaluation(g, n, params)
+            divisors += 1
+    assert divisors == 146
+
+
+@st.composite
+def r_poly_over(draw, params, max_len):
+    """An R-polynomial with u-part, scaled by p^e for some 0 <= e <= s."""
+    q = params.q
+    pairs = draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
+                          max_size=max_len))
+    scale = params.p ** draw(st.integers(0, params.s))
+    return RPoly.make(params, [(scale * a, scale * b) for a, b in pairs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bch_matches_evaluation_oracle_on_any_g(data):
+    # g = d1*h1 + u*d2*h2 for divisors d1, d2 of x^n - 1 and arbitrary h1, h2
+    # (u-parts, non-unit multiples), so roots of every kind occur
+    params, n = data.draw(st.sampled_from(BCH_GRID))
+    factors = factor_xn_minus_1(n, params).factors
+    g = RPoly.zero(params)
+    for u_times in (False, True):
+        chosen = data.draw(st.lists(st.sampled_from(factors), unique=True))
+        h = data.draw(r_poly_over(params, 4))
+        term = product(chosen, params) * h
+        g = g + (term.mul_u() if u_times else term)
+    cert = bch_bound_of(g, n, params)
+    assert (cert.b, cert.delta, cert.root_exponents) == bch_by_evaluation(g, n, params)
+
+
+def test_codes_need_no_galois_ring_evaluation(monkeypatch):
+    import zqu.codes
+    import zqu.galois
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Galois-ring evaluation on the code path")
+
+    for name in ("eval_at", "nth_root_of_unity"):
+        monkeypatch.setattr(zqu.galois, name, refuse)
+        monkeypatch.setattr(zqu.codes, name, refuse, raising=False)
+    c = code(R8, 15, [Z8_GEN])
+    assert c.to_descriptor()["bch"] == {"b": 1, "delta": 7}
+    assert c.bch_bound().root_exponents == (1, 2, 3, 4, 5, 6)
+
+
+# -- spans ------------------------------------------------------------------------------
+
+
+SPAN_CASES = ([(params, n) for params in (R4, R8, R9) for n in range(1, 10) if n % params.p]
+              + [(R4, 15)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_matches_rotation_oracle(data):
+    params, n = data.draw(st.sampled_from(SPAN_CASES))
+    gens = data.draw(st.lists(r_poly_over(params, n + 2), max_size=3))
+    mode = data.draw(st.sampled_from(["ideal", "module"]))
+    c = CyclicCode(n, params, gens, mode)
+    assert c.span().fingerprint() == span_by_rotation(c).fingerprint()
 
 
 # -- membership and shifts -------------------------------------------------------------

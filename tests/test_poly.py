@@ -26,7 +26,7 @@ from zqu.poly import (
 )
 from zqu.ring import make_ring
 
-from helpers import hensel_lift
+from helpers import hensel_lift, root_exponents_by_evaluation
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -224,6 +224,17 @@ def test_factor_product_and_coprimality(n, params):
         for g in fact.factors[i + 1 :]:
             a, b = coprime_with_witness(f, g)
             assert (a * f + b * g - RPoly.one(params)).is_zero()
+
+
+@pytest.mark.parametrize("n,params", [(1, R4), (3, R4), (7, R4), (9, R4), (15, R8), (17, R4),
+                                      (5, R9), (8, R9)])
+def test_factor_cosets_are_the_root_exponents(n, params):
+    import zqu.fppoly as fppoly
+
+    fact = factor_xn_minus_1(n, params)
+    assert sorted(fact.cosets) == sorted(tuple(c) for c in fppoly.cyclotomic_cosets(n, params.p))
+    for f, coset in zip(fact.factors, fact.cosets):
+        assert root_exponents_by_evaluation(f, n, params) == frozenset(coset)
 
 
 def test_factor_rejects_bad_length():

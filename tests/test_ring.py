@@ -1,3 +1,6 @@
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +37,25 @@ def test_make_ring():
         make_ring(2, 0)
     with pytest.raises(PreconditionError):
         make_ring(65521, 4)  # q^2 overflows 64 bits
+
+
+@pytest.mark.parametrize("p,s,message", [
+    ((1 << 61) - 1, 1, "exceeds the 16-bit prime bound"),
+    (2, 14300, "q^2 = 2^28600 does not fit a 64-bit word"),
+    (3, 10**8, "q^2 = 3^200000000 does not fit a 64-bit word"),
+    (2, 32, "q^2 = 2^64 does not fit a 64-bit word"),
+    (65537, 0, "s = 0 must be >= 1"),
+])
+def test_make_ring_rejects_cheapest_first(p, s, message):
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        make_ring(p, s)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_make_ring_largest_word():
+    assert make_ring(2, 31).q == 1 << 31
+    assert make_ring(65521, 1).q == 65521
 
 
 def test_mul_examples():
