@@ -27,16 +27,7 @@ from .poly import (
     teichmuller_lift,
     xn_minus_1,
 )
-from .galois import (
-    GaloisRingCtx,
-    GrElem,
-    build_ctx,
-    eval_at,
-    gr_ideal_elements,
-    ideal_elements,
-    nth_root_of_unity,
-    unit_group_order,
-)
+from .galois import ideal_elements, unit_group_order
 from .codes import (
     BchCertificate,
     CanonicalGenerators,

@@ -180,12 +180,12 @@ def _cmd_codes(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.format == "csv":  # a usage error, so refused before any work, as argparse would
+        raise SystemExit((EXIT_PARSE, "error: analyze output is nested; use --format json or text"))
     params = make_ring(args.p, args.s)
     gens = _parse_gens(args.gens, params, args.n)
     code = CyclicCode(args.n, params, gens, args.closure)
     desc = code.to_descriptor()
-    if args.format == "csv":
-        raise SystemExit((EXIT_PARSE, "error: analyze output is nested; use --format json or text"))
     if args.format == "json":
         _emit_json(desc)
         return EXIT_OK

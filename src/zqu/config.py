@@ -12,10 +12,6 @@ from .errors import PreconditionError
 # enumerate explicitly (ZQU_MAX_ORACLE_Q).
 MAX_ORACLE_Q = 1 << 10
 
-# Largest |GR(R, m)| = q^{2m} for exhaustive Galois-ring census checks
-# (ZQU_MAX_CENSUS_SIZE).
-MAX_CENSUS_SIZE = 1 << 16
-
 # Largest q for which the distance engine builds its q*q weight table
 # (ZQU_MAX_DISTANCE_Q).
 MAX_DISTANCE_Q = 1 << 10

@@ -8,10 +8,12 @@ closure over rotated coefficient vectors, so the two routes stay independent.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
 
+from . import fppoly
 from .codes import (
     CyclicCode,
     bch_bound_of,
@@ -20,7 +22,7 @@ from .codes import (
     enumerate_cyclic_codes,
 )
 from .errors import ZquError
-from .galois import build_ctx, ideal_elements, nth_root_of_unity, unit_group_order
+from .galois import ideal_elements, unit_group_order
 from .howell import ZqSpan
 from .metrics import WordR, hamming_weight, min_distance
 from .poly import (RPoly, divmod_monic, factor_xn_minus_1, is_basic_primitive, parse_r_poly,
@@ -171,21 +173,15 @@ def check_code_census() -> tuple[bool, str]:
 
 def check_unit_groups() -> tuple[bool, str]:
     notes: list[str] = []
-    cases = [
-        (make_ring(2, 2), 1, 8),
-        (make_ring(2, 2), 2, 192),
-        (make_ring(2, 3), 1, 32),
-    ]
-    for params, m, expected in cases:
-        if m == 1:
-            fact = factor_xn_minus_1(1, params)
-            ctx = build_ctx(fact.factors[0])
-        else:
-            ctx = build_ctx(factor_xn_minus_1(3, params).factors[1])
-        brute = sum(1 for e in ctx.elements() if e.is_unit())
-        formula = unit_group_order(ctx)
+    for p, s, m, expected in [(2, 2, 1, 8), (2, 2, 2, 192), (2, 3, 1, 32)]:
+        q = p**s
+        # an element of GR(R, m) is m pairs (a_k, b_k) in Z_q^2; it is a unit
+        # iff its residue in F_{p^m}, (a_k mod p)_k, is nonzero
+        brute = sum(1 for coeffs in itertools.product(range(q), repeat=2 * m)
+                    if any(a % p for a in coeffs[::2]))
+        formula = unit_group_order(p, s, m)
         _fail(brute == expected and formula == expected,
-              f"(q={params.q}, m={m}): brute {brute}, formula {formula}, expected {expected}",
+              f"(q={q}, m={m}): brute {brute}, formula {formula}, expected {expected}",
               notes)
     return not notes, "; ".join(notes) or "unit counts 8, 192, 32 match (p^m-1)p^{(2s-1)m}"
 
@@ -196,9 +192,10 @@ _Z8_GEN = "x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1"
 def check_z8_length15_chain(slow: bool = False) -> tuple[bool, str]:
     notes: list[str] = []
     r8 = make_ring(2, 3)
-    ctx, zeta = nth_root_of_unity(15, r8)
-    _fail(is_basic_primitive(ctx.modulus), "modulus residue is not primitive", notes)
-    _fail(str(ctx.modulus) == "x^4+4*x^3+6*x^2+3*x+1", f"modulus was {ctx.modulus}", notes)
+    # GR(Z8 + uZ8, 4) holds the 15th roots of unity: ord_15(2) = 4
+    modulus = RPoly.from_zq(teichmuller_lift(fppoly.smallest_primitive(2, 4), r8))
+    _fail(is_basic_primitive(modulus), "modulus residue is not primitive", notes)
+    _fail(str(modulus) == "x^4+4*x^3+6*x^2+3*x+1", f"modulus was {modulus}", notes)
     g = parse_r_poly(_Z8_GEN, r8)
     _fail(divmod_monic(xn_minus_1(r8, 15), g)[1].is_zero(), "g does not divide x^15-1", notes)
     code = CyclicCode(15, r8, [g])
@@ -248,8 +245,6 @@ def check_property_suite() -> tuple[bool, str]:
     notes: list[str] = []
     # every factor re-lifts from its own residue (not from the primitive
     # polynomial the factorization used) and divides x^order - 1
-    import zqu.fppoly as fppoly
-
     for n, p, s in [(3, 2, 2), (7, 2, 2), (15, 2, 3), (5, 3, 2)]:
         params = make_ring(p, s)
         fact = factor_xn_minus_1(n, params)

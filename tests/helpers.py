@@ -5,7 +5,11 @@ element sets come from breadth-first additive closure over explicitly rotated
 coefficient vectors, so library results are checked against a second route.
 Teichmuller lifts are checked against the routes the library's closed form
 replaced: quadratic Hensel lifting inside x^N - 1 and the fixed-point loop.
-Ideal spans in GR(R, m) are checked against the route the shift-and-subtract
+
+The Galois-ring element layer (`GaloisRingCtx`, `GrElem`, `build_ctx`,
+`nth_root_of_unity`, `eval_at`) computes in GR(R, m) = R[x]/(f) by RPoly
+products and `divmod_monic`, a route independent of `ideal_span_mod`.  Ideal
+spans in GR(R, m) are checked against the route the shift-and-subtract
 builder replaced: rows from Galois-ring element multiplication.  Code spans
 are checked against the rotation rows x^i * g and u * x^i * g, and BCH root
 exponents against Horner evaluation of g at the powers of zeta.
@@ -13,11 +17,186 @@ exponents against Horner evaluation of g at the powers of zeta.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
 from zqu import fppoly
-from zqu.errors import PreconditionError
-from zqu.galois import eval_at, nth_root_of_unity
+from zqu.errors import LengthNotCoprimeError, PreconditionError
+from zqu.galois import gr_ideal_span
 from zqu.howell import ZqSpan
-from zqu.poly import RPoly, ZqPoly, xn_minus_1_zq
+from zqu.poly import (RPoly, ZqPoly, divmod_monic, is_basic_irreducible, is_basic_primitive,
+                      teichmuller_lift, xn_minus_1_zq)
+from zqu.ring import IdealDescriptor, RingParams
+
+
+# -- the Galois-ring element layer ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class GaloisRingCtx:
+    """GR(R, m) with a fixed monic basic irreducible modulus of degree m."""
+
+    params: RingParams
+    modulus: RPoly
+    m: int
+    primitive: bool
+
+    @property
+    def size(self) -> int:
+        return (self.params.q ** 2) ** self.m
+
+    @property
+    def residue_field_size(self) -> int:
+        return self.params.p**self.m
+
+    def zero(self) -> "GrElem":
+        return GrElem(self, ((0, 0),) * self.m)
+
+    def one(self) -> "GrElem":
+        return self.embed_pair(1, 0)
+
+    def embed_pair(self, a: int, b: int) -> "GrElem":
+        q = self.params.q
+        pairs = [(a % q, b % q)] + [(0, 0)] * (self.m - 1)
+        return GrElem(self, tuple(pairs[: self.m]))
+
+    def from_rpoly(self, poly: RPoly) -> "GrElem":
+        rem = divmod_monic(poly, self.modulus)[1] if poly.degree >= self.m else poly
+        pairs = [rem[i] for i in range(self.m)]
+        return GrElem(self, tuple(pairs))
+
+    @property
+    def xi(self) -> "GrElem":
+        """The class of x; a basic primitive element when the modulus is
+        basic primitive."""
+        if not self.primitive:
+            raise PreconditionError("modulus is not basic primitive; no designated xi")
+        return self.from_rpoly(RPoly.make(self.params, [(0, 0), (1, 0)]))
+
+    def elements(self):
+        q = self.params.q
+        total = self.size
+        for enc in range(total):
+            pairs = []
+            v = enc
+            for _ in range(self.m):
+                a = v % q
+                v //= q
+                b = v % q
+                v //= q
+                pairs.append((a, b))
+            yield GrElem(self, tuple(pairs))
+
+
+@dataclass(frozen=True)
+class GrElem:
+    """Element of GR(R, m): coordinates in the basis 1, alpha, ..., alpha^{m-1}."""
+
+    ctx: GaloisRingCtx
+    pairs: tuple[tuple[int, int], ...]
+
+    def to_rpoly(self) -> RPoly:
+        return RPoly.make(self.ctx.params, self.pairs)
+
+    def is_zero(self) -> bool:
+        return all(a == 0 and b == 0 for a, b in self.pairs)
+
+    def __add__(self, other: "GrElem") -> "GrElem":
+        q = self.ctx.params.q
+        return GrElem(
+            self.ctx,
+            tuple(
+                ((a1 + a2) % q, (b1 + b2) % q)
+                for (a1, b1), (a2, b2) in zip(self.pairs, other.pairs)
+            ),
+        )
+
+    def __sub__(self, other: "GrElem") -> "GrElem":
+        q = self.ctx.params.q
+        return GrElem(
+            self.ctx,
+            tuple(
+                ((a1 - a2) % q, (b1 - b2) % q)
+                for (a1, b1), (a2, b2) in zip(self.pairs, other.pairs)
+            ),
+        )
+
+    def __mul__(self, other: "GrElem") -> "GrElem":
+        prod = self.to_rpoly() * other.to_rpoly()
+        return self.ctx.from_rpoly(prod)
+
+    def __pow__(self, k: int) -> "GrElem":
+        result = self.ctx.one()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def residue(self) -> tuple[int, ...]:
+        """Image in the residue field F_{p^m}, as F_p coordinates."""
+        p = self.ctx.params.p
+        return tuple(a % p for a, _ in self.pairs)
+
+    def is_unit(self) -> bool:
+        return any(self.residue())
+
+    def a_coeffs(self) -> tuple[int, ...]:
+        return tuple(a for a, _ in self.pairs)
+
+
+def build_ctx(f: RPoly) -> GaloisRingCtx:
+    """Context for GR(R, m) = R[x]/(f); f must be monic basic irreducible."""
+    if not f.is_monic():
+        raise PreconditionError("modulus must be monic")
+    if not is_basic_irreducible(f):
+        raise PreconditionError("modulus residue is reducible over F_p")
+    return GaloisRingCtx(f.params, f, f.degree, is_basic_primitive(f))
+
+
+@lru_cache(maxsize=None)
+def nth_root_of_unity(n: int, params: RingParams) -> tuple[GaloisRingCtx, GrElem]:
+    """A canonical basic primitive n-th root of unity.
+
+    The context modulus is the Teichmuller lift of the canonical primitive
+    polynomial of degree m = ord_n(p), so xi, the class of x, is the
+    Teichmuller lift of a primitive element of F_{p^m}; zeta = xi^{(p^m - 1)/n}.
+    """
+    if n < 1:
+        raise PreconditionError("n must be positive")
+    if math.gcd(n, params.p) != 1:
+        raise LengthNotCoprimeError(f"gcd({n}, {params.p}) != 1")
+    m = fppoly.multiplicative_order(params.p, n)
+    pi = fppoly.smallest_primitive(params.p, m)
+    modulus = RPoly.from_zq(teichmuller_lift(pi, params))
+    ctx = build_ctx(modulus)
+    zeta = ctx.xi ** ((params.p**m - 1) // n)
+    return ctx, zeta
+
+
+def eval_at(g: RPoly, e: GrElem, ctx: GaloisRingCtx) -> GrElem:
+    """Horner evaluation of an R-polynomial at a Galois-ring element."""
+    acc = ctx.zero()
+    for i in range(g.degree, -1, -1):
+        acc = acc * e + ctx.embed_pair(*g[i])
+    return acc
+
+
+def gr_ideal_elements(desc: IdealDescriptor, ctx: GaloisRingCtx) -> frozenset[GrElem]:
+    """The census ideal `desc` of GR(R, m) as a set of GrElems."""
+    span = gr_ideal_span(desc, ctx.modulus)
+    m = ctx.m
+    out = set()
+    for vec in span.elements():
+        pairs = tuple((vec[i], vec[m + i]) for i in range(m))
+        out.add(GrElem(ctx, pairs))
+    return frozenset(out)
+
+
+# -- element sets, spans and roots by independent routes ------------------------
 
 
 def additive_closure(vectors, q):

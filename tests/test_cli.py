@@ -177,10 +177,23 @@ def test_analyze_both_closures_disagree():
     assert any("disagree" in w for w in out["module"]["warnings"])
 
 
-def test_analyze_csv_rejected():
+def test_analyze_csv_rejected(monkeypatch, capsys):
     proc = run("analyze", "--n", "3", "--p", "2", "--s", "2", "--gens", "u",
                "--format", "csv")
     assert proc.returncode == 1
+    message = "error: analyze output is nested; use --format json or text\n"
+    assert proc.stderr == message
+    # the usage error comes before any analysis
+    import zqu.cli
+    from zqu.codes import CyclicCode
+
+    def refuse(self):
+        raise AssertionError("analysis ran before the csv format was refused")
+
+    monkeypatch.setattr(CyclicCode, "to_descriptor", refuse)
+    argv = ["analyze", "--n", "45", "--p", "2", "--s", "3", "--gens", "x+7", "--format", "csv"]
+    assert zqu.cli.main(argv) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_distance_gray_hamming():

@@ -2,19 +2,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zqu.errors import PreconditionError
-from zqu.galois import (
+from zqu.galois import ideal_span_mod, unit_group_order
+from zqu.poly import RPoly, factor_xn_minus_1, parse_r_poly, xn_minus_1
+from zqu.ring import census_size, ideal_descriptors, make_ring
+
+from helpers import (
     GrElem,
     build_ctx,
     eval_at,
     gr_ideal_elements,
-    ideal_span_mod,
+    gr_span_by_multiplication,
+    gr_teichmuller_loop,
     nth_root_of_unity,
-    unit_group_order,
 )
-from zqu.poly import RPoly, factor_xn_minus_1, parse_r_poly, xn_minus_1
-from zqu.ring import census_size, ideal_descriptors, make_ring
-
-from helpers import gr_span_by_multiplication, gr_teichmuller_loop
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -59,17 +59,13 @@ def test_gr_is_unit_examples():
 
 
 @pytest.mark.parametrize(
-    "make_ctx,expected",
-    [
-        (lambda: ctx_m1(R4), 8),
-        (ctx_4_2, 192),
-        (lambda: ctx_m1(R8), 32),
-        (lambda: ctx_m1(R9), 54),
-    ],
+    "p,s,m,expected",
+    [(2, 2, 1, 8), (2, 2, 2, 192), (2, 3, 1, 32), (3, 2, 1, 54), (2, 1, 3, 56), (3, 1, 2, 72)],
 )
-def test_unit_group_order_vs_brute_force(make_ctx, expected):
-    ctx = make_ctx()
-    assert unit_group_order(ctx) == expected
+def test_unit_group_order_vs_brute_force(p, s, m, expected):
+    ctx, _ = nth_root_of_unity(p**m - 1, make_ring(p, s))  # ord_{p^m - 1}(p) = m
+    assert ctx.m == m
+    assert unit_group_order(p, s, m) == expected
     assert sum(1 for e in ctx.elements() if e.is_unit()) == expected
 
 
@@ -235,7 +231,7 @@ def test_unit_group_decomposition():
             assert teichmuller(tail) == one
             assert lead * tail == e
             seen.add((lead, tail))
-        assert len(seen) == count == unit_group_order(ctx)
+        assert len(seen) == count == unit_group_order(ctx.params.p, ctx.params.s, ctx.m)
 
 
 def test_closed_form_teichmuller_matches_loop():
