@@ -140,8 +140,8 @@ class CyclicCode:
 
     def contains(self, word) -> bool:
         if isinstance(word, RPoly):
-            pairs = [word.reduce_cyclic(self.n)[i] for i in range(self.n)]
-            word = [a for a, _ in pairs] + [b for _, b in pairs]
+            w = word.reduce_cyclic(self.n)
+            word = [w.a[i] for i in range(self.n)] + [w.b[i] for i in range(self.n)]
         return self.span().contains(word)
 
     # -- CRT components ----------------------------------------------------
@@ -206,7 +206,7 @@ class CyclicCode:
                 f"(g1 | f0: {can.g1_divides_f0}, f0 | x^n-1: {can.f0_divides_xn1}, "
                 f"g1 | x^n-1: {can.g1_divides_xn1})"
             )
-        f = RPoly.from_parts(can.f0, can.f1)
+        f = RPoly(can.f0, can.f1)
         ug1 = RPoly.from_zq(can.g1).mul_u()
         x = [RPoly.make(self.params, [0] * i + [1]) for i in range(self.n)]
         beta = [x[i] * f for i in range(self.n - can.k0)]
@@ -433,7 +433,7 @@ def _canonical_form(code: CyclicCode) -> CanonicalGenerators:
     # The pair must regenerate the code exactly.
     pair = CyclicCode(
         n, params,
-        [RPoly.from_parts(can.f0, can.f1), RPoly.from_zq(can.g1).mul_u()],
+        [RPoly(can.f0, can.f1), RPoly.from_zq(can.g1).mul_u()],
         MODE_IDEAL,
     )
     if pair.fingerprint() != code.fingerprint():

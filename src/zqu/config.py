@@ -8,8 +8,8 @@ import os
 
 from .errors import PreconditionError
 
-# Largest q for which element-set oracles (ideal closures, censuses) will
-# enumerate explicitly (ZQU_MAX_ORACLE_Q).
+# Largest q for which `galois.ideal_elements` lists an ideal of R element by
+# element (a fixed guard, not read from the environment).
 MAX_ORACLE_Q = 1 << 10
 
 # Largest q for which the distance engine builds its q*q weight table

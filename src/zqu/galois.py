@@ -35,21 +35,20 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True) -> ZqSp
     """
     params, m = f.params, f.degree
     q = params.q
-    tail = [f[k] for k in range(m)]
+    fa, fb = f.a.coeffs[:m], (f.b.coeffs + (0,) * m)[:m]
     rows = []
     for g in gens:
         if g.degree >= m:
             g = divmod_monic(g, f)[1]
-        acc = [g[k] for k in range(m)]
+        a = list(g.a.coeffs) + [0] * (m - len(g.a.coeffs))
+        b = list(g.b.coeffs) + [0] * (m - len(g.b.coeffs))
         for _ in range(m):
-            a_part = [a for a, _ in acc]
-            rows.append(a_part + [b for _, b in acc])
+            rows.append(a + b)
             if with_u:
-                rows.append([0] * m + a_part)
-            ta, tb = acc[-1]  # x^m = -(f_0 + ... + f_{m-1} x^{m-1})
-            acc = [(0, 0)] + acc[:-1]
-            acc = [((a - ta * fa) % q, (b - ta * fb - tb * fa) % q)
-                   for (a, b), (fa, fb) in zip(acc, tail)]
+                rows.append([0] * m + a)
+            ta, tb = a[-1], b[-1]  # x^m = -(f_0 + ... + f_{m-1} x^{m-1})
+            a = [(x - ta * y) % q for x, y in zip([0] + a[:-1], fa)]
+            b = [(x - ta * y - tb * z) % q for x, y, z in zip([0] + b[:-1], fb, fa)]
     return ZqSpan.from_rows(rows, params.p, params.s, 2 * m)
 
 
@@ -65,7 +64,7 @@ def gr_ideal_span(desc: IdealDescriptor, modulus: RPoly) -> ZqSpan:
 def ideal_elements(desc: IdealDescriptor, params: RingParams) -> frozenset[RingElem]:
     """Explicit element set of an ideal of R itself: the m = 1 case, over the
     degree-1 factor x - 1 of x^1 - 1.  Guarded to desk scale."""
-    guard = config.env_int("ZQU_MAX_ORACLE_Q", config.MAX_ORACLE_Q)
+    guard = config.MAX_ORACLE_Q
     if params.q > guard:
         raise GuardExceededError(f"q = {params.q} exceeds the enumeration guard {guard}")
     span = gr_ideal_span(desc, xn_minus_1(params, 1))

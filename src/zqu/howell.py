@@ -9,8 +9,11 @@ membership tests, and a bijective mixed-radix enumeration of the span.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from .errors import PreconditionError
 
 
 def pval(x: int, p: int, s: int) -> int:
@@ -24,94 +27,9 @@ def pval(x: int, p: int, s: int) -> int:
     return e
 
 
-def _first_nonzero(row: Sequence[int]) -> int:
-    for c, x in enumerate(row):
-        if x:
-            return c
-    return -1
-
-
-class _Builder:
-    def __init__(self, p: int, s: int, ncols: int):
-        self.p = p
-        self.s = s
-        self.q = p**s
-        self.ncols = ncols
-        self.piv: dict[int, tuple[int, list[int]]] = {}  # col -> (val, row)
-
-    def reduce(self, v: list[int]) -> list[int]:
-        q = self.q
-        p = self.p
-        for c in sorted(self.piv):
-            x = v[c]
-            if x == 0:
-                continue
-            e, row = self.piv[c]
-            if pval(x, p, self.s) >= e:
-                m = x // p**e
-                for i in range(c, self.ncols):
-                    v[i] = (v[i] - m * row[i]) % q
-        return v
-
-    def insert_all(self, rows: Iterable[Sequence[int]]) -> None:
-        q = self.q
-        p = self.p
-        s = self.s
-        work = [[x % q for x in r] for r in rows]
-        while work:
-            v = self.reduce(work.pop())
-            c = _first_nonzero(v)
-            if c < 0:
-                continue
-            e = pval(v[c], p, s)
-            inv = pow(v[c] // p**e, -1, q)
-            v = [(inv * x) % q for x in v]  # pivot becomes exactly p^e
-            if c in self.piv:
-                old_e, old_row = self.piv[c]
-                if e >= old_e:  # would have been eliminated above
-                    raise AssertionError("howell invariant violated")
-                self.piv[c] = (e, v)
-                work.append(old_row)
-            else:
-                self.piv[c] = (e, v)
-            if e:
-                work.append([(x * p ** (s - e)) % q for x in v])
-
-    def close(self) -> None:
-        # Howell criterion: every annihilator multiple reduces to zero.
-        p, s, q = self.p, self.s, self.q
-        while True:
-            pending = []
-            for _, (e, row) in sorted(self.piv.items()):
-                if e == 0:
-                    continue
-                ann = self.reduce([(x * p ** (s - e)) % q for x in row])
-                if _first_nonzero(ann) >= 0:
-                    pending.append(ann)
-            if not pending:
-                return
-            self.insert_all(pending)
-
-    def normalized_rows(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        # Reduce entries at other pivot columns, left to right, to land on
-        # the unique fully reduced form.
-        p, q = self.p, self.q
-        cols = sorted(self.piv)
-        for c in cols:
-            e_c, row_c = self.piv[c]
-            mod = p**e_c
-            for c2 in cols:
-                if c2 == c:
-                    continue
-                e2, row2 = self.piv[c2]
-                m = row2[c] // mod
-                if m == 0:
-                    continue
-                new = list(row2)
-                for i in range(c, self.ncols):
-                    new[i] = (new[i] - m * row_c[i]) % q
-                self.piv[c2] = (e2, new)
-        return [(c, self.piv[c][0], tuple(self.piv[c][1])) for c in cols]
+def _check_length(vec: Sequence[int], ncols: int) -> None:
+    if len(vec) != ncols:
+        raise PreconditionError(f"vector of length {len(vec)} in a span of {ncols} columns")
 
 
 @dataclass(frozen=True)
@@ -125,10 +43,57 @@ class ZqSpan:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], p: int, s: int, ncols: int) -> "ZqSpan":
-        b = _Builder(p, s, ncols)
-        b.insert_all(rows)
-        b.close()
-        return cls(p, s, ncols, tuple(b.normalized_rows()))
+        """Reduced Howell basis of the span of `rows`, in one sweep over the
+        columns.
+
+        At column c the live row of least valuation e there becomes the pivot,
+        scaled to exactly p^e, and clears column c in the other live rows.  Its
+        annihilator multiple p^(s-e) * pivot vanishes at c and joins the live
+        rows, so every span element that is zero before column c stays in the
+        span of the pivots at c and later: the Howell property holds without a
+        closure pass.
+        """
+        q = p**s
+        live = []
+        for row in rows:
+            _check_length(row, ncols)
+            live.append([x % q for x in row])
+        pivots = []
+        for c in range(ncols):
+            best, e = -1, s
+            for k, v in enumerate(live):
+                if v[c]:
+                    ev = pval(v[c], p, s)
+                    if ev < e:
+                        best, e = k, ev
+                        if not e:
+                            break
+            if best < 0:
+                continue
+            pivot = live.pop(best)
+            pe = p**e
+            unit_inv = pow(pivot[c] // pe, -1, q)
+            tail = [(unit_inv * x) % q for x in pivot[c:]]
+            pivot[c:] = tail
+            for v in live:
+                if v[c]:
+                    m = v[c] // pe
+                    v[c:] = [(x - m * y) % q for x, y in zip(v[c:], tail)]
+            if e:
+                live.append([(x * p ** (s - e)) % q for x in pivot])
+            pivots.append((c, e, pivot))
+        # Reduce the entries above each pivot mod p^e, left to right, to land
+        # on the unique fully reduced form.
+        for k, (c, e, row) in enumerate(pivots):
+            pe = p**e
+            tail = row[c:]
+            for _, _, row2 in pivots[:k]:
+                m = row2[c] // pe
+                if m:
+                    row2[c:] = [(x - m * y) % q for x, y in zip(row2[c:], tail)]
+        # From a list, not a generator: a tuple grown from an iterator is
+        # resized, and freeing it then fills CPython's tuple free lists.
+        return cls(p, s, ncols, tuple([(c, e, tuple(row)) for c, e, row in pivots]))
 
     @property
     def q(self) -> int:
@@ -142,6 +107,7 @@ class ZqSpan:
         return self.p ** self.size_exponent()
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
+        _check_length(vec, self.ncols)
         q = self.q
         v = [x % q for x in vec]
         for c, e, row in self.rows:
@@ -169,28 +135,10 @@ class ZqSpan:
         return basis, ranges
 
     def elements(self) -> Iterator[tuple[int, ...]]:
-        """Yield every span element (caller is responsible for size guards)."""
+        """Yield every span element once, in no specified order (the caller
+        is responsible for size guards)."""
         q = self.q
         basis, ranges = self.enumeration_basis()
-        word = [0] * self.ncols
-        digits = [0] * len(basis)
-        yield tuple(word)
-        total = 1
-        for r in ranges:
-            total *= r
-        for _ in range(total - 1):
-            i = 0
-            while True:
-                digits[i] += 1
-                if digits[i] < ranges[i]:
-                    row = basis[i]
-                    for j in range(self.ncols):
-                        word[j] = (word[j] + row[j]) % q
-                    break
-                digits[i] = 0
-                row = basis[i]
-                back = ranges[i] - 1
-                for j in range(self.ncols):
-                    word[j] = (word[j] - back * row[j]) % q
-                i += 1
-            yield tuple(word)
+        for coeffs in itertools.product(*(range(r) for r in ranges)):
+            yield tuple(sum(t * row[j] for t, row in zip(coeffs, basis)) % q
+                        for j in range(self.ncols))

@@ -1,8 +1,8 @@
 """Exact univariate polynomials over Z_q and over R = Z_q + uZ_q.
 
 Coefficients are little-endian with trailing zeros stripped.  An R-polynomial
-is a pair of Z_q coefficient streams (a-part, u-part); u^2 = 0 keeps
-multiplication a single cross term.  Includes coprimality with exact Bezout
+a + u*b holds its two parts as Z_q-polynomials, so Z_q[x] arithmetic has one
+implementation; u^2 = 0 keeps multiplication a single cross term.  Includes coprimality with exact Bezout
 witnesses, Teichmuller lifts of irreducible polynomials over F_p, and the
 complete factorization of x^n - 1 into basic irreducible polynomials.
 """
@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from typing import Optional
 
 from . import fppoly
@@ -62,12 +63,12 @@ class ZqPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "ZqPoly") -> "ZqPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ZqPoly.make(self.params, [self[i] + other[i] for i in range(n)])
+        return ZqPoly.make(self.params, [x + y for x, y in
+                                         zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other: "ZqPoly") -> "ZqPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ZqPoly.make(self.params, [self[i] - other[i] for i in range(n)])
+        return ZqPoly.make(self.params, [x - y for x, y in
+                                         zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self) -> "ZqPoly":
         return ZqPoly.make(self.params, [-c for c in self.coeffs])
@@ -77,12 +78,11 @@ class ZqPoly:
             return ZqPoly.make(self.params, [c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return ZqPoly.zero(self.params)
-        q = self.params.q
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % q
+                    out[i + j] += a * b
         return ZqPoly.make(self.params, out)
 
     __rmul__ = __mul__
@@ -91,6 +91,15 @@ class ZqPoly:
         if self.is_zero():
             return self
         return ZqPoly(self.params, (0,) * k + self.coeffs)
+
+    def reduce_cyclic(self, n: int) -> "ZqPoly":
+        """Reduce modulo x^n - 1 by folding exponents mod n."""
+        if len(self.coeffs) <= n:
+            return self
+        acc = [0] * n
+        for i, c in enumerate(self.coeffs):
+            acc[i % n] += c
+        return ZqPoly.make(self.params, acc)
 
     def __divmod__(self, divisor: "ZqPoly"):
         """Long division; the divisor's leading coefficient must be a unit."""
@@ -104,14 +113,14 @@ class ZqPoly:
         rem = list(self.coeffs)
         dd = divisor.degree
         quo = [0] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            c = (rem[-1] * inv) % q
-            quo[k] = c
-            for i, b in enumerate(divisor.coeffs):
-                rem[k + i] = (rem[k + i] - c * b) % q
-            rem = _strip(rem)
-        return ZqPoly.make(self.params, quo), ZqPoly.make(self.params, rem)
+        # Top down: by step k, every subtraction that reaches rem[k + dd] is done.
+        for k in range(len(quo) - 1, -1, -1):
+            c = (rem[k + dd] * inv) % q
+            if c:
+                quo[k] = c
+                for i, b in enumerate(divisor.coeffs):
+                    rem[k + i] -= c * b
+        return ZqPoly.make(self.params, quo), ZqPoly.make(self.params, rem[:dd])
 
     def __mod__(self, divisor: "ZqPoly") -> "ZqPoly":
         return divmod(self, divisor)[1]
@@ -142,160 +151,110 @@ class ZqPoly:
 
 @dataclass(frozen=True)
 class RPoly:
-    params: RingParams
-    coeffs: tuple[tuple[int, int], ...]
+    """a + u*b for Z_q-polynomials a and b; since u^2 = 0, every operation is
+    one or two operations on the parts."""
+
+    a: ZqPoly
+    b: ZqPoly
 
     @classmethod
     def make(cls, params: RingParams, seq) -> "RPoly":
-        q = params.q
-        pairs = []
-        for c in seq:
-            if isinstance(c, RingElem):
-                pairs.append((c.a, c.b))
-            elif isinstance(c, int):
-                pairs.append((c % q, 0))
-            else:
-                a, b = c
-                pairs.append((int(a) % q, int(b) % q))
-        while pairs and pairs[-1] == (0, 0):
-            pairs.pop()
-        return cls(params, tuple(pairs))
-
-    @classmethod
-    def from_parts(cls, a_part: ZqPoly, u_part: ZqPoly) -> "RPoly":
-        n = max(len(a_part.coeffs), len(u_part.coeffs))
-        return cls.make(a_part.params, [(a_part[i], u_part[i]) for i in range(n)])
+        """From coefficients that are ints, (a, b) pairs or `RingElem`s."""
+        pairs = [(c.a, c.b) if isinstance(c, RingElem) else (c, 0) if isinstance(c, int) else c
+                 for c in seq]
+        return cls(ZqPoly.make(params, [a for a, _ in pairs]),
+                   ZqPoly.make(params, [b for _, b in pairs]))
 
     @classmethod
     def from_zq(cls, poly: ZqPoly) -> "RPoly":
-        return cls.make(poly.params, [(c, 0) for c in poly.coeffs])
+        return cls(poly, ZqPoly.zero(poly.params))
 
     @classmethod
     def zero(cls, params) -> "RPoly":
-        return cls(params, ())
+        return cls(ZqPoly.zero(params), ZqPoly.zero(params))
 
     @classmethod
     def one(cls, params) -> "RPoly":
-        return cls(params, ((1, 0),))
+        return cls(ZqPoly.const(params, 1), ZqPoly.zero(params))
+
+    @property
+    def params(self) -> RingParams:
+        return self.a.params
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, int], ...]:
+        """The (a, b) coefficient pairs, index = degree."""
+        # Via a list, so the tuple is built at its size (see ZqSpan.from_rows).
+        return tuple(list(zip_longest(self.a.coeffs, self.b.coeffs, fillvalue=0)))
 
     def a_part(self) -> ZqPoly:
-        return ZqPoly.make(self.params, [a for a, _ in self.coeffs])
+        return self.a
 
     def u_part(self) -> ZqPoly:
-        return ZqPoly.make(self.params, [b for _, b in self.coeffs])
+        return self.b
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(self.a.degree, self.b.degree)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.a.is_zero() and self.b.is_zero()
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == (1, 0)
+        return self.a.is_monic() and self.b.degree < self.a.degree
 
     def __getitem__(self, i: int) -> tuple[int, int]:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else (0, 0)
-
-    def coefficient(self, i: int) -> RingElem:
-        a, b = self[i]
-        return RingElem(self.params, a, b)
+        return self.a[i], self.b[i]
 
     def __add__(self, other: "RPoly") -> "RPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        q = self.params.q
-        return RPoly.make(
-            self.params,
-            [((self[i][0] + other[i][0]) % q, (self[i][1] + other[i][1]) % q) for i in range(n)],
-        )
+        return RPoly(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "RPoly") -> "RPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        q = self.params.q
-        return RPoly.make(
-            self.params,
-            [((self[i][0] - other[i][0]) % q, (self[i][1] - other[i][1]) % q) for i in range(n)],
-        )
+        return RPoly(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "RPoly":
-        return RPoly.make(self.params, [(-a, -b) for a, b in self.coeffs])
+        return RPoly(-self.a, -self.b)
 
     def __mul__(self, other) -> "RPoly":
-        q = self.params.q
-        if isinstance(other, int):
-            other = RingElem(self.params, other % q, 0)
-        if isinstance(other, RingElem):
-            return RPoly.make(
-                self.params,
-                [((a * other.a) % q, (a * other.b + b * other.a) % q) for a, b in self.coeffs],
-            )
-        if self.is_zero() or other.is_zero():
-            return RPoly.zero(self.params)
-        out = [[0, 0] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, (a, b) in enumerate(self.coeffs):
-            if a == 0 and b == 0:
-                continue
-            for j, (c, d) in enumerate(other.coeffs):
-                out[i + j][0] = (out[i + j][0] + a * c) % q
-                out[i + j][1] = (out[i + j][1] + a * d + b * c) % q
-        return RPoly.make(self.params, out)
+        """Product with an int, a `RingElem` or an `RPoly`: (a + ub)(c + ud)
+        = ac + u(ad + bc)."""
+        c, d = (other, 0) if isinstance(other, int) else (other.a, other.b)
+        return RPoly(self.a * c, self.a * d + self.b * c)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "RPoly":
-        if self.is_zero():
-            return self
-        return RPoly(self.params, ((0, 0),) * k + self.coeffs)
+        return RPoly(self.a.shift(k), self.b.shift(k))
 
     def mul_u(self) -> "RPoly":
-        return RPoly.make(self.params, [(0, a) for a, _ in self.coeffs])
+        return RPoly(ZqPoly.zero(self.params), self.a)
 
     def residue(self) -> tuple[int, ...]:
-        p = self.params.p
-        return tuple(_strip([a % p for a, _ in self.coeffs]))
+        return self.a.residue()
 
     def reduce_cyclic(self, n: int) -> "RPoly":
         """Reduce modulo x^n - 1 by folding exponents mod n."""
-        q = self.params.q
-        acc = [[0, 0] for _ in range(n)]
-        for i, (a, b) in enumerate(self.coeffs):
-            acc[i % n][0] = (acc[i % n][0] + a) % q
-            acc[i % n][1] = (acc[i % n][1] + b) % q
-        return RPoly.make(self.params, acc)
+        return RPoly(self.a.reduce_cyclic(n), self.b.reduce_cyclic(n))
 
     def __str__(self):
         return format_r_poly(self)
 
 
 def divmod_monic(dividend: RPoly, divisor: RPoly) -> tuple[RPoly, RPoly]:
-    """Exact long division by a monic R-polynomial."""
+    """Exact long division by a monic R-polynomial fa + u*fb (deg fb < deg fa):
+    the a-part divides by fa, then the u-part less quotient_a * fb does."""
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if not divisor.is_monic():
         raise NonMonicDivisorError(f"divisor {divisor} is not monic")
-    q = dividend.params.q
-    rem = [list(c) for c in dividend.coeffs]
-
-    def strip_rem():
-        while rem and rem[-1] == [0, 0]:
-            rem.pop()
-
-    strip_rem()
-    dd = divisor.degree
-    quo = [[0, 0] for _ in range(max(len(rem) - dd, 0))]
-    while rem and len(rem) - 1 >= dd:
-        k = len(rem) - 1 - dd
-        ca, cb = rem[-1]
-        quo[k] = [ca, cb]
-        for i, (a, b) in enumerate(divisor.coeffs):
-            rem[k + i][0] = (rem[k + i][0] - ca * a) % q
-            rem[k + i][1] = (rem[k + i][1] - ca * b - cb * a) % q
-        strip_rem()
-    return RPoly.make(dividend.params, quo), RPoly.make(dividend.params, rem)
+    fa, fb = divisor.a, divisor.b
+    qa, ra = divmod(dividend.a, fa)
+    qb, rb = divmod(dividend.b - qa * fb, fa)
+    return RPoly(qa, qb), RPoly(ra, rb)
 
 
 def xn_minus_1(params: RingParams, n: int) -> RPoly:
-    return RPoly.make(params, [(-1, 0)] + [(0, 0)] * (n - 1) + [(1, 0)])
+    return RPoly.from_zq(xn_minus_1_zq(params, n))
 
 
 def xn_minus_1_zq(params: RingParams, n: int) -> ZqPoly:
@@ -413,7 +372,7 @@ class Factorization:
 
 
 def _factor_sort_key(f: RPoly):
-    return (f.degree, tuple(reversed([a for a, _ in f.coeffs])))
+    return (f.degree, tuple(reversed(f.a.coeffs)))
 
 
 @lru_cache(maxsize=None)
@@ -532,7 +491,7 @@ def parse_r_poly(text: str, params: RingParams, n: Optional[int] = None) -> RPol
     inner = text[idx + 3 : -1]
     a = parse_zq_poly(head, params, n) if head else ZqPoly.zero(params)
     b = parse_zq_poly(inner, params, n)
-    return RPoly.from_parts(a, b)
+    return RPoly(a, b)
 
 
 def r_poly_to_json(poly: RPoly) -> list[list[int]]:

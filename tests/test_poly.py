@@ -24,7 +24,7 @@ from zqu.poly import (
     teichmuller_lift,
     xn_minus_1,
 )
-from zqu.ring import make_ring
+from zqu.ring import RingElem, make_ring
 
 from helpers import hensel_lift, root_exponents_by_evaluation
 
@@ -91,6 +91,55 @@ def test_divmod_round_trip(case):
     quo, rem = divmod_monic(dividend, divisor)
     assert (divisor * quo + rem - dividend).is_zero()
     assert rem.is_zero() or rem.degree < divisor.degree
+
+
+# -- arithmetic against a coefficient-wise oracle ---------------------------------
+
+
+def _pairs(poly, length):
+    return [poly[i] for i in range(length)]
+
+
+def _oracle_sum(xs, ys, sign=1):
+    zero = xs[0].params.zero if xs else ys[0].params.zero
+    xs, ys = xs + [zero] * (len(ys) - len(xs)), ys + [zero] * (len(xs) - len(ys))
+    return [x + y if sign > 0 else x - y for x, y in zip(xs, ys)]
+
+
+def _oracle_product(xs, ys):
+    out = [xs[0].params.zero] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([R4, R8, R9, make_ring(5, 2)]), st.integers(1, 8), st.data())
+def test_rpoly_arithmetic_matches_ring_element_convolution(params, n, data):
+    """+, -, *, mul_u and reduce_cyclic against sums and products of
+    `RingElem`s, coefficient by coefficient (u-parts included)."""
+    q = params.q
+    elem = st.builds(lambda a, b: RingElem(params, a, b), st.integers(0, q - 1), st.integers(0, q - 1))
+    xs = data.draw(st.lists(elem, min_size=1, max_size=7))
+    ys = data.draw(st.lists(elem, min_size=1, max_size=7))
+    scalar = data.draw(elem)
+    k = data.draw(st.integers(-q, 2 * q))
+    f, g = RPoly.make(params, xs), RPoly.make(params, ys)
+    width = max(len(xs) + len(ys), n)
+    as_pairs = lambda elems: [(e.a, e.b) for e in elems] + [(0, 0)] * (width - len(elems))
+    assert _pairs(f + g, width) == as_pairs(_oracle_sum(xs, ys))
+    assert _pairs(f - g, width) == as_pairs(_oracle_sum(xs, ys, -1))
+    assert _pairs(-f, width) == as_pairs([-x for x in xs])
+    assert _pairs(f * g, width) == as_pairs(_oracle_product(xs, ys))
+    assert _pairs(f * scalar, width) == as_pairs([x * scalar for x in xs])
+    assert _pairs(f * k, width) == _pairs(k * f, width) == as_pairs([x * params.elem(k) for x in xs])
+    assert _pairs(f.mul_u(), width) == as_pairs([params.u * x for x in xs])
+    folded = [params.zero] * n
+    for i, x in enumerate(_oracle_product(xs, ys)):
+        folded[i % n] = folded[i % n] + x
+    assert _pairs((f * g).reduce_cyclic(n), width) == as_pairs(folded)
+    assert (f * g).reduce_cyclic(n).degree < n
 
 
 # -- coprimality witnesses -------------------------------------------------------

@@ -175,6 +175,18 @@ def test_ideal_element_examples():
     assert len(ideal_elements(two_gen, R4)) == 8
 
 
+def test_ideal_elements_guard_refuses_large_q_without_a_span(monkeypatch):
+    """q = 2^11 is past the fixed guard, and no environment variable lifts it."""
+
+    def no_span(*args):
+        raise AssertionError("a span was built")
+
+    monkeypatch.setattr("zqu.galois.gr_ideal_span", no_span)
+    monkeypatch.setenv("ZQU_MAX_ORACLE_Q", str(1 << 20))
+    with pytest.raises(GuardExceededError):
+        ideal_elements(IdealDescriptor(KIND_U_P_POWER, 0), make_ring(2, 11))
+
+
 def test_units_and_maximal_ideal_partition():
     for params in (R4, R8, R9, make_ring(2, 4)):
         maximal = IdealDescriptor(KIND_P_AND_U, 1)  # (p, u); these rings have s >= 2
