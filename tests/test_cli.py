@@ -204,6 +204,35 @@ def test_distance_gray_hamming():
     assert data["value"] == 4 and data["exhaustive"] is True
 
 
+PAPER_Z4_MODULE = ("--n", "7", "--p", "2", "--s", "2", "--gens", "3*x^3+x^2+2*x+1, u*(x+3)",
+                   "--closure", "module")
+PAPER_Z8_BUDGET = ("--n", "15", "--p", "2", "--s", "3", "--gens",
+                   "x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1", "--budget", "4194304")
+
+
+@pytest.mark.parametrize("args, md5", [
+    (PAPER_Z4_MODULE + ("--metric", "hamming", "--format", "json"),
+     "17efaf8095b66adb070ac045db76300d"),
+    (PAPER_Z4_MODULE + ("--metric", "lee", "--format", "json"),
+     "db72ed5252f2161e7f490ac40d29cb0b"),
+    (PAPER_Z4_MODULE + ("--metric", "gray-hamming", "--format", "json"),
+     "2fc0071b1e5209e965ede43a1f3a32e8"),
+    (PAPER_Z4_MODULE + ("--metric", "lee"), "0a80e02d39998349781f9e641745d86c"),
+    (PAPER_Z8_BUDGET + ("--format", "json"), "88f2ac1dce69ac9f1822881b43873bbd"),
+    (PAPER_Z8_BUDGET + ("--threads", "2"), "6ae8dd855b4c1209b03036ba47530994"),
+    (("--n", "1", "--p", "2", "--s", "10", "--gens", "1", "--format", "json"),
+     "cdc0fd566abdadfcdb1855c256d9132d"),
+    (("--n", "3", "--p", "5", "--s", "2", "--gens", "x+24"), "58d51a0cb626ca70e642dcc5784bb02a"),
+])
+def test_distance_output_pinned(args, md5):
+    # the value, the witness (the first word of least weight in scan order)
+    # and the words scanned; the Z8 run stops at its budget, so the scan
+    # order itself is pinned
+    proc = run("distance", *args)
+    assert proc.returncode == 0
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
+
+
 def test_distance_zero_code_structured():
     proc = run("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "0",
                "--format", "json")

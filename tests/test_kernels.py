@@ -143,3 +143,88 @@ def test_partitioned_scans_merge_to_full_scan():
     right = kernels.min_weight_scan(rows, ranges, table, q, n, mid, total)
     assert min((left[0], left[1]), (right[0], right[1])) == (full[0], full[1])
     assert left[2] + right[2] == full[2]
+
+
+@st.composite
+def chunked_instance(draw):
+    """A scan instance over q in {4, 8, 9, 25} with a random asymmetric table
+    up to 300, at most 4096 words, and unaligned start/stop."""
+    p, s = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]))
+    q = p**s
+    n = draw(st.integers(1, 4))
+    ranges = draw(st.lists(st.sampled_from([p, q]), min_size=2, max_size=12))
+    while int(np.prod(ranges)) > 4096:
+        ranges.pop()
+    rows = np.array(
+        [[draw(st.integers(0, q - 1)) for _ in range(2 * n)] for _ in ranges],
+        dtype=np.int64,
+    ).reshape(len(ranges), 2 * n)
+    top = draw(st.sampled_from([1, 7, 300]))
+    table = np.array(
+        draw(st.lists(st.integers(0, top), min_size=q * q, max_size=q * q)),
+        dtype=np.int64,
+    )
+    total = int(np.prod(ranges))
+    # drawn as distances from the ends, so that the whole span is common
+    start = 1 + draw(st.integers(0, total - 1))
+    stop = total - draw(st.integers(0, total - start))
+    return q, n, rows, np.array(ranges, dtype=np.int64), table, start, stop
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunked_instance(), st.integers(1, 64), st.sampled_from([1, 64, 512, 1 << 22]),
+       st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(1, 6))))
+def test_chunked_scan_agrees(instance, chunk_words, row_bytes, split):
+    # Chunks of a few words make every epoch span many chunks that look up
+    # the same rows, and a small row budget splits the scan into many
+    # epochs.  `split` overrides the chosen block and mid digits, which the
+    # result must not depend on; tiny scans would never pick mid digits.
+    q, n, rows, ranges, table, start, stop = instance
+
+    def forced(ranges, *_):
+        k0 = min(split[0], len(ranges))
+        return k0, min(k0 + split[1], len(ranges))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_CHUNK_WORDS", chunk_words)
+        mp.setattr(kernels, "_ROW_BYTES", row_bytes)
+        if split is not None:
+            mp.setattr(kernels, "_split", forced)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
+    assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_instance(), st.lists(st.floats(0, 1), min_size=1, max_size=4))
+def test_random_partitions_merge_to_full_scan(instance, cuts):
+    q, n, rows, ranges, table, _, _ = instance
+    total = int(np.prod(ranges))
+    bounds = [1] + sorted(1 + int(c * (total - 1)) for c in cuts) + [total]
+    full = kernels.min_weight_scan(rows, ranges, table, q, n, 1, total)
+    parts = [kernels.min_weight_scan(rows, ranges, table, q, n, lo, hi)
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert min((v, i) for v, i, _ in parts) == (full[0], full[1])
+    assert sum(sc for _, _, sc in parts) == full[2] == total - 1
+
+
+@pytest.mark.parametrize("budget", [1 << 22, 1 << 24])
+def test_scan_memory_does_not_grow_with_its_length(budget):
+    # The Z8 length-15 paper code has 2^30 words; a scan holds its weight
+    # rows and two chunk buffers, never an array as long as the scan.
+    import tracemalloc
+
+    from zqu import CyclicCode
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 3)
+    gen = parse_r_poly("x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1", params)
+    basis, ranges = CyclicCode(15, params, [gen], "ideal").span().enumeration_basis()
+    table = weight_table("hamming", params)
+    tracemalloc.start()
+    try:
+        res = kernels.min_weight_scan(basis, ranges, table, 8, 15, 1, budget + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == (7, 4, budget)
+    assert peak < 8 << 20
