@@ -8,39 +8,48 @@ values it reaches.  The others split three ways, lowest first:
 - block digits: their B words are built once per call and stored
   coordinate-major as pair indices a*2q + b, in the narrowest unsigned dtype
   holding 4q^2 - 1;
-- mid digits and outer digits: block o holds the words o*B + j, block word j
-  plus the base word of o's digits; an epoch is a run of blocks with the same
-  outer digits.
+- mid digits: their M words, the mid table, are built once per call by the
+  same routine, as codes a*q + b;
+- outer digits: block o holds the words o*B + j, block word j plus mid word
+  o mod M plus the outer word of epoch o // M.
 
 Since a + a' and b + b' stay below 2q, coordinate c of block word j plus
 base word (a', b') weighs tiled[pairs[c, j] + a'*2q + b'] in the q*q weight
-table tiled 2 x 2: no mod q.  Within an epoch the base word's value at c is
-the epoch's outer value plus one of the values S_c that the mid digits'
-sums take there, at most q^2 however many blocks the epoch has.  So each
-epoch builds the weight rows W_c[u] = tiled[pairs[c] + u], one per value u
-in (outer value + S_c), and sums the coordinates with a single value into
-one fixed row.  A chunk of blocks then weighs as the fixed row plus
-sum_c W_c[slot(o, c)]: one row copy and one narrow add per other
-coordinate, into two buffers allocated once per call, then one argmin.  The
-slots of a chunk come from one vectorized mixed-radix step, a product with
-the mid rows and a sorted lookup.
+table tiled 2 x 2: no mod q.  The coordinates are partitioned into groups,
+and group G takes J_G joint values over the mid table, however many epochs
+there are.  Each epoch builds, for every group and joint value v, the row
+W_G[v] = sum_{c in G} tiled[pairs[c] + outer_c + v_c] of B weights, and a
+per-call index gives each mid word its row in every group.  A chunk of
+blocks then weighs as sum_G W_G[slot(o mod M, G)]: one row copy (and, after
+the first group, one narrow add) per group, into two buffers allocated once
+per call, then one argmin.
 
-The split minimizes an estimate of the work (row gathers, row copies and
-adds, slot lookups, building the S_c) among blocks of at most _BLOCK_TARGET
-words whose rows fit _ROW_BYTES.  Memory is therefore bounded by constants
-and q, never by the scan's length; where no value repeats, the rows are the
-plain table lookup of every word.  Weights are summed in the narrowest
-unsigned dtype holding max(table) * n.  A scan returns (best weight, index
-of the first word attaining it, words scanned), the same for every split
-and every thread partition.
+The groups come from a tree of merges.  A leaf is one coordinate, whose
+rows are table lookups; merging two groups numbers their joint values over
+the mid table, and each row of the merged group is the sum of one row of
+each part, so it costs a row copy and add, not a gather per coordinate.
+One cost model makes both choices.  A merge into J joint values saves one
+pass over every block and costs J rows in every epoch, so it gains while J
+times the epochs stays below the blocks; the groups merge with their
+neighbours, level by level, while that holds and the rows of every node fit
+_ROW_BYTES.  The split minimizes the lookups of the leaves per epoch, the
+passes per block and the work of building and planning the mid table, among
+blocks of at most _BLOCK_TARGET words and mid tables of at most _MID_BYTES.
+Memory is therefore bounded by constants and q, never by the scan's length;
+where no value repeats, the rows are the plain table lookup of every word.
+Weights are summed in the narrowest unsigned dtype holding max(table) * n.
+A scan returns (best weight, index of the first word attaining it, words
+scanned), the same for every split, every partition into groups and every
+thread partition.
 
 This is the only zqu module that imports numpy; `metrics.min_distance`
-imports it on the first scan and passes plain lists and tuples, which the
-functions here convert.
+imports it on the first scan, converts the weight table once with
+`weight_array`, and passes plain lists for the basis.
 """
 
 from __future__ import annotations
 
+import array
 import math
 
 import numpy as np
@@ -48,14 +57,24 @@ import numpy as np
 _BLOCK_TARGET = 1 << 14  # most words in one block
 _CHUNK_WORDS = 1 << 18  # words weighed per pass (a quarter of it per row gather)
 _ROW_BYTES = 1 << 22  # budget for the weight rows of one epoch
+_MID_BYTES = 1 << 22  # budget for the mid table, at 8 bytes an entry
 
-# Measured costs (ns, 2-core VM, numpy 2.4) behind the choice of split.
+# Measured costs (ns, 2-core VM, numpy 2.4) behind the split and the groups.
 _GATHER_NS = 1.5  # one table lookup while building rows
 _WORD_NS = 0.12  # one row element copied and added
-_SLOT_NS = 30.0  # one (block, coordinate) slot: digits, offset, lookup
-_STEP_NS = 20_000.0  # one mid digit's values at every coordinate...
-_KEY_NS = 25.0  # ...plus this per candidate value
-_EPOCH_NS = 30_000.0  # one epoch's outer value and fixed row
+_ROW_NS = 5.0  # one row copied and added, beyond its elements
+_MID_NS = 8.0  # one mid table entry: built, indexed and planned...
+_PLAN_NS = 300_000.0  # ...plus this per plan
+_EPOCH_NS = 30_000.0  # one epoch's outer word and rows
+
+
+def weight_array(table) -> np.ndarray:
+    """The q*q weight table as an array: an ndarray passes through, and a
+    sequence of non-negative ints goes through array.array, which converts
+    a q = 1024 table several times faster than numpy's per-item path."""
+    if isinstance(table, np.ndarray):
+        return table
+    return np.frombuffer(array.array("Q", table), np.uint64)
 
 
 def min_weight_scan(rows, ranges, table, q, n, start, stop):
@@ -65,7 +84,7 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
         return (1 << 62, -1, 0)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     ranges = [int(r) for r in ranges]
-    table = np.asarray(table, dtype=np.int64)
+    table = weight_array(table)
     # Digits from k on are 0 at every index below stop, and the top digit
     # that moves stays below ceil(stop / size).
     k, size = 0, 1
@@ -77,94 +96,217 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
     if k:
         ranges[-1] = min(ranges[-1], -(-stop // (size // ranges[-1])))
     wdt = np.min_scalar_type(int(table.max()) * n)
+    pair_dt = np.min_scalar_type(4 * q * q - 1)  # values and sums below 2q fit too
     k0, k2 = _split(ranges, q, n, start, stop, wdt.itemsize)
 
-    pair_dt = np.min_scalar_type(4 * q * q - 1)
-    block = np.zeros((1, 2 * n), pair_dt)  # values and sums below 2q fit pair_dt
-    for i in range(k0):
-        mult = ((np.arange(ranges[i])[:, None] * rows[i][None, :]) % q).astype(pair_dt)
-        block = ((mult[:, None, :] + block[None, :, :]) % q).reshape(-1, 2 * n)
-    width = len(block)
-    pairs = (block[:, :n] * (2 * q) + block[:, n:]).T.copy()
+    block = _words(rows[:k0], ranges[:k0], q, pair_dt)
+    pairs = block[:n] * (2 * q) + block[n:]
+    width = pairs.shape[1]
     del block
+    mid = _words(rows[k0:k2], ranges[k0:k2], q, pair_dt)
+    span = mid.shape[1]  # blocks per epoch
+    first, last = start // width, -(-stop // width)
+    epochs = (last - 1) // span - first // span + 1
+    tree = _plan(mid[:n] * q + mid[n:], q, last - first, epochs, width, wdt.itemsize)
+    del mid
+    # Rows of node t start at base[t]; node n + t adds rows ia and ib of
+    # two earlier nodes, and slot[g, m] is the row of group g that mid word
+    # m reads.  Singleton row r weighs coordinate coord[r] at code value[r].
+    base = np.cumsum([0] + tree.counts)
+    joins = []
+    for t, (a, b, keys) in enumerate(tree.merges):
+        va, vb = np.divmod(keys, tree.counts[b])
+        joins.append((int(base[n + t]), base[a] + va, base[b] + vb))
+    slot = tree.slots.astype(np.min_scalar_type(int(base[-1]) - 1), copy=False)
+    slot += base[tree.groups].astype(slot.dtype)[:, None]
+    coord, value = tree.coord, tree.value
+    del tree
+
     tiled = np.tile(table.reshape(q, q).astype(wdt), (2, 2)).ravel()
-
-    mid_rows, mid_ranges = rows[k0:k2], ranges[k0:k2]
-    keys = _mid_keys(mid_rows, mid_ranges, q, n)
-    # row t of an epoch weighs coordinate row_coord[t] at mid value row_value[t]
-    row_coord, row_value = keys // (q * q), keys % (q * q)
-    counts = np.bincount(row_coord, minlength=n).tolist()
-    moving = [c for c in range(n) if counts[c] > 1]
-    moving_b = [n + c for c in moving]
-    shift = np.array(moving, np.int64)[:, None] * (q * q)
-    fixed_rows = np.cumsum([0] + counts[:-1])[[c for c in range(n) if counts[c] == 1]]
-    radix = np.array(mid_ranges, np.int64)
-    strides = np.cumprod([1] + mid_ranges, dtype=np.int64)[:-1]
-    span = math.prod(mid_ranges)  # blocks per epoch
-
-    weights = np.empty((len(keys), width), wdt)
+    weights = np.empty((int(base[-1]), width), wdt)
     per_chunk = max(1, _CHUNK_WORDS // max(width, 2 * n))  # blocks
     per_gather = max(1, (_CHUNK_WORDS >> 2) // width)  # rows
     acc = np.empty((per_chunk, width), wdt)
     tmp = np.empty((per_chunk, width), wdt)
     best, best_idx = 1 << 62, -1
-    first, last = start // width, -(-stop // width)
     for epoch in range(first // span, (last - 1) // span + 1):
         outer = word_at_index(rows[k2:], ranges[k2:], q, epoch)
-        a = (outer[:n][row_coord] + row_value // q) % q
-        b = (outer[n:][row_coord] + row_value % q) % q
+        a = (outer[:n][coord] + value // q) % q
+        b = (outer[n:][coord] + value % q) % q
         offset = (a * (2 * q) + b).astype(pair_dt)
         # mode "clip" writes straight into out; "raise" would buffer it
-        for t in range(0, len(keys), per_gather):
-            idx = pairs[row_coord[t : t + per_gather]] + offset[t : t + per_gather, None]
-            np.take(tiled, idx, out=weights[t : t + per_gather], mode="clip")
-        fixed_row = weights[fixed_rows].sum(axis=0, dtype=wdt)
+        for t in range(0, len(offset), per_gather):
+            idx = pairs[coord[t : t + per_gather]] + offset[t : t + per_gather, None]
+            np.take(tiled, idx, out=weights[t : t + len(idx)], mode="clip")
+        for dest, ia, ib in joins:
+            for t in range(0, len(ia), per_chunk):
+                out = weights[dest + t : dest + t + len(ia[t : t + per_chunk])]
+                part = tmp[: len(out)]
+                np.take(weights, ia[t : t + per_chunk], axis=0, out=out, mode="clip")
+                np.take(weights, ib[t : t + per_chunk], axis=0, out=part, mode="clip")
+                np.add(out, part, out=out)
         lo_block = max(first, epoch * span)
         hi_block = min(last, (epoch + 1) * span)
         for o0 in range(lo_block, hi_block, per_chunk):
             o1 = min(o0 + per_chunk, hi_block)
+            m0, m1 = o0 - epoch * span, o1 - epoch * span
             chunk = acc[: o1 - o0]
-            chunk[...] = fixed_row
-            if moving:
-                # the mid digits of block o, whatever its epoch
-                digits = np.arange(o0, o1)[:, None] // strides % radix
-                off = digits @ mid_rows % q
-                codes = (off[:, moving] * q + off[:, moving_b]).T
-                slots = np.searchsorted(keys, codes + shift)
-                part = tmp[: o1 - o0]
-                for s in slots:
-                    np.take(weights, s, axis=0, out=part, mode="clip")
-                    np.add(chunk, part, out=chunk)
+            np.take(weights, slot[0, m0:m1], axis=0, out=chunk, mode="clip")
+            part = tmp[: o1 - o0]
+            for s in slot[1:, m0:m1]:
+                np.take(weights, s, axis=0, out=part, mode="clip")
+                np.add(chunk, part, out=chunk)
             flat = chunk.reshape(-1)
             lo = max(start, o0 * width) - o0 * width
             hi = min(stop, o1 * width) - o0 * width
             j = lo + int(np.argmin(flat[lo:hi]))
-            value = int(flat[j])
-            if value < best:
-                best, best_idx = value, o0 * width + j
+            low = int(flat[j])
+            if low < best:
+                best, best_idx = low, o0 * width + j
     return best, best_idx, stop - start
 
 
-def _mid_keys(rows, ranges, q, n):
-    """Sorted keys c*q^2 + a*q + b of the values (a, b) that the sums
-    sum_i d_i * rows[i], 0 <= d_i < ranges[i], take at each coordinate c."""
-    qq = q * q
-    keys = np.arange(n, dtype=np.int64) * qq
-    for row, r in zip(rows, ranges):
-        coord, value = np.divmod(keys, qq)
-        d = np.arange(r, dtype=np.int64)
-        a = value[:, None] // q + (d * row[:n, None] % q)[coord]
-        b = value[:, None] % q + (d * row[n:, None] % q)[coord]
-        a[a >= q] -= q
-        b[b >= q] -= q
-        keys = np.sort((coord[:, None] * qq + a * q + b).ravel())
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return keys
+def _words(rows, ranges, q, dtype):
+    """The words sum_i d_i * rows[i], 0 <= d_i < ranges[i], coordinate-major:
+    column t of the (2n, prod(ranges)) result, of unsigned dtype holding
+    2q - 1, is the word whose digits spell t in mixed radix, digit 0 fastest."""
+    words = np.zeros((rows.shape[1], 1), dtype)
+    if len(ranges):
+        mult = (rows[:, :, None] * np.arange(max(ranges)) % q).astype(dtype)
+    for i, r in enumerate(ranges):
+        t = mult[i, :, :r, None] + words[:, None, :]
+        # t - q wraps around to a large value wherever t < q
+        np.minimum(t, t - dtype.type(q), out=t)
+        words = t.reshape(rows.shape[1], -1)
+    return words
+
+
+def _distinct(keys, bounds):
+    """For each row of a 2-d array of keys, row i in [0, bounds[i]): how
+    many distinct keys it holds, and the rank of each key among them, in
+    ascending order and a narrow dtype.  Returns (counts, values, ranks),
+    values holding the distinct keys of every row, row after row."""
+    bounds = np.asarray(bounds, np.int64)
+    base = np.zeros(len(bounds) + 1, np.int64)
+    np.cumsum(bounds, out=base[1:])
+    total = int(base[-1])
+    if total > 4 * keys.size + 4096:
+        found = [np.unique(row, return_inverse=True) for row in keys]
+        counts = np.array([len(v) for v, _ in found], np.int64)
+        dtype = np.min_scalar_type(int(counts.max()) - 1)
+        return (counts, np.concatenate([v for v, _ in found]).astype(np.int64),
+                np.stack([inverse.astype(dtype) for _, inverse in found]))
+    # intp keys index fastest; narrow ones bound the memory of large tables
+    dtype = np.intp if keys.size <= 1 << 17 else np.min_scalar_type(total - 1)
+    flat = keys.astype(dtype)
+    flat += base[:-1, None].astype(dtype)
+    seen = np.zeros(total, bool)
+    seen[flat] = True
+    rank = np.cumsum(seen)
+    ends = rank[base[1:] - 1]
+    before = np.concatenate(([0], ends[:-1]))  # distinct keys of the rows above
+    counts = ends - before
+    # the rank within its row of every possible key
+    rank -= np.repeat(before + 1, bounds)
+    values = np.flatnonzero(seen) - np.repeat(base[:-1], counts)
+    rank = rank.astype(np.min_scalar_type(int(counts.max()) - 1))
+    ranks = np.empty(flat.shape, rank.dtype)
+    # take() indexes through an intp copy of its indices: a few rows at a time
+    step = max(1, (1 << 16) // flat.shape[1])
+    for r in range(0, len(flat), step):
+        np.take(rank, flat[r : r + step], out=ranks[r : r + step])
+    return counts, values, ranks
+
+
+class _Tree:
+    """Coordinate groups over a mid table, as a tree of merges.
+
+    Node c < n is coordinate c, whose joint values are the codes a*q + b
+    that the mid words take there; node n + t is the t-th merge of two
+    earlier nodes.  `groups` lists the nodes not merged yet, and slots[g, m]
+    the joint value of groups[g] at mid word m, numbered from 0 in
+    ascending order.
+    """
+
+    def __init__(self, codes, q):
+        n = codes.shape[0]
+        counts, self.value, self.slots = _distinct(codes, [q * q] * n)
+        # singleton row r weighs coordinate coord[r] at code value[r]
+        self.coord = np.repeat(np.arange(n), counts)
+        self.counts = counts.tolist()  # joint values per node
+        # (a, b, keys): joint value v of the node is keys[v] = v_a * counts[b] + v_b
+        self.merges = []
+        self.groups = list(range(n))
+
+    def merge(self, pairs, most, budget):
+        """Merge groups i and j for each (i, j) in pairs, all disjoint, unless
+        the merge would have more than `most` joint values or the rows of all
+        nodes would pass `budget`.  Returns the pairs of nodes not merged."""
+        i, j = [a for a, _ in pairs], [b for _, b in pairs]
+        ci = np.array([self.counts[self.groups[g]] for g in i], np.int64)
+        cj = np.array([self.counts[self.groups[g]] for g in j], np.int64)
+        keys = self.slots[i].astype(np.min_scalar_type(int((ci * cj).max()) - 1))
+        keys *= cj[:, None].astype(keys.dtype)
+        keys += self.slots[j]
+        counts, values, ranks = _distinct(keys, ci * cj)
+        self.slots = self.slots.astype(np.promote_types(self.slots.dtype, ranks.dtype), copy=False)
+        rows = sum(self.counts)
+        ends = np.cumsum(counts).tolist()
+        failed, gone = [], []
+        for (a, b), count, end, row in zip(pairs, counts.tolist(), ends, ranks):
+            if count > most or rows + count > budget:
+                failed.append((self.groups[a], self.groups[b]))
+                continue
+            rows += count
+            self.merges.append((self.groups[a], self.groups[b], values[end - count : end]))
+            self.groups[a] = len(self.counts)
+            self.counts.append(count)
+            self.slots[a] = row
+            gone.append(b)
+        if gone:
+            keep = [g for g in range(len(self.groups)) if g not in gone]
+            self.groups = [self.groups[g] for g in keep]
+            self.slots = self.slots[keep]
+        return failed
+
+
+def _plan(codes, q, blocks, epochs, width, itemsize):
+    """Merge the coordinates of a mid table (codes a*q + b, one row per
+    coordinate) into groups by the cost model; returns the _Tree.
+
+    A merge into J joint values saves one copy-and-add pass on every block
+    and costs J rows, each one copy and add, in every epoch: it gains while
+    J * epochs < blocks and the rows of all nodes fit _ROW_BYTES.  Groups
+    merge with their neighbours, level by level.  A merge is not tried if
+    it cannot gain, as J is at least that of either group, or if its keys
+    would not fit four per mid word, which would take a sort to count."""
+    tree = _Tree(codes, q)
+    span = codes.shape[1]
+    most = -(-blocks // epochs) - 1
+    budget = _ROW_BYTES // (width * itemsize)
+    closed = set()  # nodes that merge with no neighbour
+    while True:
+        live = [g for g, node in enumerate(tree.groups) if node not in closed]
+        pairs = []
+        for a, b in zip(live[0::2], live[1::2]):
+            ja, jb = tree.counts[tree.groups[a]], tree.counts[tree.groups[b]]
+            if max(ja, jb) > most or ja * jb > 4 * span:
+                closed.update((tree.groups[a], tree.groups[b]))
+            else:
+                pairs.append((a, b))
+        if not pairs:
+            return tree
+        for nodes in tree.merge(pairs, most, budget):
+            closed.update(nodes)
 
 
 def _split(ranges, q, n, start, stop, itemsize):
     """Block digits [0, k0) and mid digits [k0, k2) of least estimated cost
-    among blocks of at most _BLOCK_TARGET words whose rows fit _ROW_BYTES."""
+    among blocks of at most _BLOCK_TARGET words whose single-coordinate
+    rows fit _ROW_BYTES, with mid tables that fit _MID_BYTES.  Once merged,
+    the groups cost about two copy-and-add passes a block, their rows
+    included, whatever the split; without mid digits no merge gains, and
+    each coordinate costs one."""
     k = len(ranges)
     best = (math.inf, 0, 0)
     width = 1
@@ -174,24 +316,20 @@ def _split(ranges, q, n, start, stop, itemsize):
             if width > _BLOCK_TARGET:
                 break
         first, last = start // width, -(-stop // width)
-        blocks = last - first
-        span, reach, keys_ns = 1, 1, 0.0  # mid words; bound on the values a coordinate takes
+        pass_ns = (last - first) * (width * _WORD_NS + _ROW_NS)  # one pass over every block
+        span, reach = 1, 1  # mid words; bound on the values a coordinate takes
         for k2 in range(k0, k + 1):
             if k2 > k0:
-                r = ranges[k2 - 1]
-                if n * reach * r > _CHUNK_WORDS:  # candidate keys of one mid digit
-                    break
-                keys_ns += _STEP_NS + n * reach * r * _KEY_NS
-                span *= r
-                reach = min(q * q, reach * r)
-            moving = n if reach > 1 else 0
-            if n * reach * width * itemsize > _ROW_BYTES:
+                span *= ranges[k2 - 1]
+                reach = min(q * q, reach * ranges[k2 - 1])
+            if span * n * 8 > _MID_BYTES or n * reach * width * itemsize > _ROW_BYTES:
                 break
             epochs = (last - 1) // span - first // span + 1
-            cost = (keys_ns
-                    + epochs * (_EPOCH_NS + n * reach * width * _GATHER_NS)
-                    + blocks * moving * (width * _WORD_NS + _SLOT_NS)
-                    + blocks * width * _WORD_NS)
+            cost = epochs * (_EPOCH_NS + n * reach * width * _GATHER_NS)
+            if span > 1:
+                cost += _PLAN_NS + span * n * _MID_NS + 2 * pass_ns
+            else:
+                cost += n * pass_ns
             if cost < best[0]:
                 best = (cost, k0, k2)
     return best[1], best[2]

@@ -112,7 +112,7 @@ def weight_table(metric: str, params: RingParams) -> tuple[int, ...]:
         raise GuardExceededError(f"q = {q} exceeds the distance-table guard {guard}")
     if metric == METRIC_HAMMING:
         # up to 2^20 entries: a one-pair WordR each would cost seconds
-        return tuple(1 if (a or b) else 0 for a in range(q) for b in range(q))
+        return (0,) + (1,) * (q * q - 1)
     if metric not in METRICS:
         raise UnsupportedMetricError(f"unknown metric {metric!r}")
     if q != 4:
@@ -174,6 +174,8 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
 
     from . import kernels
 
+    # one array for every partition
+    table = kernels.weight_array(table)
     if threads == 1 or stop - 1 < 4 * threads:
         best, idx, scanned = kernels.min_weight_scan(basis, ranges, table, q, n, 1, stop)
     else:

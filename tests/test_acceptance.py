@@ -2,7 +2,7 @@
 one PASS/FAIL line (run with -s to see them inline; `zqu verify-paper` prints
 the same table).  Criterion 5's optional full 2^30-word sweep is opt-in via
 ZQU_ACCEPTANCE_SLOW=1 (a few seconds: the whole `zqu verify-paper --slow`
-takes 2.6 s on a 2-core VM).
+takes about 2 s on a 2-core VM).
 """
 
 import os

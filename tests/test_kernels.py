@@ -1,5 +1,7 @@
 """Scan parity: the numpy scan must agree exactly with a word-by-word reference."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,25 +173,58 @@ def chunked_instance(draw):
     return q, n, rows, np.array(ranges, dtype=np.int64), table, start, stop
 
 
+# A forced partition of the coordinates into groups: None keeps the cost
+# model's plan; labels[c] names the group of coordinate c.
+forced_groups = st.one_of(
+    st.none(),
+    st.just([0, 1, 2, 3]),  # every coordinate alone
+    st.just([0, 0, 0, 0]),  # one group of all coordinates
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+)
+
+
+def forced_plan(labels):
+    """A `_plan` that merges the coordinates with equal labels, whatever it costs."""
+
+    def plan(codes, q, *_):
+        tree = kernels._Tree(codes, q)
+        for label in set(labels[: codes.shape[0]]):
+            coords = [c for c in range(codes.shape[0]) if labels[c] == label]
+            node = coords[0]
+            for c in coords[1:]:
+                pair = (tree.groups.index(node), tree.groups.index(c))
+                assert not tree.merge([pair], math.inf, math.inf)
+                node = len(tree.counts) - 1
+        return tree
+
+    return plan
+
+
 @settings(max_examples=200, deadline=None)
 @given(chunked_instance(), st.integers(1, 64), st.sampled_from([1, 64, 512, 1 << 22]),
-       st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(1, 6))))
-def test_chunked_scan_agrees(instance, chunk_words, row_bytes, split):
-    # Chunks of a few words make every epoch span many chunks that look up
-    # the same rows, and a small row budget splits the scan into many
-    # epochs.  `split` overrides the chosen block and mid digits, which the
-    # result must not depend on; tiny scans would never pick mid digits.
+       st.sampled_from([8, 64, 512, 1 << 22]),
+       st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(1, 6))), forced_groups)
+def test_chunked_scan_agrees(instance, chunk_words, row_bytes, mid_bytes, split, labels):
+    # Chunks of a few words make every epoch span many chunks that read the
+    # same rows, and small row and mid-table budgets split the scan into
+    # many epochs.  The plan is overridden, which the result must not
+    # depend on: `split` forces the block and mid digits (tiny scans would
+    # never pick mid digits, and few of them give many epochs) and `labels`
+    # the groups.
     q, n, rows, ranges, table, start, stop = instance
 
-    def forced(ranges, *_):
+    def forced_split(ranges, *_):
         k0 = min(split[0], len(ranges))
         return k0, min(k0 + split[1], len(ranges))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_CHUNK_WORDS", chunk_words)
         mp.setattr(kernels, "_ROW_BYTES", row_bytes)
+        mp.setattr(kernels, "_MID_BYTES", mid_bytes)
         if split is not None:
-            mp.setattr(kernels, "_split", forced)
+            mp.setattr(kernels, "_split", forced_split)
+        if labels is not None:
+            mp.setattr(kernels, "_plan", forced_plan(labels))
         res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
     assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
 
@@ -228,3 +263,73 @@ def test_scan_memory_does_not_grow_with_its_length(budget):
         tracemalloc.stop()
     assert res == (7, 4, budget)
     assert peak < 8 << 20
+
+
+def test_scan_memory_holds_with_the_largest_mid_table():
+    # Binary digits at n = 31 give the widest mid table and the most groups:
+    # with the plan made free, the split takes the largest mid table that
+    # _MID_BYTES allows, and the scan still keeps to the same cap.
+    import tracemalloc
+
+    from zqu import CyclicCode
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 2)
+    basis, ranges = CyclicCode(31, params, [parse_r_poly("2", params)], "ideal").span().enumeration_basis()
+    assert set(ranges) == {2}
+    table = weight_table("hamming", params)
+    spans = []
+    plan = kernels._plan
+
+    def recorded(codes, *args):
+        spans.append(codes.shape)
+        return plan(codes, *args)
+
+    budget = 1 << 24
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_MID_NS", 0.0)
+        mp.setattr(kernels, "_PLAN_NS", 0.0)
+        mp.setattr(kernels, "_plan", recorded)
+        tracemalloc.start()
+        try:
+            res = kernels.min_weight_scan(basis, ranges, table, 4, 31, 1, budget + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert res == (1, 1, budget)
+    (n, span), = spans
+    assert n == 31 and 2 * span * n * 8 > kernels._MID_BYTES
+    assert peak < 8 << 20
+
+
+def test_grouping_cuts_the_passes_of_a_seeded_code():
+    # A code of 2^20 words over Z4 at n = 15 with 20 binary digits: one
+    # pass per coordinate would be 15 passes a chunk.  This counts what the
+    # plan decides, not a timing.
+    from zqu import CyclicCode
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 2)
+    gens = [
+        "2*x^13+2*x^12+2*x^10+2*x^9+2*x^7+2*x^6+2*x^4+2*x^3+2*x+2",
+        "2*x^11+2*x^10+2*x^6+2*x^5+2*x+2",
+        "2*x^11+2*x^10+2*x^9+2*x^8+2*x^6+2*x^4+2*x^3+2"
+        "+u*(x^14+2*x^13+x^12+x^11+2*x^10+2*x^9+x^8+2*x^5+x^4+x^3+3*x^2+3*x)",
+    ]
+    code = CyclicCode(15, params, [parse_r_poly(g, params) for g in gens], "ideal")
+    basis, ranges = code.span().enumeration_basis()
+    assert ranges == [2] * 20
+    trees = []
+    plan = kernels._plan
+
+    def recorded(*args):
+        trees.append(plan(*args))
+        return trees[-1]
+
+    table = weight_table("hamming", params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_plan", recorded)
+        res = kernels.min_weight_scan(basis, ranges, table, 4, 15, 1, 1 << 20)
+    assert res == (4, 1024, (1 << 20) - 1)
+    (tree,) = trees
+    assert len(tree.groups) <= 5
