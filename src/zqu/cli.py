@@ -216,6 +216,8 @@ def _cmd_distance(args) -> int:
                    "reason": str(exc)}
         if args.format == "json":
             _emit_json(payload)
+        elif args.format == "csv":
+            _emit_csv([payload])
         else:
             print(f"distance undefined: {exc}")
         return EXIT_PRECONDITION

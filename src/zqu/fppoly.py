@@ -143,16 +143,21 @@ def is_primitive(f, p) -> bool:
     return order_of_x(f, p) == p**d - 1
 
 
+def base_digits(v: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of v, least significant first."""
+    out = []
+    for _ in range(m):
+        v, d = divmod(v, p)
+        out.append(d)
+    return out
+
+
 @lru_cache(maxsize=None)
 def smallest_primitive(p: int, m: int) -> tuple[int, ...]:
     """The canonical primitive polynomial of degree m over F_p: smallest when
     coefficient vectors are compared from the leading end down."""
     for enc in range(p**m):
-        coeffs = []
-        v = enc
-        for _ in range(m):
-            coeffs.append(v % p)
-            v //= p
+        coeffs = base_digits(enc, p, m)
         if coeffs[0] == 0:
             continue
         f = coeffs + [1]

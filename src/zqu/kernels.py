@@ -24,23 +24,17 @@ blocks then weighs as sum_G W_G[slot(o mod M, G)]: one row copy (and, after
 the first group, one narrow add) per group, into two buffers allocated once
 per call, then one argmin.
 
-The groups come from a tree of merges.  A leaf is one coordinate, whose
-rows are table lookups; merging two groups numbers their joint values over
-the mid table, and each row of the merged group is the sum of one row of
-each part, so it costs a row copy and add, not a gather per coordinate.
-One cost model makes both choices.  A merge into J joint values saves one
-pass over every block and costs J rows in every epoch, so it gains while J
-times the epochs stays below the blocks; the groups merge with their
-neighbours, level by level, while that holds and the rows of every node fit
-_ROW_BYTES.  The split minimizes the lookups of the leaves per epoch, the
-passes per block and the work of building and planning the mid table, among
-blocks of at most _BLOCK_TARGET words and mid tables of at most _MID_BYTES.
-Memory is therefore bounded by constants and q, never by the scan's length;
-where no value repeats, the rows are the plain table lookup of every word.
-Weights are summed in the narrowest unsigned dtype holding max(table) * n.
-A scan returns (best weight, index of the first word attaining it, words
-scanned), the same for every split, every partition into groups and every
-thread partition.
+The groups come from a tree of merges (`_plan`).  A leaf is one coordinate,
+whose rows are table lookups; merging two groups numbers their joint values
+over the mid table, and each row of the merged group is the sum of one row
+of each part, so it costs a row copy and add, not a gather per coordinate.
+The digits split by a rule on the two memory bounds, not by a search
+(`_split`).  Memory is therefore bounded by constants and q, never by the
+scan's length; where no value repeats, the rows are the plain table lookup
+of every word.  Weights are summed in the narrowest unsigned dtype holding
+max(table) * n.  A scan returns (best weight, index of the first word
+attaining it, words scanned), the same for every split, every partition
+into groups and every thread partition.
 
 This is the only zqu module that imports numpy; `metrics.min_distance`
 imports it on the first scan, converts the weight table once with
@@ -54,18 +48,11 @@ import math
 
 import numpy as np
 
+_BLOCK_WORDS = 1 << 11  # words in one block, unless the mid table overflows
 _BLOCK_TARGET = 1 << 14  # most words in one block
 _CHUNK_WORDS = 1 << 18  # words weighed per pass (a quarter of it per row gather)
 _ROW_BYTES = 1 << 22  # budget for the weight rows of one epoch
 _MID_BYTES = 1 << 22  # budget for the mid table, at 8 bytes an entry
-
-# Measured costs (ns, 2-core VM, numpy 2.4) behind the split and the groups.
-_GATHER_NS = 1.5  # one table lookup while building rows
-_WORD_NS = 0.12  # one row element copied and added
-_ROW_NS = 5.0  # one row copied and added, beyond its elements
-_MID_NS = 8.0  # one mid table entry: built, indexed and planned...
-_PLAN_NS = 300_000.0  # ...plus this per plan
-_EPOCH_NS = 30_000.0  # one epoch's outer word and rows
 
 
 def weight_array(table) -> np.ndarray:
@@ -97,7 +84,7 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
         ranges[-1] = min(ranges[-1], -(-stop // (size // ranges[-1])))
     wdt = np.min_scalar_type(int(table.max()) * n)
     pair_dt = np.min_scalar_type(4 * q * q - 1)  # values and sums below 2q fit too
-    k0, k2 = _split(ranges, q, n, start, stop, wdt.itemsize)
+    k0, k2 = _split(ranges, q, n, wdt.itemsize)
 
     block = _words(rows[:k0], ranges[:k0], q, pair_dt)
     pairs = block[:n] * (2 * q) + block[n:]
@@ -272,7 +259,7 @@ class _Tree:
 
 def _plan(codes, q, blocks, epochs, width, itemsize):
     """Merge the coordinates of a mid table (codes a*q + b, one row per
-    coordinate) into groups by the cost model; returns the _Tree.
+    coordinate) into groups; returns the _Tree.
 
     A merge into J joint values saves one copy-and-add pass on every block
     and costs J rows, each one copy and add, in every epoch: it gains while
@@ -300,39 +287,29 @@ def _plan(codes, q, blocks, epochs, width, itemsize):
             closed.update(nodes)
 
 
-def _split(ranges, q, n, start, stop, itemsize):
-    """Block digits [0, k0) and mid digits [k0, k2) of least estimated cost
-    among blocks of at most _BLOCK_TARGET words whose single-coordinate
-    rows fit _ROW_BYTES, with mid tables that fit _MID_BYTES.  Once merged,
-    the groups cost about two copy-and-add passes a block, their rows
-    included, whatever the split; without mid digits no merge gains, and
-    each coordinate costs one."""
-    k = len(ranges)
-    best = (math.inf, 0, 0)
-    width = 1
-    for k0 in range(k + 1):
-        if k0:
-            width *= ranges[k0 - 1]
-            if width > _BLOCK_TARGET:
-                break
-        first, last = start // width, -(-stop // width)
-        pass_ns = (last - first) * (width * _WORD_NS + _ROW_NS)  # one pass over every block
-        span, reach = 1, 1  # mid words; bound on the values a coordinate takes
-        for k2 in range(k0, k + 1):
-            if k2 > k0:
-                span *= ranges[k2 - 1]
-                reach = min(q * q, reach * ranges[k2 - 1])
-            if span * n * 8 > _MID_BYTES or n * reach * width * itemsize > _ROW_BYTES:
-                break
-            epochs = (last - 1) // span - first // span + 1
-            cost = epochs * (_EPOCH_NS + n * reach * width * _GATHER_NS)
-            if span > 1:
-                cost += _PLAN_NS + span * n * _MID_NS + 2 * pass_ns
-            else:
-                cost += n * pass_ns
-            if cost < best[0]:
-                best = (cost, k0, k2)
-    return best[1], best[2]
+def _split(ranges, q, n, itemsize):
+    """Block digits [0, k0): the longest prefix of at most _BLOCK_WORDS
+    words, widened toward _BLOCK_TARGET only while the digits above it
+    overflow one mid table and the next digit, as a mid digit, still fits
+    _ROW_BYTES.  Mid digits [k0, k2): the longest run after it whose table
+    fits _MID_BYTES and whose single-coordinate rows, min(q^2, mid words)
+    a coordinate, fit _ROW_BYTES."""
+    def fits(width, span):
+        return span * n * 8 <= _MID_BYTES and n * min(q * q, span) * width * itemsize <= _ROW_BYTES
+
+    k, k0, width = len(ranges), 0, 1
+    while k0 < k and width * ranges[k0] <= _BLOCK_WORDS:
+        width *= ranges[k0]
+        k0 += 1
+    while (k0 + 1 < k and math.prod(ranges[k0:]) * n * 8 > _MID_BYTES
+           and width * ranges[k0] <= _BLOCK_TARGET and fits(width * ranges[k0], ranges[k0 + 1])):
+        width *= ranges[k0]
+        k0 += 1
+    k2, span = k0, 1
+    while k2 < k and fits(width, span * ranges[k2]):
+        span *= ranges[k2]
+        k2 += 1
+    return k0, k2
 
 
 def word_at_index(rows, ranges, q, index) -> np.ndarray:

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
+from .fppoly import base_digits
 from .howell import pval
 
 
@@ -299,12 +300,7 @@ def _alpha_range(p: int, m: int) -> Iterator[tuple[int, ...]]:
     # nonzero F_{p^m} elements as little-endian coefficient tuples, in
     # ascending integer-encoding order
     for enc in range(1, p**m):
-        digits = []
-        v = enc
-        for _ in range(m):
-            digits.append(v % p)
-            v //= p
-        yield tuple(digits)
+        yield tuple(base_digits(enc, p, m))
 
 
 def ideal_descriptors(p: int, s: int, m: int = 1) -> list[IdealDescriptor]:

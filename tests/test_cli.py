@@ -241,6 +241,16 @@ def test_distance_zero_code_structured():
     assert data["defined"] is False
 
 
+def test_distance_zero_code_csv_is_one_row():
+    proc = run("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "0",
+               "--format", "csv")
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines() == [
+        "command,metric,defined,reason",
+        "distance,hamming,False,the zero code has no nonzero codeword",
+    ]
+
+
 def test_distance_unsupported_metric_exits_2():
     proc = run("distance", "--n", "3", "--p", "2", "--s", "3", "--gens", "x+7",
                "--metric", "lee")

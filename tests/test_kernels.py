@@ -73,12 +73,12 @@ def table_instance(draw, pairs):
 
 @settings(max_examples=100, deadline=None)
 @given(table_instance([(2, 2), (2, 3), (3, 1)]), st.integers(1, 16))
-def test_multi_block_scan_agrees(instance, block_target):
-    # A small block target splits even tiny spans into many blocks, so the
+def test_multi_block_scan_agrees(instance, block_words):
+    # A small block cap splits even tiny spans into many blocks, so the
     # per-block offset runs with nonzero base words and unaligned start/stop.
     q, n, rows, ranges, table, start, stop = instance
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_BLOCK_TARGET", block_target)
+        mp.setattr(kernels, "_BLOCK_WORDS", block_words)
         res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
     assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
 
@@ -173,8 +173,8 @@ def chunked_instance(draw):
     return q, n, rows, np.array(ranges, dtype=np.int64), table, start, stop
 
 
-# A forced partition of the coordinates into groups: None keeps the cost
-# model's plan; labels[c] names the group of coordinate c.
+# A forced partition of the coordinates into groups: None keeps the kernel's
+# plan; labels[c] names the group of coordinate c.
 forced_groups = st.one_of(
     st.none(),
     st.just([0, 1, 2, 3]),  # every coordinate alone
@@ -209,7 +209,7 @@ def test_chunked_scan_agrees(instance, chunk_words, row_bytes, mid_bytes, split,
     # same rows, and small row and mid-table budgets split the scan into
     # many epochs.  The plan is overridden, which the result must not
     # depend on: `split` forces the block and mid digits (tiny scans would
-    # never pick mid digits, and few of them give many epochs) and `labels`
+    # seldom pick mid digits, and few of them give many epochs) and `labels`
     # the groups.
     q, n, rows, ranges, table, start, stop = instance
 
@@ -248,13 +248,8 @@ def test_scan_memory_does_not_grow_with_its_length(budget):
     # rows and two chunk buffers, never an array as long as the scan.
     import tracemalloc
 
-    from zqu import CyclicCode
-    from zqu.poly import parse_r_poly
-
-    params = make_ring(2, 3)
-    gen = parse_r_poly("x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1", params)
-    basis, ranges = CyclicCode(15, params, [gen], "ideal").span().enumeration_basis()
-    table = weight_table("hamming", params)
+    basis, ranges = _z8_paper_basis()
+    table = weight_table("hamming", make_ring(2, 3))
     tracemalloc.start()
     try:
         res = kernels.min_weight_scan(basis, ranges, table, 8, 15, 1, budget + 1)
@@ -267,8 +262,8 @@ def test_scan_memory_does_not_grow_with_its_length(budget):
 
 def test_scan_memory_holds_with_the_largest_mid_table():
     # Binary digits at n = 31 give the widest mid table and the most groups:
-    # with the plan made free, the split takes the largest mid table that
-    # _MID_BYTES allows, and the scan still keeps to the same cap.
+    # the split takes the largest mid table that _MID_BYTES allows, and the
+    # scan still keeps to the same cap.
     import tracemalloc
 
     from zqu import CyclicCode
@@ -287,8 +282,6 @@ def test_scan_memory_holds_with_the_largest_mid_table():
 
     budget = 1 << 24
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_MID_NS", 0.0)
-        mp.setattr(kernels, "_PLAN_NS", 0.0)
         mp.setattr(kernels, "_plan", recorded)
         tracemalloc.start()
         try:
@@ -302,10 +295,8 @@ def test_scan_memory_holds_with_the_largest_mid_table():
     assert peak < 8 << 20
 
 
-def test_grouping_cuts_the_passes_of_a_seeded_code():
-    # A code of 2^20 words over Z4 at n = 15 with 20 binary digits: one
-    # pass per coordinate would be 15 passes a chunk.  This counts what the
-    # plan decides, not a timing.
+def _seeded_z4_basis():
+    """A code of 2^20 words over Z4 at n = 15 with 20 binary digits."""
     from zqu import CyclicCode
     from zqu.poly import parse_r_poly
 
@@ -319,6 +310,26 @@ def test_grouping_cuts_the_passes_of_a_seeded_code():
     code = CyclicCode(15, params, [parse_r_poly(g, params) for g in gens], "ideal")
     basis, ranges = code.span().enumeration_basis()
     assert ranges == [2] * 20
+    return basis, ranges
+
+
+def _z8_paper_basis():
+    """The Z8 length-15 paper code: 2^30 words, ten digits of range 8."""
+    from zqu import CyclicCode
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 3)
+    gen = parse_r_poly("x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1", params)
+    basis, ranges = CyclicCode(15, params, [gen], "ideal").span().enumeration_basis()
+    assert ranges == [8] * 10
+    return basis, ranges
+
+
+def test_grouping_cuts_the_passes_of_a_seeded_code():
+    # One pass per coordinate would be 15 passes a chunk.  This counts what
+    # the plan decides, not a timing.
+    params = make_ring(2, 2)
+    basis, ranges = _seeded_z4_basis()
     trees = []
     plan = kernels._plan
 
@@ -333,3 +344,41 @@ def test_grouping_cuts_the_passes_of_a_seeded_code():
     assert res == (4, 1024, (1 << 20) - 1)
     (tree,) = trees
     assert len(tree.groups) <= 5
+
+
+@pytest.mark.parametrize("build, ring, words, split", [
+    (_seeded_z4_basis, (2, 2), (1 << 20) - 1, (11, 20)),
+    (_z8_paper_basis, (2, 3), 1 << 22, (3, 8)),
+], ids=["z4-seeded", "z8-paper"])
+def test_split_keeps_mid_digits_in_one_epoch(build, ring, words, split):
+    # Counts what the split decides, not a timing: the block and mid digits
+    # it picks and the epochs (one outer word each) the scan walks.
+    basis, ranges = build()
+    splits, outer = [], []
+    split_of, word_at_index = kernels._split, kernels.word_at_index
+
+    def recorded_split(*args):
+        splits.append(split_of(*args))
+        return splits[-1]
+
+    def recorded_word(*args):
+        outer.append(args[3])
+        return word_at_index(*args)
+
+    params = make_ring(*ring)
+    table = weight_table("hamming", params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_split", recorded_split)
+        mp.setattr(kernels, "word_at_index", recorded_word)
+        res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, 1, 1 + words)
+    assert res[2] == words
+    assert splits == [split] and len(outer) == 1
+
+
+def test_split_of_the_full_z8_sweep():
+    # The 2^30-word sweep: 4096-word blocks, a mid table of 8^5 words and
+    # eight epochs.
+    _, ranges = _z8_paper_basis()
+    k0, k2 = kernels._split(ranges, 8, 15, 1)
+    assert (k0, k2) == (4, 9)
+    assert math.prod(ranges[k2:]) == 8
