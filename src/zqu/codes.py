@@ -1,11 +1,12 @@
 """Cyclic codes of length n over R as ideals (or Z_q[x]-spans) of R[x]/(x^n-1).
 
 The CRT idempotent system splits the ambient ring along the basic irreducible
-factors of x^n - 1; each component is an ideal of a Galois extension GR(R, m),
-read off its span as (p^i) mod u, u*(p^j) inside uGR and the u-coordinate
-alpha of p^i.  On top of that sit the canonical generator pair
-(f0 + u*f1, u*g1), cardinality, minimum generating sets, freeness (every
-component (1) or (0)), and BCH-style distance certificates.
+factors of x^n - 1; each component, an ideal of GR(R, m) (in module closure a
+submodule of GR(Z_q, m)^2), is read off its span as (p^i) mod u, u*(p^j) inside
+uGR and the u-coordinate alpha of p^i.  The readings give the size,
+p^(m(2s - i - j)) per component, and freeness (every component (1) or (0)) in
+both closures; on them sit the canonical generator pair (f0 + u*f1, u*g1),
+minimum generating sets and BCH-style distance certificates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from . import config
@@ -127,16 +128,16 @@ class CyclicCode:
     def fingerprint(self) -> tuple:
         return self.span().fingerprint()
 
-    @cached_property
-    def _ideal_closure(self) -> "CyclicCode":
-        """The ideal generated by the generators (the code itself in ideal closure)."""
-        if self.closure_mode == MODE_IDEAL:
-            return self
-        return CyclicCode(self.n, self.params, self.generators, MODE_IDEAL)
-
     def cardinality(self) -> tuple[int, int]:
-        """|C| as (p, exponent)."""
-        return self.params.p, self.span().size_exponent()
+        """|C| as (p, exponent), summed over the component readings."""
+        return self.params.p, self._size_exponent()
+
+    def _size_exponent(self, closed: bool = False) -> int:
+        """log_p |C|, m(2s - i - j) per component; with `closed`, of the ideal
+        closure, where u*(x, y) = (0, x) widens u*(p^j) to u*(p^min(i, j))."""
+        s = self.params.s
+        readings = zip(self._component_readings(), self.crt().factorization.degrees)
+        return sum(m * (2 * s - i - (min(i, j) if closed else j)) for (i, j, _), m in readings)
 
     def contains(self, word) -> bool:
         if isinstance(word, RPoly):
@@ -150,11 +151,12 @@ class CyclicCode:
         return build_crt(self.n, self.params)
 
     def _component_readings(self) -> tuple[Reading, ...]:
-        """(i, j, alpha) of the ideal the generators span at every factor."""
+        """(i, j, alpha) of the code's component at every factor: the ideal of GR(R, m)
+        the generators span, in module closure their Z_q[x]-span (p^i, beta), (0, p^j)."""
         if self._readings is None:
             out = []
             for f in self.crt().factorization.factors:
-                span = ideal_span_mod(self.generators, f)
+                span = ideal_span_mod(self.generators, f, with_u=self.closure_mode == MODE_IDEAL)
                 out.append(_read_component(span, f.degree))
             self._readings = tuple(out)
         return self._readings
@@ -218,16 +220,11 @@ class CyclicCode:
     def is_free(self) -> Optional[RPoly]:
         """The monic divisor g of x^n - 1 with C = (g), if one exists.
 
-        An ideal is (g) exactly when every component is (1) or (0), i.e. has
+        C is (g) exactly when every component is (1) or (0), i.e. reads
         (i, j) = (0, 0) or (s, s); g is the product of the factors whose
-        component is (0).  A module span is free when it fills its ideal
-        closure and that closure is free.
+        component is (0).  In module closure these readings have j <= i, so
+        the module equals its ideal closure.
         """
-        if self.closure_mode == MODE_MODULE:
-            closure = self._ideal_closure
-            if closure.span().size_exponent() != self.span().size_exponent():
-                return None
-            return closure.is_free()
         s = self.params.s
         g = RPoly.one(self.params)
         for (i, j, _), f in zip(self._component_readings(), self.crt().factorization.factors):
@@ -285,7 +282,7 @@ class CyclicCode:
         base, exp = self.cardinality()
         out["cardinality"] = {"base": base, "exponent": exp}
         if self.closure_mode == MODE_MODULE:
-            _, ideal_exp = self._ideal_closure.cardinality()
+            ideal_exp = self._size_exponent(closed=True)
             out["ideal_closure_cardinality"] = {"base": base, "exponent": ideal_exp}
             if ideal_exp != exp:
                 warnings.append(
@@ -307,15 +304,16 @@ class CyclicCode:
 
 
 def _read_component(span: ZqSpan, m: int) -> Reading:
-    """Read (i, j, alpha) off the Howell form of an ideal of GR(R, m) in
-    Z_q^{2m}, a-coordinates first.  Rows pivoting in the a-block generate the
-    image mod u; those pivoting in the u-block span the part inside uGR."""
+    """Read (i, j, alpha) off the Howell form of an ideal of GR(R, m), or of a
+    submodule of GR(Z_q, m)^2, in Z_q^{2m}, a-coordinates first.  Rows pivoting
+    in the a-block generate the image mod u, (p^i); those pivoting in the
+    u-block span the part inside uGR, u*(p^j): p^(m(2s - i - j)) words."""
     p, s = span.p, span.s
     i = min((e for c, e, _ in span.rows if c < m), default=s)
     j = min((e for c, e, _ in span.rows if c >= m), default=s)
     if i == s:
         return i, j, None
-    # p^i + alpha*u lies in the ideal, so (p^i | 0) reduces to (0 | -alpha)
+    # p^i + alpha*u lies in the component, so (p^i | 0) reduces to (0 | -alpha)
     r = span.reduce([p**i] + [0] * (2 * m - 1))
     return i, j, tuple(-b % p**j for b in r[m:])
 
@@ -326,14 +324,15 @@ def enumerate_cyclic_codes(n: int, params: RingParams,
     if limit is not None and limit < 0:
         raise PreconditionError("limit must be >= 0")
     total = count_cyclic_codes(n, params)
+    cap = limit
     if limit is None:
         cap = config.env_int("ZQU_ENUM_BUDGET", config.DEFAULT_ENUM_BUDGET)
-    else:
-        cap = limit
-    if total > cap and limit is None:
-        raise EnumerationBudgetError(
-            f"{total} codes exceed the enumeration budget {cap}; pass an explicit limit"
-        )
+        if cap < 0:
+            raise PreconditionError("ZQU_ENUM_BUDGET must be >= 0")
+        if total > cap:
+            raise EnumerationBudgetError(
+                f"{total} codes exceed the enumeration budget {cap}; pass an explicit limit"
+            )
     crt = build_crt(n, params)
     per_factor = [ideal_descriptors(params.p, params.s, m) for m in crt.factorization.degrees]
     produced = 0

@@ -224,6 +224,7 @@ def check_z4_length7_chain() -> tuple[bool, str]:
     module_code = CyclicCode(7, r4, gens, "module")
     base, exp = module_code.cardinality()
     _fail(base**exp == 4**10, f"module-span cardinality {base}^{exp} != 4^10", notes)
+    _fail(module_code.span().size() == 4**10, "module span does not hold 4^10 words", notes)
     lee = min_distance(module_code, "lee")
     _fail(lee.exhaustive and lee.words_scanned == 2**20 - 1,
           f"lee scan not exhaustive over 2^20-1 words ({lee.words_scanned})", notes)
@@ -233,6 +234,7 @@ def check_z4_length7_chain() -> tuple[bool, str]:
     ideal_code = CyclicCode(7, r4, gens, "ideal")
     ibase, iexp = ideal_code.cardinality()
     _fail(ibase**iexp == 4**11, f"ideal-closure cardinality {ibase}^{iexp} != 4^11", notes)
+    _fail(ideal_code.span().size() == 4**11, "ideal span does not hold 4^11 words", notes)
     u = RPoly.make(r4, [(0, 1)])
     _fail(ideal_code.contains(u) and not module_code.contains(u),
           "u-membership does not separate the two closures", notes)
@@ -280,6 +282,8 @@ def check_property_suite() -> tuple[bool, str]:
         again = CyclicCode.from_components(3, r4, comps)
         _fail(again.fingerprint() == code.fingerprint(), "compose round-trip failed", notes)
         _fail(again.components() == comps, "component round-trip failed", notes)
+        _fail(code.cardinality() == (r4.p, code.span().size_exponent()),
+              f"cardinality {code.cardinality()} differs from the span's", notes)
         can = code.canonical()
         if can.hypotheses_ok:
             hypothesis_codes += 1

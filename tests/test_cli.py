@@ -4,8 +4,10 @@ byte-identical repeated output, JSON round-trips)."""
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -89,10 +91,14 @@ def test_codes_enumerate_stream_distinct():
     ("3", "2", "3", "json", "3cec7eff64c0eec80aa6c31b9dd43e82"),
     ("5", "3", "2", "json", "0e9b7e835df83720d973671c17c6c24e"),
     ("3", "2", "3", "csv", "83947d795240073606689486834e3a8f"),
+    ("7", "2", "2", "text", "7cc6c1fe6fbc65696e4afb7fb5eb0aa0"),
+    ("7", "2", "2", "csv", "488c4e6446fa27f39a6c375b16839c7e"),
 ])
 def test_codes_enumerate_output_pinned(n, p, s, fmt, md5):
-    # every ideal family, alpha with 2 and 4 digits; stdout is part of the contract
-    proc = run("codes", "--n", n, "--p", p, "--s", s, "--enumerate", "--format", fmt)
+    # every ideal family, alpha with 2 and 4 digits; stdout is part of the contract.
+    # Z4 at n = 7 has 1,183 codes; its pins cover the first 300.
+    limit = ["--limit", "300"] if n == "7" else []
+    proc = run("codes", "--n", n, "--p", p, "--s", s, "--enumerate", "--format", fmt, *limit)
     assert proc.returncode == 0
     assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
 
@@ -175,6 +181,28 @@ def test_analyze_both_closures_disagree():
     assert out["ideal"]["cardinality"]["exponent"] == 22
     assert out["module"]["ideal_closure_cardinality"]["exponent"] == 22
     assert any("disagree" in w for w in out["module"]["warnings"])
+
+
+# an n = 51 mixed-module item of the benchmark's analyze mix (seed 1)
+N51_MODULE = ("2*x^33+2*x^31+2*x^25+2*x^16+2*x^15+2*x^12+2*x^7+2*x^3+2*x+2+u*(2*x^38+2*x^37"
+              "+2*x^34+2*x^33+2*x^30+2*x^29+2*x^28+2*x^27+2*x^21+2*x^16+2*x^15+2*x^14+2*x^12"
+              "+2*x^11+2*x^10+2*x^9+2*x^8+2*x^7+2*x^5+2*x^2), 0+u*(3*x^17+3*x^16+x^15+x^13"
+              "+x^12+3*x^10+2*x^9+3*x^8+x^7+3*x^6+x^5+3*x^4+3*x^3+3*x+1)")
+
+
+@pytest.mark.parametrize("n,s,gens,md5", [
+    ("7", "2", "3*x^3+x^2+2*x+1, u*(x+3)", "0b1eb9dc04cf8953f1cfdaba52a009a7"),
+    ("3", "2", "x+3, u*(x+3)", "5dfe756099fe7ebe321df467111eab5d"),  # free
+    ("3", "2", "0", "219b8ffc1bf548f7786a2193bc9da624"),
+    ("51", "2", N51_MODULE, "429543c34e98600f5967830c0154470b"),
+    ("3", "3", "4+u*(2)", "261f613b7db8bccfbb23db2770a3dc37"),
+    ("3", "3", "4, u*(2)", "902a5fe871fce837412b22fb348cc71f"),
+], ids=["z4-n7-paper", "z4-n3-free", "z4-n3-zero", "z4-n51-mixed", "z8-n3-4+2u", "z8-n3-4,2u"])
+def test_analyze_module_output_pinned(n, s, gens, md5):
+    proc = run("analyze", "--n", n, "--p", "2", "--s", s, "--gens", gens,
+               "--closure", "module", "--format", "json")
+    assert proc.returncode == 0
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
 
 
 def test_analyze_csv_rejected(monkeypatch, capsys):
@@ -290,6 +318,7 @@ def test_malformed_env_values_exit_2():
     cases = [
         ("ZQU_BUDGET", "abc", ("distance", "--n", "7", "--p", "2", "--s", "2", "--gens", "x+3")),
         ("ZQU_ENUM_BUDGET", "1e3", ("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate")),
+        ("ZQU_ENUM_BUDGET", "-5", ("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate")),
         ("ZQU_MAX_DISTANCE_Q", "", ("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "1")),
     ]
     for name, value, args in cases:
@@ -389,3 +418,51 @@ def test_two_thread_distance_output_matches_one_thread():
     assert report["exit"] == [0]
     # with two CPUs the scan really is partitioned (and so loads the pool)
     assert ("concurrent.futures" in report["loaded"]) == ((os.cpu_count() or 1) >= 2)
+
+
+def _fuzz_argv(rng):
+    """One seeded CLI input; each field is invalid now and then."""
+
+    def pick(valid, invalid):
+        return rng.choice(invalid if rng.random() < 0.1 else valid)
+
+    cmd = rng.choice(["factor", "codes", "analyze", "distance"])
+    argv = [cmd, "--n", pick(["1", "2", "3", "5", "7", "9", "15"], ["0", "-3", "x"]),
+            "--p", pick(["2", "2", "3", "5"], ["4", "1", "-2"]),
+            "--s", pick(["1", "2", "2", "3"], ["0", "40"])]
+    if cmd == "codes":
+        argv += pick([["--count"], ["--enumerate"], ["--enumerate", "--limit", "3"]],
+                     [["--enumerate", "--limit", "-1"], []])
+    if cmd in ("analyze", "distance"):
+        terms = ["x+3", "x^2+x+1", "2*x+2", "u", "u*(x+1)", "4+u*(2)", "3*x^3+x^2+2*x+1",
+                 "0", "x^1000000000000"]
+        gens = rng.sample(terms, rng.randint(1, 3))
+        argv += ["--gens", pick([", ".join(gens)], ["x^^2", "u*(", "", "3*y", "x+", ","]),
+                 "--closure", pick(["ideal", "module"], ["both"])]
+    if cmd == "distance":
+        argv += ["--metric", pick(["hamming", "lee", "gray-hamming"], ["euclid"]),
+                 "--budget", pick(["1", "7", "64", "4096"], ["0", "-1"]),
+                 "--threads", pick(["1", "1", "2"], ["0"])]
+    argv += ["--format", pick(["json", "csv", "text"], ["xml"])]
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--bogus", "--n"]))
+    return argv
+
+
+def test_cli_fuzz_gives_documented_exit_codes(monkeypatch, capsys):
+    import zqu.cli
+
+    monkeypatch.setenv("ZQU_ENUM_BUDGET", "4096")
+    monkeypatch.setenv("ZQU_BUDGET", "4096")
+    rng = random.Random(17)
+    start = time.perf_counter()
+    exits = []
+    for _ in range(200):
+        argv = _fuzz_argv(rng)
+        code = zqu.cli.main(argv)  # raises on any traceback
+        out = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        assert str(1 << 62) not in out.out + out.err, argv
+        exits.append(code)
+    assert time.perf_counter() - start < 10
+    assert {0, 1, 2} <= set(exits)

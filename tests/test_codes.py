@@ -20,6 +20,7 @@ from zqu.errors import (
     PreconditionError,
 )
 from zqu.galois import gr_ideal_span, ideal_elements
+from zqu.howell import ZqSpan
 from zqu.poly import RPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
 from zqu.ring import IdealDescriptor, KIND_U_P_POWER, ideal_descriptors, make_ring
 
@@ -257,6 +258,17 @@ def generator_sets(draw):
 @given(generator_sets())
 def test_is_free_matches_divisor_search(c):
     assert c.is_free() == free_by_divisor_search(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_sizes_from_readings_match_spans(c):
+    # the sizes come from the component readings; the spans are the slow route
+    assert c.cardinality() == (c.params.p, c.span().size_exponent())
+    if c.closure_mode == "module":
+        closure = CyclicCode(c.n, c.params, c.generators, "ideal").span().size_exponent()
+        assert c.to_descriptor()["ideal_closure_cardinality"] == {"base": c.params.p,
+                                                                  "exponent": closure}
 
 
 def test_components_outside_the_four_families():
@@ -537,6 +549,27 @@ def test_codes_need_no_galois_ring_evaluation():
     c = code(R8, 15, [Z8_GEN])
     assert c.to_descriptor()["bch"] == {"b": 1, "delta": 7}
     assert c.bch_bound().root_exponents == (1, 2, 3, 4, 5, 6)
+
+
+def test_sizes_and_freeness_build_no_code_span(monkeypatch):
+    # only contains, fingerprint and min_distance need the 2n-column span
+    build = ZqSpan.from_rows.__func__
+    widths = []
+
+    def counting(cls, rows, p, s, ncols):
+        widths.append(ncols)
+        return build(cls, rows, p, s, ncols)
+
+    monkeypatch.setattr(ZqSpan, "from_rows", classmethod(counting))
+    code(R4, 7, Z4_GENS, "module").to_descriptor()
+    assert widths.count(14) == 0
+    free = code(R8, 15, [Z8_GEN])
+    assert free.cardinality() == (2, 30) and free.is_free() is not None
+    assert widths.count(30) == 0
+    for c in enumerate_cyclic_codes(7, R4, limit=50):
+        c.cardinality()
+        c.is_free()
+    assert widths.count(14) == 0 and len(widths) > 50
 
 
 # -- spans ------------------------------------------------------------------------------
