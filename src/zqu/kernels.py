@@ -15,26 +15,39 @@ values it reaches.  The others split three ways, lowest first:
 
 Since a + a' and b + b' stay below 2q, coordinate c of block word j plus
 base word (a', b') weighs tiled[pairs[c, j] + a'*2q + b'] in the q*q weight
-table tiled 2 x 2: no mod q.  The coordinates are partitioned into groups,
-and group G takes J_G joint values over the mid table, however many epochs
-there are.  Each epoch builds, for every group and joint value v, the row
-W_G[v] = sum_{c in G} tiled[pairs[c] + outer_c + v_c] of B weights, and a
-per-call index gives each mid word its row in every group.  A chunk of
-blocks then weighs as sum_G W_G[slot(o mod M, G)]: one row copy (and, after
-the first group, one narrow add) per group, into two buffers allocated once
-per call, then one argmin.
+table tiled 2 x 2: no mod q.  Each epoch gathers, for every coordinate c
+and every code v the mid words take there, the row W_c[v] =
+tiled[pairs[c] + outer_c + v] of B weights, and a per-call index gives each
+mid word its row at every coordinate.  Block o weighs as
+sum_c W_c[slot(c, o mod M)], so no word of it weighs less than its bound
+sum_c min W_c[slot(c, o mod M)].
 
-The groups come from a tree of merges (`_plan`).  A leaf is one coordinate,
-whose rows are table lookups; merging two groups numbers their joint values
-over the mid table, and each row of the merged group is the sum of one row
-of each part, so it costs a row copy and add, not a gather per coordinate.
+Blocks are taken in index order: the scan's first block alone, then in each
+epoch only the live blocks, those whose bound is below the best weight found
+so far (checked again per chunk, as the best falls).  A skipped block holds
+no lighter word, nor, coming later, an earlier one of equal weight, so the
+result is that of weighing every word; this is a bound per block, not an
+early stop.  A chunk of live blocks is packed into two buffers allocated
+once per call, as one row copy (and, after the first group, one narrow add)
+per group and one argmin, mapped back to (block, word).
+
+While the live blocks times n stay within the blocks of the epoch, the
+groups are single coordinates.  Beyond that, weighing them one coordinate
+at a time would cost more than a pass over every block, so the coordinates
+are merged into groups once per call by a tree of merges (`_plan`).
+Merging two groups numbers their joint values over the mid table, and each
+row of the merged group is the sum of one row of each part, one copy and
+add on the coordinate rows already gathered.  Group rows give fewer passes
+a chunk and a tighter bound, since the least of a sum is at least the sum
+of the least terms.
+
 The digits split by a rule on the two memory bounds, not by a search
 (`_split`).  Memory is therefore bounded by constants and q, never by the
-scan's length; where no value repeats, the rows are the plain table lookup
-of every word.  Weights are summed in the narrowest unsigned dtype holding
+scan's length.  Weights are summed in the narrowest unsigned dtype holding
 max(table) * n.  A scan returns (best weight, index of the first word
-attaining it, words scanned), the same for every split, every partition
-into groups and every thread partition.
+attaining it, words scanned): every word of [start, stop) counts as
+scanned, whether weighed or excluded by its block's bound, and the triple
+is the same for every split, every grouping and every thread partition.
 
 This is the only zqu module that imports numpy; `metrics.min_distance`
 imports it on the first scan, converts the weight table once with
@@ -94,63 +107,96 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
     span = mid.shape[1]  # blocks per epoch
     first, last = start // width, -(-stop // width)
     epochs = (last - 1) // span - first // span + 1
-    tree = _plan(mid[:n] * q + mid[n:], q, last - first, epochs, width, wdt.itemsize)
+    tree = _Tree(mid[:n] * q + mid[n:], q)
     del mid
-    # Rows of node t start at base[t]; node n + t adds rows ia and ib of
-    # two earlier nodes, and slot[g, m] is the row of group g that mid word
-    # m reads.  Singleton row r weighs coordinate coord[r] at code value[r].
-    base = np.cumsum([0] + tree.counts)
-    joins = []
-    for t, (a, b, keys) in enumerate(tree.merges):
-        va, vb = np.divmod(keys, tree.counts[b])
-        joins.append((int(base[n + t]), base[a] + va, base[b] + vb))
-    slot = tree.slots.astype(np.min_scalar_type(int(base[-1]) - 1), copy=False)
-    slot += base[tree.groups].astype(slot.dtype)[:, None]
+    # Singleton row r weighs coordinate coord[r] at code value[r], and
+    # leaf_slot[c, m] is the row of coordinate c that mid word m reads.
+    leaves, _, leaf_slot = tree.layout()
     coord, value = tree.coord, tree.value
-    del tree
-
     tiled = np.tile(table.reshape(q, q).astype(wdt), (2, 2)).ravel()
-    weights = np.empty((int(base[-1]), width), wdt)
+    weights = np.empty((leaves, width), wdt)
+    low = np.empty(leaves, wdt)  # row minima
+    merged = None  # (rows, joins, slot) of the planned tree
     per_chunk = max(1, _CHUNK_WORDS // max(width, 2 * n))  # blocks
     per_gather = max(1, (_CHUNK_WORDS >> 2) // width)  # rows
     acc = np.empty((per_chunk, width), wdt)
     tmp = np.empty((per_chunk, width), wdt)
     best, best_idx = 1 << 62, -1
+
+    def least(ids, slot):
+        """The least weight in [start, stop) of the blocks of mid words ids
+        (ascending) of this epoch, and the first index attaining it."""
+        flat = _weigh(weights, slot, ids, acc, tmp)
+        o = ids + epoch * span
+        lo = max(start - int(o[0]) * width, 0)
+        hi = (len(o) - 1) * width + min(stop - int(o[-1]) * width, width)
+        j = lo + int(np.argmin(flat[lo:hi]))
+        return int(flat[j]), int(o[j // width]) * width + j % width
+
+    def bound(slot, m0, m1):
+        """sum_G min W_G[slot[G, m]] for m in [m0, m1): no word of block m
+        weighs less."""
+        total = np.take(low, slot[0, m0:m1])
+        for s in slot[1:, m0:m1]:
+            total += np.take(low, s)
+        return total
+
     for epoch in range(first // span, (last - 1) // span + 1):
         outer = word_at_index(rows[k2:], ranges[k2:], q, epoch)
         a = (outer[:n][coord] + value // q) % q
         b = (outer[n:][coord] + value % q) % q
         offset = (a * (2 * q) + b).astype(pair_dt)
         # mode "clip" writes straight into out; "raise" would buffer it
-        for t in range(0, len(offset), per_gather):
+        for t in range(0, leaves, per_gather):
             idx = pairs[coord[t : t + per_gather]] + offset[t : t + per_gather, None]
             np.take(tiled, idx, out=weights[t : t + len(idx)], mode="clip")
-        for dest, ia, ib in joins:
-            for t in range(0, len(ia), per_chunk):
-                out = weights[dest + t : dest + t + len(ia[t : t + per_chunk])]
-                part = tmp[: len(out)]
-                np.take(weights, ia[t : t + per_chunk], axis=0, out=out, mode="clip")
-                np.take(weights, ib[t : t + per_chunk], axis=0, out=part, mode="clip")
-                np.add(out, part, out=out)
-        lo_block = max(first, epoch * span)
-        hi_block = min(last, (epoch + 1) * span)
-        for o0 in range(lo_block, hi_block, per_chunk):
-            o1 = min(o0 + per_chunk, hi_block)
-            m0, m1 = o0 - epoch * span, o1 - epoch * span
-            chunk = acc[: o1 - o0]
-            np.take(weights, slot[0, m0:m1], axis=0, out=chunk, mode="clip")
-            part = tmp[: o1 - o0]
-            for s in slot[1:, m0:m1]:
-                np.take(weights, s, axis=0, out=part, mode="clip")
-                np.add(chunk, part, out=chunk)
-            flat = chunk.reshape(-1)
-            lo = max(start, o0 * width) - o0 * width
-            hi = min(stop, o1 * width) - o0 * width
-            j = lo + int(np.argmin(flat[lo:hi]))
-            low = int(flat[j])
-            if low < best:
-                best, best_idx = low, o0 * width + j
+        np.min(weights[:leaves], axis=1, out=low[:leaves])
+        m0 = max(first, epoch * span) - epoch * span
+        m1 = min(last, (epoch + 1) * span) - epoch * span
+        if best_idx < 0:  # the scan's first block sets best
+            best, best_idx = least(np.array([m0]), leaf_slot)
+            m0 += 1
+        slot = leaf_slot
+        lows = bound(slot, m0, m1)
+        live = np.flatnonzero(lows < best)
+        # The live blocks cost a pass per coordinate: more than one pass over
+        # every block of the epoch takes the merged groups.
+        if len(live) * n > m1 - m0:
+            if merged is None:
+                merged = _plan(tree, last - first, epochs, width, wdt.itemsize).layout()
+                # in place, keeping the leaf rows: no view of either is alive
+                weights.resize((merged[0], width), refcheck=False)
+                low.resize(merged[0], refcheck=False)
+            for dest, ia, ib in merged[1]:
+                for t in range(0, len(ia), per_chunk):
+                    out = weights[dest + t : dest + t + len(ia[t : t + per_chunk])]
+                    part = tmp[: len(out)]
+                    np.take(weights, ia[t : t + per_chunk], axis=0, out=out, mode="clip")
+                    np.take(weights, ib[t : t + per_chunk], axis=0, out=part, mode="clip")
+                    np.add(out, part, out=out)
+            np.min(weights[leaves:], axis=1, out=low[leaves:])
+            slot = merged[2]
+            lows = bound(slot, m0, m1)
+            live = np.flatnonzero(lows < best)
+        for c in range(0, len(live), per_chunk):
+            ids = live[c : c + per_chunk]
+            ids = ids[lows[ids] < best]  # best may have fallen since
+            if len(ids):
+                weight, idx = least(ids + m0, slot)
+                if weight < best:
+                    best, best_idx = weight, idx
     return best, best_idx, stop - start
+
+
+def _weigh(weights, slot, ids, acc, tmp):
+    """Row i of acc := sum over groups g of weights[slot[g, ids[i]]]: the
+    weights of the blocks of mid words ids, returned flat."""
+    chunk, part = acc[: len(ids)], tmp[: len(ids)]
+    np.take(weights, slot[0, ids], axis=0, out=chunk, mode="clip")
+    for s in slot[1:, ids]:
+        np.take(weights, s, axis=0, out=part, mode="clip")
+        np.add(chunk, part, out=chunk)
+    return chunk.reshape(-1)
 
 
 def _words(rows, ranges, q, dtype):
@@ -228,14 +274,19 @@ class _Tree:
     def merge(self, pairs, most, budget):
         """Merge groups i and j for each (i, j) in pairs, all disjoint, unless
         the merge would have more than `most` joint values or the rows of all
-        nodes would pass `budget`.  Returns the pairs of nodes not merged."""
+        nodes would pass `budget`.  While every product J_i * J_j is within
+        `most`, each key is a joint value, read or not, and none is counted.
+        Returns the pairs of nodes not merged."""
         i, j = [a for a, _ in pairs], [b for _, b in pairs]
         ci = np.array([self.counts[self.groups[g]] for g in i], np.int64)
         cj = np.array([self.counts[self.groups[g]] for g in j], np.int64)
         keys = self.slots[i].astype(np.min_scalar_type(int((ci * cj).max()) - 1))
         keys *= cj[:, None].astype(keys.dtype)
         keys += self.slots[j]
-        counts, values, ranks = _distinct(keys, ci * cj)
+        if (ci * cj).max() <= most:
+            counts, values, ranks = ci * cj, np.concatenate([np.arange(c) for c in ci * cj]), keys
+        else:
+            counts, values, ranks = _distinct(keys, ci * cj)
         self.slots = self.slots.astype(np.promote_types(self.slots.dtype, ranks.dtype), copy=False)
         rows = sum(self.counts)
         ends = np.cumsum(counts).tolist()
@@ -256,10 +307,24 @@ class _Tree:
             self.slots = self.slots[keep]
         return failed
 
+    def layout(self):
+        """(rows, joins, slot): the rows of all nodes, node after node; for
+        each merge (first row, ia, ib), its row v adding rows ia[v] and
+        ib[v]; and a new array slot[g, m], the row of groups[g] that mid
+        word m reads."""
+        base = np.cumsum([0] + self.counts)
+        n = len(self.counts) - len(self.merges)
+        joins = []
+        for t, (a, b, keys) in enumerate(self.merges):
+            va, vb = np.divmod(keys, self.counts[b])
+            joins.append((int(base[n + t]), base[a] + va, base[b] + vb))
+        slot = self.slots.astype(np.min_scalar_type(int(base[-1]) - 1))
+        slot += base[self.groups].astype(slot.dtype)[:, None]
+        return int(base[-1]), joins, slot
 
-def _plan(codes, q, blocks, epochs, width, itemsize):
-    """Merge the coordinates of a mid table (codes a*q + b, one row per
-    coordinate) into groups; returns the _Tree.
+
+def _plan(tree, blocks, epochs, width, itemsize):
+    """Merge the groups of a _Tree of single coordinates; returns the tree.
 
     A merge into J joint values saves one copy-and-add pass on every block
     and costs J rows, each one copy and add, in every epoch: it gains while
@@ -267,8 +332,7 @@ def _plan(codes, q, blocks, epochs, width, itemsize):
     merge with their neighbours, level by level.  A merge is not tried if
     it cannot gain, as J is at least that of either group, or if its keys
     would not fit four per mid word, which would take a sort to count."""
-    tree = _Tree(codes, q)
-    span = codes.shape[1]
+    span = tree.slots.shape[1]
     most = -(-blocks // epochs) - 1
     budget = _ROW_BYTES // (width * itemsize)
     closed = set()  # nodes that merge with no neighbour

@@ -108,6 +108,8 @@ def weight_table(metric: str, params: RingParams) -> tuple[int, ...]:
     """Per-coordinate weight of a + bu, indexed by a*q + b."""
     q = params.q
     guard = config.env_int("ZQU_MAX_DISTANCE_Q", config.MAX_DISTANCE_Q)
+    if guard < 1:
+        raise PreconditionError("ZQU_MAX_DISTANCE_Q must be >= 1")
     if q > guard:
         raise GuardExceededError(f"q = {q} exceeds the distance-table guard {guard}")
     if metric == METRIC_HAMMING:
@@ -117,7 +119,8 @@ def weight_table(metric: str, params: RingParams) -> tuple[int, ...]:
         raise UnsupportedMetricError(f"unknown metric {metric!r}")
     if q != 4:
         raise UnsupportedMetricError(f"{metric} requires q = 4, got q = {q}")
-    return tuple(weight_of(WordR(params, ((a, b),)), metric) for a in range(q) for b in range(q))
+    # Lee weight of phi(a + bu) = (b, a + b), which the Gray map preserves
+    return tuple(LEE_WEIGHT_Z4[b] + LEE_WEIGHT_Z4[(a + b) % 4] for a in range(4) for b in range(4))
 
 
 def partition_bounds(stop: int, parts: int) -> list[int]:

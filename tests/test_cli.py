@@ -320,6 +320,8 @@ def test_malformed_env_values_exit_2():
         ("ZQU_ENUM_BUDGET", "1e3", ("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate")),
         ("ZQU_ENUM_BUDGET", "-5", ("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate")),
         ("ZQU_MAX_DISTANCE_Q", "", ("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "1")),
+        ("ZQU_MAX_DISTANCE_Q", "-5", ("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "1")),
+        ("ZQU_MAX_DISTANCE_Q", "0", ("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "1")),
     ]
     for name, value, args in cases:
         proc = run(*args, env=dict(os.environ, **{name: value}))

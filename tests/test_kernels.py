@@ -186,10 +186,10 @@ forced_groups = st.one_of(
 def forced_plan(labels):
     """A `_plan` that merges the coordinates with equal labels, whatever it costs."""
 
-    def plan(codes, q, *_):
-        tree = kernels._Tree(codes, q)
-        for label in set(labels[: codes.shape[0]]):
-            coords = [c for c in range(codes.shape[0]) if labels[c] == label]
+    def plan(tree, *_):
+        n = len(tree.groups)
+        for label in set(labels[:n]):
+            coords = [c for c in range(n) if labels[c] == label]
             node = coords[0]
             for c in coords[1:]:
                 pair = (tree.groups.index(node), tree.groups.index(c))
@@ -198,6 +198,22 @@ def forced_plan(labels):
         return tree
 
     return plan
+
+
+@pytest.mark.parametrize("most, joint", [(16, 16), (math.inf, 256)])
+def test_merge_numbers_joint_values_by_their_parts(most, joint):
+    # Two coordinates take equal codes, so their 16 x 16 keys hold 16 joint
+    # values: within `most` the merge keeps every key, beyond it it counts
+    # the distinct ones.  Either way a mid word's joint value spells its
+    # parts' values.
+    codes = np.tile(np.arange(16, dtype=np.uint8), (2, 4))
+    tree = kernels._Tree(codes, 4)
+    a, b = tree.slots.astype(np.int64)
+    assert tree.counts == [16, 16]
+    assert not tree.merge([(0, 1)], most, math.inf)
+    (_, _, keys), = tree.merges
+    assert tree.counts[-1] == joint and tree.groups == [2]
+    assert (keys[tree.slots[0]] == a * 16 + b).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,6 +243,31 @@ def test_chunked_scan_agrees(instance, chunk_words, row_bytes, mid_bytes, split,
             mp.setattr(kernels, "_plan", forced_plan(labels))
         res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
     assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
+
+
+@pytest.mark.parametrize("seed, merged", [(4, True), (3, False)])
+def test_forced_groups_on_both_routes(seed, merged):
+    # Blocks of 64 words bound their words loosely.  On seed 4 most blocks
+    # stay live, so the scan merges the forced groups; on seed 3 few do, and
+    # it weighs them one coordinate at a time without planning.
+    rng = np.random.default_rng(seed)
+    q, n = 4, 4
+    ranges = np.array([4, 4, 4, 4, 4, 2], dtype=np.int64)
+    rows = rng.integers(0, q, size=(len(ranges), 2 * n)).astype(np.int64)
+    table = weight_table("hamming", make_ring(2, 2))
+    stop = int(np.prod(ranges)) - 3
+    planned = []
+
+    def plan(*args):
+        planned.append(args)
+        return forced_plan([0, 0, 1, 1])(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_split", lambda *_: (3, 6))
+        mp.setattr(kernels, "_plan", plan)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, 5, stop)
+    assert res == _reference_scan(rows, ranges, table, q, n, 5, stop)
+    assert len(planned) == merged
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,15 +315,16 @@ def test_scan_memory_holds_with_the_largest_mid_table():
     assert set(ranges) == {2}
     table = weight_table("hamming", params)
     spans = []
-    plan = kernels._plan
 
-    def recorded(codes, *args):
-        spans.append(codes.shape)
-        return plan(codes, *args)
+    class Recorded(kernels._Tree):
+        # the tree is built on the mid table, whichever route the scan takes
+        def __init__(self, codes, q):
+            spans.append(codes.shape)
+            super().__init__(codes, q)
 
     budget = 1 << 24
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_plan", recorded)
+        mp.setattr(kernels, "_Tree", Recorded)
         tracemalloc.start()
         try:
             res = kernels.min_weight_scan(basis, ranges, table, 4, 31, 1, budget + 1)
@@ -344,6 +386,29 @@ def test_grouping_cuts_the_passes_of_a_seeded_code():
     assert res == (4, 1024, (1 << 20) - 1)
     (tree,) = trees
     assert len(tree.groups) <= 5
+
+
+def test_bound_skips_most_blocks_of_the_z8_paper_code():
+    # Counts the blocks weighed, not a timing: after the first block, a
+    # block is weighed only if the sum of its rows' minima is below the best
+    # weight found, and the single-coordinate rows leave too few such blocks
+    # to plan merges.
+    basis, ranges = _z8_paper_basis()
+    weighed = []
+    weigh = kernels._weigh
+
+    def recorded(weights, slot, ids, *args):
+        weighed.append(len(ids))
+        return weigh(weights, slot, ids, *args)
+
+    table = weight_table("hamming", make_ring(2, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_weigh", recorded)
+        mp.setattr(kernels, "_plan", None)
+        res = kernels.min_weight_scan(basis, ranges, table, 8, 15, 1, (1 << 22) + 1)
+    assert res == (7, 4, 1 << 22)
+    blocks = (1 << 22) // 512 + 1
+    assert sum(weighed) <= 0.02 * blocks
 
 
 @pytest.mark.parametrize("build, ring, words, split", [

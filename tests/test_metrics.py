@@ -94,6 +94,13 @@ def test_word_weight_functions_agree(pairs):
     assert gray_hamming_weight(w) == lee_weight(w)
 
 
+@pytest.mark.parametrize("metric", ["lee", "gray-hamming"])
+def test_q4_weight_table_matches_weight_of(metric):
+    table = metrics.weight_table(metric, R4)
+    assert table == tuple(weight_of(WordR(R4, ((a, b),)), metric)
+                          for a in range(4) for b in range(4))
+
+
 # -- minimum distance -----------------------------------------------------------
 
 
