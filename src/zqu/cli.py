@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
 
     pv = sub.add_parser("verify-paper", help="run the reference verification suite")
     pv.add_argument("--slow", action="store_true",
-                    help="include the opt-in full 2^30-word Hamming sweep (multi-minute)")
+                    help="include the opt-in full 2^30-word Hamming sweep (under 1 s in all)")
     pv.add_argument("--format", choices=["json", "csv", "text"], default="text")
     return parser
 

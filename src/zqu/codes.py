@@ -21,7 +21,6 @@ from . import config
 from .errors import (
     EnumerationBudgetError,
     GeneratorHypothesesError,
-    LengthNotCoprimeError,
     PreconditionError,
 )
 from .galois import ideal_span_mod
@@ -30,6 +29,7 @@ from .poly import (
     Factorization,
     RPoly,
     ZqPoly,
+    check_length,
     divmod_monic,
     factor_xn_minus_1,
     xn_minus_1,
@@ -101,10 +101,7 @@ class CyclicCode:
 
     def __init__(self, n: int, params: RingParams, generators: Sequence[RPoly],
                  closure_mode: str = MODE_IDEAL):
-        if n < 1:
-            raise PreconditionError("length must be positive")
-        if math.gcd(n, params.p) != 1:
-            raise LengthNotCoprimeError(f"gcd({n}, {params.p}) != 1")
+        check_length(n, params.p)
         if closure_mode not in (MODE_IDEAL, MODE_MODULE):
             raise PreconditionError(f"unknown closure mode {closure_mode!r}")
         self.n = n

@@ -34,12 +34,11 @@ per group and one argmin, mapped back to (block, word).
 While the live blocks times n stay within the blocks of the epoch, the
 groups are single coordinates.  Beyond that, weighing them one coordinate
 at a time would cost more than a pass over every block, so the coordinates
-are merged into groups once per call by a tree of merges (`_plan`).
-Merging two groups numbers their joint values over the mid table, and each
-row of the merged group is the sum of one row of each part, one copy and
-add on the coordinate rows already gathered.  Group rows give fewer passes
-a chunk and a tighter bound, since the least of a sum is at least the sum
-of the least terms.
+are merged into groups once per call by a tree of merges (`_plan`).  A
+merged group's joint value pairs one value of each part, v_a * J_b + v_b,
+so its J_a * J_b rows are one broadcast add of the parts' rows, gathered
+already.  Group rows give fewer passes a chunk and a tighter bound, since
+the least of a sum is at least the sum of the least terms.
 
 The digits split by a rule on the two memory bounds, not by a search
 (`_split`).  Memory is therefore bounded by constants and q, never by the
@@ -167,13 +166,9 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
                 # in place, keeping the leaf rows: no view of either is alive
                 weights.resize((merged[0], width), refcheck=False)
                 low.resize(merged[0], refcheck=False)
-            for dest, ia, ib in merged[1]:
-                for t in range(0, len(ia), per_chunk):
-                    out = weights[dest + t : dest + t + len(ia[t : t + per_chunk])]
-                    part = tmp[: len(out)]
-                    np.take(weights, ia[t : t + per_chunk], axis=0, out=out, mode="clip")
-                    np.take(weights, ib[t : t + per_chunk], axis=0, out=part, mode="clip")
-                    np.add(out, part, out=out)
+            for d, a, b in merged[1]:
+                joint = weights[d].reshape(a.stop - a.start, b.stop - b.start, width)
+                np.add(weights[a, None], weights[None, b], out=joint)
             np.min(weights[leaves:], axis=1, out=low[leaves:])
             slot = merged[2]
             lows = bound(slot, m0, m1)
@@ -214,39 +209,33 @@ def _words(rows, ranges, q, dtype):
     return words
 
 
-def _distinct(keys, bounds):
-    """For each row of a 2-d array of keys, row i in [0, bounds[i]): how
-    many distinct keys it holds, and the rank of each key among them, in
-    ascending order and a narrow dtype.  Returns (counts, values, ranks),
-    values holding the distinct keys of every row, row after row."""
-    bounds = np.asarray(bounds, np.int64)
-    base = np.zeros(len(bounds) + 1, np.int64)
-    np.cumsum(bounds, out=base[1:])
-    total = int(base[-1])
-    if total > 4 * keys.size + 4096:
+def _distinct(keys, bound):
+    """For each row of a 2-d array of keys in [0, bound): how many distinct
+    keys it holds, and the rank of each key among them, in ascending order
+    and a narrow dtype.  Returns (counts, values, ranks), values holding the
+    distinct keys of every row, row after row."""
+    rows = len(keys)
+    if rows * bound > 4 * keys.size + 4096:
         found = [np.unique(row, return_inverse=True) for row in keys]
         counts = np.array([len(v) for v, _ in found], np.int64)
         dtype = np.min_scalar_type(int(counts.max()) - 1)
         return (counts, np.concatenate([v for v, _ in found]).astype(np.int64),
                 np.stack([inverse.astype(dtype) for _, inverse in found]))
     # intp keys index fastest; narrow ones bound the memory of large tables
-    dtype = np.intp if keys.size <= 1 << 17 else np.min_scalar_type(total - 1)
+    dtype = np.intp if keys.size <= 1 << 17 else np.min_scalar_type(rows * bound - 1)
     flat = keys.astype(dtype)
-    flat += base[:-1, None].astype(dtype)
-    seen = np.zeros(total, bool)
-    seen[flat] = True
-    rank = np.cumsum(seen)
-    ends = rank[base[1:] - 1]
-    before = np.concatenate(([0], ends[:-1]))  # distinct keys of the rows above
-    counts = ends - before
-    # the rank within its row of every possible key
-    rank -= np.repeat(before + 1, bounds)
-    values = np.flatnonzero(seen) - np.repeat(base[:-1], counts)
-    rank = rank.astype(np.min_scalar_type(int(counts.max()) - 1))
-    ranks = np.empty(flat.shape, rank.dtype)
+    flat += (np.arange(rows) * bound).astype(dtype)[:, None]
+    seen = np.zeros((rows, bound), bool)
+    seen.reshape(-1)[flat] = True
+    # the rank within its row of every possible key; unseen keys are not read
+    rank = np.cumsum(seen, axis=1) - 1
+    counts = rank[:, -1] + 1
+    values = np.nonzero(seen)[1]
+    rank = rank.astype(np.min_scalar_type(int(counts.max()) - 1)).reshape(-1)
+    ranks = np.empty(keys.shape, rank.dtype)
     # take() indexes through an intp copy of its indices: a few rows at a time
-    step = max(1, (1 << 16) // flat.shape[1])
-    for r in range(0, len(flat), step):
+    step = max(1, (1 << 16) // keys.shape[1])
+    for r in range(0, rows, step):
         np.take(rank, flat[r : r + step], out=ranks[r : r + step])
     return counts, values, ranks
 
@@ -255,99 +244,75 @@ class _Tree:
     """Coordinate groups over a mid table, as a tree of merges.
 
     Node c < n is coordinate c, whose joint values are the codes a*q + b
-    that the mid words take there; node n + t is the t-th merge of two
-    earlier nodes.  `groups` lists the nodes not merged yet, and slots[g, m]
-    the joint value of groups[g] at mid word m, numbered from 0 in
-    ascending order.
+    that the mid words take there, numbered from 0 in ascending order; node
+    n + t is the t-th merge (a, b) of two earlier nodes, whose joint value
+    v_a * J_b + v_b pairs a value of each part, whether a mid word takes it
+    or not.  `groups` lists the nodes not merged yet, and slots[g] the joint
+    value of groups[g] at each mid word.
     """
 
     def __init__(self, codes, q):
-        n = codes.shape[0]
-        counts, self.value, self.slots = _distinct(codes, [q * q] * n)
+        counts, self.value, slots = _distinct(codes, q * q)
         # singleton row r weighs coordinate coord[r] at code value[r]
-        self.coord = np.repeat(np.arange(n), counts)
-        self.counts = counts.tolist()  # joint values per node
-        # (a, b, keys): joint value v of the node is keys[v] = v_a * counts[b] + v_b
+        self.coord = np.repeat(np.arange(len(codes)), counts)
+        self.counts = counts.tolist()  # joint values J per node
         self.merges = []
-        self.groups = list(range(n))
+        self.groups = list(range(len(codes)))
+        self.slots = list(slots)
 
     def merge(self, pairs, most, budget):
         """Merge groups i and j for each (i, j) in pairs, all disjoint, unless
         the merge would have more than `most` joint values or the rows of all
-        nodes would pass `budget`.  While every product J_i * J_j is within
-        `most`, each key is a joint value, read or not, and none is counted.
-        Returns the pairs of nodes not merged."""
-        i, j = [a for a, _ in pairs], [b for _, b in pairs]
-        ci = np.array([self.counts[self.groups[g]] for g in i], np.int64)
-        cj = np.array([self.counts[self.groups[g]] for g in j], np.int64)
-        keys = self.slots[i].astype(np.min_scalar_type(int((ci * cj).max()) - 1))
-        keys *= cj[:, None].astype(keys.dtype)
-        keys += self.slots[j]
-        if (ci * cj).max() <= most:
-            counts, values, ranks = ci * cj, np.concatenate([np.arange(c) for c in ci * cj]), keys
-        else:
-            counts, values, ranks = _distinct(keys, ci * cj)
-        self.slots = self.slots.astype(np.promote_types(self.slots.dtype, ranks.dtype), copy=False)
-        rows = sum(self.counts)
-        ends = np.cumsum(counts).tolist()
-        failed, gone = [], []
-        for (a, b), count, end, row in zip(pairs, counts.tolist(), ends, ranks):
-            if count > most or rows + count > budget:
-                failed.append((self.groups[a], self.groups[b]))
+        nodes would pass `budget`.  Returns the pairs of nodes not merged."""
+        failed, gone = [], set()
+        for i, j in pairs:
+            a, b = self.groups[i], self.groups[j]
+            joint = self.counts[a] * self.counts[b]
+            if joint > most or sum(self.counts) + joint > budget:
+                failed.append((a, b))
                 continue
-            rows += count
-            self.merges.append((self.groups[a], self.groups[b], values[end - count : end]))
-            self.groups[a] = len(self.counts)
-            self.counts.append(count)
-            self.slots[a] = row
-            gone.append(b)
-        if gone:
-            keep = [g for g in range(len(self.groups)) if g not in gone]
-            self.groups = [self.groups[g] for g in keep]
-            self.slots = self.slots[keep]
+            # a dtype holding J_b as well as the joint values
+            self.slots[i] = self.slots[i].astype(np.min_scalar_type(joint))
+            self.slots[i] *= self.counts[b]
+            self.slots[i] += self.slots[j]
+            self.merges.append((a, b))
+            self.groups[i] = len(self.counts)
+            self.counts.append(joint)
+            gone.add(j)
+        self.groups = [g for k, g in enumerate(self.groups) if k not in gone]
+        self.slots = [s for k, s in enumerate(self.slots) if k not in gone]
         return failed
 
     def layout(self):
         """(rows, joins, slot): the rows of all nodes, node after node; for
-        each merge (first row, ia, ib), its row v adding rows ia[v] and
-        ib[v]; and a new array slot[g, m], the row of groups[g] that mid
-        word m reads."""
-        base = np.cumsum([0] + self.counts)
+        each merge (d, a, b), the slices of rows of the node and of its
+        parts, row v_a * J_b + v_b of d the sum of rows a[v_a] and b[v_b];
+        and an array slot[g, m], the row of groups[g] that mid word m reads."""
+        base = np.cumsum([0] + self.counts).tolist()
         n = len(self.counts) - len(self.merges)
-        joins = []
-        for t, (a, b, keys) in enumerate(self.merges):
-            va, vb = np.divmod(keys, self.counts[b])
-            joins.append((int(base[n + t]), base[a] + va, base[b] + vb))
-        slot = self.slots.astype(np.min_scalar_type(int(base[-1]) - 1))
-        slot += base[self.groups].astype(slot.dtype)[:, None]
-        return int(base[-1]), joins, slot
+        joins = [tuple(slice(base[node], base[node + 1]) for node in (n + t, a, b))
+                 for t, (a, b) in enumerate(self.merges)]
+        slot = np.stack(self.slots, dtype=np.min_scalar_type(base[-1] - 1))
+        slot += np.array([base[g] for g in self.groups], slot.dtype)[:, None]
+        return base[-1], joins, slot
 
 
 def _plan(tree, blocks, epochs, width, itemsize):
     """Merge the groups of a _Tree of single coordinates; returns the tree.
 
     A merge into J joint values saves one copy-and-add pass on every block
-    and costs J rows, each one copy and add, in every epoch: it gains while
-    J * epochs < blocks and the rows of all nodes fit _ROW_BYTES.  Groups
-    merge with their neighbours, level by level.  A merge is not tried if
-    it cannot gain, as J is at least that of either group, or if its keys
-    would not fit four per mid word, which would take a sort to count."""
-    span = tree.slots.shape[1]
+    and costs J rows, built by one broadcast add, in every epoch: it gains
+    while J * epochs < blocks and the rows of all nodes fit _ROW_BYTES.  J
+    is the product of its parts' J, so the groups follow from the leaf
+    counts alone.  Groups merge with their neighbours, level by level."""
     most = -(-blocks // epochs) - 1
     budget = _ROW_BYTES // (width * itemsize)
     closed = set()  # nodes that merge with no neighbour
     while True:
         live = [g for g, node in enumerate(tree.groups) if node not in closed]
-        pairs = []
-        for a, b in zip(live[0::2], live[1::2]):
-            ja, jb = tree.counts[tree.groups[a]], tree.counts[tree.groups[b]]
-            if max(ja, jb) > most or ja * jb > 4 * span:
-                closed.update((tree.groups[a], tree.groups[b]))
-            else:
-                pairs.append((a, b))
-        if not pairs:
+        if len(live) < 2:
             return tree
-        for nodes in tree.merge(pairs, most, budget):
+        for nodes in tree.merge(list(zip(live[0::2], live[1::2])), most, budget):
             closed.update(nodes)
 
 

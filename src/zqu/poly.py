@@ -375,19 +375,22 @@ def _factor_sort_key(f: RPoly):
     return (f.degree, tuple(reversed(f.a.coeffs)))
 
 
+def check_length(n: int, p: int) -> None:
+    """Refuse a code length that is not positive or not prime to p."""
+    if n < 1:
+        raise PreconditionError(f"length n = {n} must be positive")
+    if math.gcd(n, p) != 1:
+        raise LengthNotCoprimeError(f"gcd(n, p) = gcd({n}, {p}) != 1; length must be prime to p")
+
+
 @lru_cache(maxsize=None)
 def factor_xn_minus_1(n: int, params: RingParams) -> Factorization:
     """Factor x^n - 1 over R into basic irreducibles: one factor
     prod_{k in C} (X - zeta^k) per p-cyclotomic coset C of Z_n, where
     zeta = T^((p^m - 1)/n) for the Teichmuller root T of the canonical
     primitive polynomial of degree m = ord_n(p)."""
-    if n < 1:
-        raise PreconditionError(f"length n = {n} must be positive")
     p = params.p
-    if math.gcd(n, p) != 1:
-        raise LengthNotCoprimeError(
-            f"gcd(n, p) = gcd({n}, {p}) != 1; length must be prime to p"
-        )
+    check_length(n, p)
     m = fppoly.multiplicative_order(p, n)
     modulus, t = _teichmuller_root(fppoly.smallest_primitive(p, m), params)
     zeta = _powmod(t, (p**m - 1) // n, modulus)

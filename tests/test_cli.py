@@ -41,6 +41,21 @@ def test_factor_gcd_violation_exits_2():
     assert "gcd" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["factor"], ["codes", "--count"], ["codes", "--enumerate"],
+    ["analyze", "--gens", "1"], ["distance", "--gens", "1"],
+], ids=["factor", "count", "enumerate", "analyze", "distance"])
+@pytest.mark.parametrize("n, message", [
+    ("6", "error: gcd(n, p) = gcd(6, 2) != 1; length must be prime to p\n"),
+    ("0", "error: length n = 0 must be positive\n"),
+])
+def test_length_precondition_reads_the_same_everywhere(command, n, message, capsys):
+    import zqu.cli
+
+    assert zqu.cli.main([command[0], "--n", n, "--p", "2", "--s", "2", *command[1:]]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_missing_flag_exits_1():
     proc = run("factor", "--n", "3", "--p", "2")
     assert proc.returncode == 1

@@ -200,20 +200,42 @@ def forced_plan(labels):
     return plan
 
 
-@pytest.mark.parametrize("most, joint", [(16, 16), (math.inf, 256)])
+@pytest.mark.parametrize("most, joint", [(math.inf, 256)])
 def test_merge_numbers_joint_values_by_their_parts(most, joint):
-    # Two coordinates take equal codes, so their 16 x 16 keys hold 16 joint
-    # values: within `most` the merge keeps every key, beyond it it counts
-    # the distinct ones.  Either way a mid word's joint value spells its
-    # parts' values.
+    # Two coordinates take equal codes, so only 16 of their 16 x 16 joint
+    # values occur; the merge keeps every pair, and a mid word's joint value
+    # spells its parts' values.
     codes = np.tile(np.arange(16, dtype=np.uint8), (2, 4))
     tree = kernels._Tree(codes, 4)
-    a, b = tree.slots.astype(np.int64)
+    a, b = (s.astype(np.int64) for s in tree.slots)
     assert tree.counts == [16, 16]
     assert not tree.merge([(0, 1)], most, math.inf)
-    (_, _, keys), = tree.merges
     assert tree.counts[-1] == joint and tree.groups == [2]
-    assert (keys[tree.slots[0]] == a * 16 + b).all()
+    assert (tree.slots[0] == a * 16 + b).all()
+
+
+def test_merge_slots_hold_the_second_part_count():
+    # Coordinate 0 is 0 on every mid word (one joint value) and coordinate 1
+    # takes all 256 codes over Z16, so the merged slots 0 * 256 + v_b need a
+    # dtype that holds 256 as well as the 256 joint values.  The first block
+    # sets the best to 2 and leaves every other block, bounded by 0 or 1,
+    # live, so the scan merges the two coordinates.
+    q, n = 16, 2
+    rows = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
+    ranges = np.array([16, 16, 16], dtype=np.int64)
+    table = weight_table("hamming", make_ring(2, 4))
+    planned = []
+
+    def plan(*args):
+        planned.append(args)
+        return forced_plan([0, 0])(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_split", lambda *_: (1, 3))
+        mp.setattr(kernels, "_plan", plan)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, 1, 16**3)
+    assert res == _reference_scan(rows, ranges, table, q, n, 1, 16**3)
+    assert len(planned) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -386,6 +408,36 @@ def test_grouping_cuts_the_passes_of_a_seeded_code():
     assert res == (4, 1024, (1 << 20) - 1)
     (tree,) = trees
     assert len(tree.groups) <= 5
+
+
+def test_lee_paper_scan_counts_codes_once():
+    # Counts calls, not a timing: the Lee scan of the Z4 length-7 paper code
+    # plans merges, and only its leaves count the codes the mid words take;
+    # each merge numbers its joint values by the product of its parts'.
+    from zqu import CyclicCode
+    from zqu.metrics import min_distance
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 2)
+    gens = [parse_r_poly(g, params) for g in ("3*x^3+x^2+2*x+1", "u*(x+3)")]
+    code = CyclicCode(7, params, gens, "module")
+    calls = {"_distinct": 0, "_plan": 0}
+
+    def counted(name):
+        fn = getattr(kernels, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(kernels, name, counted(name))
+        report = min_distance(code, "lee", budget=1 << 20)
+    assert (report.value, report.exhaustive) == (4, True)
+    assert calls == {"_distinct": 1, "_plan": 1}
 
 
 def test_bound_skips_most_blocks_of_the_z8_paper_code():
