@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from typing import Iterable
 
-from . import config
 from .codes import (
     CyclicCode,
     count_cyclic_codes,
@@ -27,7 +26,7 @@ from .errors import (
     PreconditionError,
     ZquError,
 )
-from .metrics import METRICS, min_distance
+from .metrics import DEFAULT_DISTANCE_BUDGET, METRICS, min_distance
 from .poly import factor_xn_minus_1, format_r_poly, is_basic_primitive, parse_r_poly, r_poly_to_json
 from .ring import make_ring
 
@@ -74,7 +73,7 @@ def _build_parser() -> _Parser:
     common(pd, gens=True)
     pd.add_argument("--metric", choices=list(METRICS), default="hamming")
     pd.add_argument("--budget", type=int, default=None,
-                    help=f"word budget (default $ZQU_BUDGET or {config.DEFAULT_DISTANCE_BUDGET})")
+                    help=f"word budget (default {DEFAULT_DISTANCE_BUDGET})")
     pd.add_argument("--threads", type=int, default=1)
 
     pv = sub.add_parser("verify-paper", help="run the reference verification suite")
@@ -88,14 +87,15 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _emit_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit_csv(rows: Iterable[dict]) -> None:
+    """The header with the first row, then each row as it is made; nothing
+    for no rows."""
+    writer = None
+    for row in rows:
+        if writer is None:
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(row), lineterminator="\n")
+            writer.writeheader()
+        writer.writerow(row)
 
 
 def _parse_gens(raw: str, params, n: int):
@@ -156,18 +156,15 @@ def _cmd_codes(args) -> int:
         return EXIT_OK
     stream = enumerate_cyclic_codes(args.n, params, limit=args.limit)
     if args.format == "csv":
-        rows = []
-        for i, code in enumerate(stream):
-            base, exp = code.cardinality()
-            rows.append(
-                {
-                    "index": i + 1,
-                    "generators": "; ".join(format_r_poly(g) for g in code.generators) or "0",
-                    "cardinality": f"{base}^{exp}",
-                    "free": code.is_free() is not None,
-                }
-            )
-        _emit_csv(rows)
+        _emit_csv(
+            {
+                "index": i + 1,
+                "generators": "; ".join(format_r_poly(g) for g in code.generators) or "0",
+                "cardinality": "%d^%d" % code.cardinality(),
+                "free": code.is_free() is not None,
+            }
+            for i, code in enumerate(stream)
+        )
     elif args.format == "json":
         for code in stream:  # one descriptor per line for streamability
             sys.stdout.write(json.dumps(code.to_descriptor()) + "\n")

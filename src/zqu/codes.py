@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from . import config
 from .errors import (
     EnumerationBudgetError,
     GeneratorHypothesesError,
@@ -315,29 +314,27 @@ def _read_component(span: ZqSpan, m: int) -> Reading:
     return i, j, tuple(-b % p**j for b in r[m:])
 
 
+# Most codes enumeration streams without an explicit limit.
+DEFAULT_ENUM_BUDGET = 1 << 20
+
+
 def enumerate_cyclic_codes(n: int, params: RingParams,
                            limit: Optional[int] = None) -> Iterator[CyclicCode]:
-    """All cyclic codes in canonical component order (may be budget-guarded)."""
-    if limit is not None and limit < 0:
-        raise PreconditionError("limit must be >= 0")
-    total = count_cyclic_codes(n, params)
-    cap = limit
+    """The first `limit` cyclic codes in canonical component order, or all of
+    them when there are at most DEFAULT_ENUM_BUDGET."""
     if limit is None:
-        cap = config.env_int("ZQU_ENUM_BUDGET", config.DEFAULT_ENUM_BUDGET)
-        if cap < 0:
-            raise PreconditionError("ZQU_ENUM_BUDGET must be >= 0")
-        if total > cap:
+        total = count_cyclic_codes(n, params)
+        if total > DEFAULT_ENUM_BUDGET:
             raise EnumerationBudgetError(
-                f"{total} codes exceed the enumeration budget {cap}; pass an explicit limit"
+                f"{total} codes exceed the enumeration budget {DEFAULT_ENUM_BUDGET}; "
+                "pass an explicit limit"
             )
+    elif limit < 0:
+        raise PreconditionError("limit must be >= 0")
     crt = build_crt(n, params)
     per_factor = [ideal_descriptors(params.p, params.s, m) for m in crt.factorization.degrees]
-    produced = 0
-    for combo in itertools.product(*per_factor):
-        if produced >= cap:
-            return
+    for combo in itertools.islice(itertools.product(*per_factor), limit):
         yield CyclicCode.from_components(n, params, list(combo))
-        produced += 1
 
 
 # -- canonical generators ------------------------------------------------------

@@ -26,7 +26,7 @@ class UnsupportedMetricError(PreconditionError):
 
 
 class GuardExceededError(PreconditionError):
-    """A desk-scale enumeration guard (see zqu.config) was exceeded."""
+    """A fixed desk-scale guard on q was exceeded."""
 
 
 class DistanceUndefinedError(PreconditionError):
@@ -39,4 +39,4 @@ class GeneratorHypothesesError(PreconditionError):
 
 
 class EnumerationBudgetError(ZquError):
-    """Requested enumeration exceeds the configured budget."""
+    """Requested enumeration exceeds the default budget."""

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import config
 from .errors import GuardExceededError
 from .howell import ZqSpan
 from .poly import RPoly, divmod_monic, xn_minus_1
 from .ring import IdealDescriptor, RingElem, RingParams, reading_generators
+
+# Largest q for which `ideal_elements` lists an ideal of R element by element.
+MAX_ORACLE_Q = 1 << 10
 
 
 def unit_group_order(p: int, s: int, m: int) -> int:
@@ -64,8 +66,7 @@ def gr_ideal_span(desc: IdealDescriptor, modulus: RPoly) -> ZqSpan:
 def ideal_elements(desc: IdealDescriptor, params: RingParams) -> frozenset[RingElem]:
     """Explicit element set of an ideal of R itself: the m = 1 case, over the
     degree-1 factor x - 1 of x^1 - 1.  Guarded to desk scale."""
-    guard = config.MAX_ORACLE_Q
-    if params.q > guard:
-        raise GuardExceededError(f"q = {params.q} exceeds the enumeration guard {guard}")
+    if params.q > MAX_ORACLE_Q:
+        raise GuardExceededError(f"q = {params.q} exceeds the enumeration guard {MAX_ORACLE_Q}")
     span = gr_ideal_span(desc, xn_minus_1(params, 1))
     return frozenset(RingElem(params, a, b) for a, b in span.elements())

@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import config
 from .codes import CyclicCode
 from .errors import (
     DistanceUndefinedError,
@@ -35,6 +34,12 @@ METRICS = (METRIC_HAMMING, METRIC_LEE, METRIC_GRAY_HAMMING)
 
 LEE_WEIGHT_Z4 = (0, 1, 2, 1)
 GRAY_IMAGE_Z4 = ((0, 0), (0, 1), (1, 1), (1, 0))
+
+# Largest q for which the scan builds its q*q weight table.
+MAX_DISTANCE_Q = 1 << 10
+
+# Word budget of a scan called without one.
+DEFAULT_DISTANCE_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -107,11 +112,8 @@ def weight_of(word: WordR, metric: str) -> int:
 def weight_table(metric: str, params: RingParams) -> tuple[int, ...]:
     """Per-coordinate weight of a + bu, indexed by a*q + b."""
     q = params.q
-    guard = config.env_int("ZQU_MAX_DISTANCE_Q", config.MAX_DISTANCE_Q)
-    if guard < 1:
-        raise PreconditionError("ZQU_MAX_DISTANCE_Q must be >= 1")
-    if q > guard:
-        raise GuardExceededError(f"q = {q} exceeds the distance-table guard {guard}")
+    if q > MAX_DISTANCE_Q:
+        raise GuardExceededError(f"q = {q} exceeds the distance-table guard {MAX_DISTANCE_Q}")
     if metric == METRIC_HAMMING:
         # up to 2^20 entries: a one-pair WordR each would cost seconds
         return (0,) + (1,) * (q * q - 1)
@@ -159,7 +161,7 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
     if threads < 1:
         raise PreconditionError("threads must be >= 1")
     if budget is None:
-        budget = config.env_int("ZQU_BUDGET", config.DEFAULT_DISTANCE_BUDGET)
+        budget = DEFAULT_DISTANCE_BUDGET
     if budget < 1:
         raise PreconditionError("budget must be >= 1")
     table = weight_table(metric, code.params)

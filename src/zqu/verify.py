@@ -210,7 +210,7 @@ def check_z8_length15_chain(slow: bool = False) -> tuple[bool, str]:
     _fail(w == 7, f"weight of 4*g was {w}", notes)
     detail = "free (15, 64^5) code; delta=7 certificate and weight-7 word bracket d_H = 7"
     if slow:
-        report = min_distance(code, "hamming", budget=1 << 30, threads=8)
+        report = min_distance(code, "hamming", budget=1 << 30)
         _fail(report.exhaustive and report.value == 7,
               f"exhaustive sweep gave {report.value} (exhaustive={report.exhaustive})", notes)
         detail += f"; full 2^30-word sweep confirms 7 ({report.words_scanned} words)"

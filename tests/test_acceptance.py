@@ -1,11 +1,10 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line (run with -s to see them inline; `zqu verify-paper` prints
-the same table).  Criterion 5's optional full 2^30-word sweep is opt-in via
-ZQU_ACCEPTANCE_SLOW=1 (a few seconds: the whole `zqu verify-paper --slow`
-takes about 2 s on a 2-core VM).
+the same table).  Criterion 5 includes the full 2^30-word Hamming sweep,
+which takes under 0.2 s (the whole `zqu verify-paper --slow` takes about
+0.8 s on a 2-core VM).
 """
 
-import os
 import time
 
 import pytest
@@ -20,15 +19,13 @@ from zqu.verify import (
     check_z8_length15_chain,
 )
 
-SLOW = os.environ.get("ZQU_ACCEPTANCE_SLOW") == "1"
-
 CRITERIA = [
     ("1 ideal census (q=4: 7, q=9: 8; closure-complete)", check_ideal_census, 5.0),
     ("2 factorization of x^n-1 for (3,4),(7,4),(15,8),(5,9)", check_factorization, 1.0),
     ("3 code census (63 codes, distinct; single-factor match)", check_code_census, 30.0),
     ("4 unit groups (8, 192, 32 by exhaustion and formula)", check_unit_groups, 5.0),
     ("5 Z8 length-15 chain (free 64^5, delta=7, d_H=7)",
-     lambda: check_z8_length15_chain(slow=SLOW), 10.0 if not SLOW else 600.0),
+     lambda: check_z8_length15_chain(slow=True), 10.0),
     ("6 Z4 length-7 chain (4^10 span, Lee 4, Gray 4; 4^11 ideal)", check_z4_length7_chain, 60.0),
     ("7 property suites (Hensel, CRT, round-trips, counts, BCH)", check_property_suite, 300.0),
 ]

@@ -4,7 +4,9 @@ byte-identical repeated output, JSON round-trips)."""
 import hashlib
 import json
 import os
+import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -128,12 +130,33 @@ def test_codes_negative_limit_exits_2():
 
 
 def test_codes_budget_exceeded_exits_3():
-    import os
-
-    env = dict(os.environ, ZQU_ENUM_BUDGET="100")
-    proc = run("codes", "--n", "7", "--p", "2", "--s", "2", "--enumerate",
-               "--format", "json", env=env)
+    # 9,787,635 codes are past the 2^20 default budget, refused before any is built
+    proc = run("codes", "--n", "15", "--p", "2", "--s", "3", "--enumerate")
     assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: 9787635 codes exceed the enumeration budget 1048576")
+
+
+def test_codes_csv_streams_rows(monkeypatch, capsys):
+    """The header and first row are on stdout before the second code is made."""
+    import zqu.cli
+    from zqu.codes import enumerate_cyclic_codes
+
+    printed = []
+
+    def stream(n, params, limit=None):
+        for code in enumerate_cyclic_codes(n, params, limit=limit):
+            yield code
+            printed.append(capsys.readouterr().out)
+
+    monkeypatch.setattr(zqu.cli, "enumerate_cyclic_codes", stream)
+    argv = ["codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate", "--format", "csv"]
+    assert zqu.cli.main(argv + ["--limit", "3"]) == 0
+    printed.append(capsys.readouterr().out)
+    assert printed[0] == "index,generators,cardinality,free\n1,x^2+x+1; x+3,2^12,True\n"
+    assert [chunk.count("\n") for chunk in printed] == [2, 1, 1, 0]
+    proc = run(*argv, "--limit", "3")
+    assert "".join(printed) == proc.stdout
 
 
 def test_codes_limit():
@@ -329,23 +352,6 @@ def test_distance_nonpositive_budget_exits_2():
         assert str(1 << 62) not in proc.stdout
 
 
-def test_malformed_env_values_exit_2():
-    cases = [
-        ("ZQU_BUDGET", "abc", ("distance", "--n", "7", "--p", "2", "--s", "2", "--gens", "x+3")),
-        ("ZQU_ENUM_BUDGET", "1e3", ("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate")),
-        ("ZQU_ENUM_BUDGET", "-5", ("codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate")),
-        ("ZQU_MAX_DISTANCE_Q", "", ("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "1")),
-        ("ZQU_MAX_DISTANCE_Q", "-5", ("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "1")),
-        ("ZQU_MAX_DISTANCE_Q", "0", ("distance", "--n", "3", "--p", "2", "--s", "2", "--gens", "1")),
-    ]
-    for name, value, args in cases:
-        proc = run(*args, env=dict(os.environ, **{name: value}))
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ") and name in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-
 def test_components_outside_the_four_families_exit_2():
     # (4, 2u) is an ideal of Z8 + uZ8 outside the four listed families
     for n, gens, factor in [("1", "4, u*(2)", "f_1 = x+7"),
@@ -437,6 +443,27 @@ def test_two_thread_distance_output_matches_one_thread():
     assert ("concurrent.futures" in report["loaded"]) == ((os.cpu_count() or 1) >= 2)
 
 
+def test_src_reads_no_environment():
+    # every limit comes from a flag or keyword argument, never from hidden state
+    import zqu
+
+    sources = sorted(pathlib.Path(zqu.__file__).parent.glob("*.py"))
+    assert "cli.py" in [path.name for path in sources]
+    readers = [path.name for path in sources
+               if re.search(r"\b(environ|getenv|env_int)\b", path.read_text())]
+    assert readers == []
+
+
+def test_zqu_environment_variables_change_nothing():
+    clean = {k: v for k, v in os.environ.items() if not k.startswith("ZQU_")}
+    dirty = dict(clean, ZQU_BUDGET="1", ZQU_ENUM_BUDGET="0", ZQU_MAX_DISTANCE_Q="0")
+    for args in (DISTANCE_README + ["--format", "json"],
+                 ["codes", "--n", "3", "--p", "2", "--s", "2", "--enumerate"]):
+        want, got = run(*args, env=clean), run(*args, env=dirty)
+        assert want.returncode == 0 and want.stdout
+        assert (got.returncode, got.stdout) == (want.returncode, want.stdout)
+
+
 def _fuzz_argv(rng):
     """One seeded CLI input; each field is invalid now and then."""
 
@@ -469,8 +496,7 @@ def _fuzz_argv(rng):
 def test_cli_fuzz_gives_documented_exit_codes(monkeypatch, capsys):
     import zqu.cli
 
-    monkeypatch.setenv("ZQU_ENUM_BUDGET", "4096")
-    monkeypatch.setenv("ZQU_BUDGET", "4096")
+    monkeypatch.setattr("zqu.codes.DEFAULT_ENUM_BUDGET", 4096)
     rng = random.Random(17)
     start = time.perf_counter()
     exits = []

@@ -126,10 +126,8 @@ def test_enumeration_n1_embeds_base_ring_ideals():
     assert sets == ring_sets
 
 
-def test_enumeration_budget_error_via_env(monkeypatch):
-    import zqu.config as config
-
-    monkeypatch.setattr(config, "DEFAULT_ENUM_BUDGET", 10)
+def test_enumeration_budget_error_past_default_budget(monkeypatch):
+    monkeypatch.setattr("zqu.codes.DEFAULT_ENUM_BUDGET", 10)
     with pytest.raises(EnumerationBudgetError):
         list(enumerate_cyclic_codes(3, R4))
 

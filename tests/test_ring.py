@@ -176,13 +176,12 @@ def test_ideal_element_examples():
 
 
 def test_ideal_elements_guard_refuses_large_q_without_a_span(monkeypatch):
-    """q = 2^11 is past the fixed guard, and no environment variable lifts it."""
+    """q = 2^11 is past the fixed guard q <= 1024."""
 
     def no_span(*args):
         raise AssertionError("a span was built")
 
     monkeypatch.setattr("zqu.galois.gr_ideal_span", no_span)
-    monkeypatch.setenv("ZQU_MAX_ORACLE_Q", str(1 << 20))
     with pytest.raises(GuardExceededError):
         ideal_elements(IdealDescriptor(KIND_U_P_POWER, 0), make_ring(2, 11))
 
