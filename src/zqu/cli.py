@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands: factor, codes, analyze, distance, verify-paper.
-Exit codes: 0 success, 1 parse/usage error, 2 precondition violation,
-3 enumeration budget exceeded.  Identical inputs produce byte-identical
-output: canonical orders everywhere, no timestamps.
+Exit codes: 0 success (also when stdout is closed early, as by `| head`),
+1 parse/usage error, 2 precondition violation, 3 enumeration budget exceeded.
+Identical inputs produce byte-identical output: canonical orders everywhere,
+no timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -90,6 +91,8 @@ def _emit_json(payload) -> None:
 def _emit_csv(rows: Iterable[dict]) -> None:
     """The header with the first row, then each row as it is made; nothing
     for no rows."""
+    import csv
+
     writer = None
     for row in rows:
         if writer is None:
@@ -260,7 +263,16 @@ def main(argv=None) -> int:
             "distance": _cmd_distance,
             "verify-paper": _cmd_verify,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`).  What it read is correct, so
+        # this is a success; stdout goes to the null device so that the
+        # interpreter's own flush at exit raises nothing.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OK
     except SystemExit as exc:
         if isinstance(exc.code, tuple):
             code, message = exc.code

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -42,17 +41,19 @@ from .ring import (
     ideal_descriptors,
     reading_generators,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CrtSystem:
+class CrtSystem(Value):
     """Factorization of x^n - 1 with cofactors and orthogonal idempotents."""
 
-    n: int
-    params: RingParams
-    factorization: Factorization
-    cofactors: tuple[RPoly, ...]  # (x^n - 1) / f_l
-    idempotents: tuple[RPoly, ...]  # e_l = b_l fhat_l mod (x^n - 1)
+    __slots__ = ("n", "params", "factorization", "cofactors", "idempotents")
+
+    def __init__(self, n: int, params: RingParams, factorization: Factorization,
+                 cofactors: tuple[RPoly, ...],  # (x^n - 1) / f_l
+                 idempotents: tuple[RPoly, ...]):  # e_l = b_l fhat_l mod (x^n - 1)
+        self.n, self.params, self.factorization = n, params, factorization
+        self.cofactors, self.idempotents = cofactors, idempotents
 
     @property
     def t(self) -> int:
@@ -340,22 +341,22 @@ def enumerate_cyclic_codes(n: int, params: RingParams,
 # -- canonical generators ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalGenerators:
+class CanonicalGenerators(Value):
     """C = (f0 + u f1, u g1) with monic f0, g1 and deg f1 < deg g1.
 
     k0 = deg f0 and k1 = deg g1 feed the q^(2n - k0 - k1) cardinality count,
     which is only valid when the divisor-chain hypotheses hold (see flags).
     """
 
-    f0: ZqPoly
-    f1: ZqPoly
-    g1: ZqPoly
-    k0: int
-    k1: int
-    g1_divides_f0: bool
-    f0_divides_xn1: bool
-    g1_divides_xn1: bool
+    __slots__ = ("f0", "f1", "g1", "k0", "k1",
+                 "g1_divides_f0", "f0_divides_xn1", "g1_divides_xn1")
+
+    def __init__(self, f0: ZqPoly, f1: ZqPoly, g1: ZqPoly, k0: int, k1: int,
+                 g1_divides_f0: bool, f0_divides_xn1: bool, g1_divides_xn1: bool):
+        self.f0, self.f1, self.g1, self.k0, self.k1 = f0, f1, g1, k0, k1
+        self.g1_divides_f0 = g1_divides_f0
+        self.f0_divides_xn1 = f0_divides_xn1
+        self.g1_divides_xn1 = g1_divides_xn1
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -437,15 +438,14 @@ def _canonical_form(code: CyclicCode) -> CanonicalGenerators:
 # -- BCH bound ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BchCertificate:
+class BchCertificate(Value):
     """Verified consecutive roots zeta^b .. zeta^{b+delta-2} of a free code's
     generator, certifying minimum Hamming distance >= delta."""
 
-    n: int
-    b: int
-    delta: int
-    root_exponents: tuple[int, ...]
+    __slots__ = ("n", "b", "delta", "root_exponents")
+
+    def __init__(self, n: int, b: int, delta: int, root_exponents: tuple[int, ...]):
+        self.n, self.b, self.delta, self.root_exponents = n, b, delta, root_exponents
 
 
 def bch_bound_of(g: RPoly, n: int, params: RingParams) -> BchCertificate:

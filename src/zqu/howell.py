@@ -10,10 +10,10 @@ membership tests, and a bijective mixed-radix enumeration of the span.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
+from .value import Value
 
 
 def pval(x: int, p: int, s: int) -> int:
@@ -32,14 +32,14 @@ def _check_length(vec: Sequence[int], ncols: int) -> None:
         raise PreconditionError(f"vector of length {len(vec)} in a span of {ncols} columns")
 
 
-@dataclass(frozen=True)
-class ZqSpan:
+class ZqSpan(Value):
     """Immutable Howell basis of the Z_q-span of a set of integer rows."""
 
-    p: int
-    s: int
-    ncols: int
-    rows: tuple[tuple[int, int, tuple[int, ...]], ...]  # (pivot col, val, row)
+    __slots__ = ("p", "s", "ncols", "rows")
+
+    def __init__(self, p: int, s: int, ncols: int,
+                 rows: tuple[tuple[int, int, tuple[int, ...]], ...]):  # (pivot col, val, row)
+        self.p, self.s, self.ncols, self.rows = p, s, ncols, rows
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], p: int, s: int, ncols: int) -> "ZqSpan":

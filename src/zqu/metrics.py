@@ -14,7 +14,6 @@ the algebra commands never pay for either.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .codes import CyclicCode
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .poly import RPoly
 from .ring import RingElem, RingParams
+from .value import Value
 
 METRIC_HAMMING = "hamming"
 METRIC_LEE = "lee"
@@ -42,12 +42,13 @@ MAX_DISTANCE_Q = 1 << 10
 DEFAULT_DISTANCE_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True)
-class WordR:
+class WordR(Value):
     """A length-n word over R, coordinates as (a, b) residue pairs."""
 
-    params: RingParams
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("params", "pairs")
+
+    def __init__(self, params: RingParams, pairs: tuple[tuple[int, int], ...]):
+        self.params, self.pairs = params, pairs
 
     @classmethod
     def from_rpoly(cls, poly: RPoly, n: int) -> "WordR":
@@ -131,13 +132,13 @@ def partition_bounds(stop: int, parts: int) -> list[int]:
     return [1 + (stop - 1) * k // parts for k in range(parts + 1)]
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    metric: str
-    value: int
-    witness: WordR
-    exhaustive: bool
-    words_scanned: int
+class DistanceReport(Value):
+    __slots__ = ("metric", "value", "witness", "exhaustive", "words_scanned")
+
+    def __init__(self, metric: str, value: int, witness: WordR, exhaustive: bool,
+                 words_scanned: int):
+        self.metric, self.value, self.witness = metric, value, witness
+        self.exhaustive, self.words_scanned = exhaustive, words_scanned
 
     def to_json(self) -> dict:
         from .poly import format_r_poly

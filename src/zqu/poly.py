@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import zip_longest
 from typing import Optional
@@ -19,6 +18,7 @@ from typing import Optional
 from . import fppoly
 from .errors import LengthNotCoprimeError, NonMonicDivisorError, PolyParseError, PreconditionError
 from .ring import RingElem, RingParams
+from .value import Value
 
 
 def _strip(seq):
@@ -28,10 +28,11 @@ def _strip(seq):
     return out
 
 
-@dataclass(frozen=True)
-class ZqPoly:
-    params: RingParams
-    coeffs: tuple[int, ...]
+class ZqPoly(Value):
+    __slots__ = ("params", "coeffs")
+
+    def __init__(self, params: RingParams, coeffs: tuple[int, ...]):
+        self.params, self.coeffs = params, coeffs
 
     @classmethod
     def make(cls, params: RingParams, seq) -> "ZqPoly":
@@ -149,13 +150,14 @@ class ZqPoly:
         return format_zq_poly(self)
 
 
-@dataclass(frozen=True)
-class RPoly:
+class RPoly(Value):
     """a + u*b for Z_q-polynomials a and b; since u^2 = 0, every operation is
     one or two operations on the parts."""
 
-    a: ZqPoly
-    b: ZqPoly
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: ZqPoly, b: ZqPoly):
+        self.a, self.b = a, b
 
     @classmethod
     def make(cls, params: RingParams, seq) -> "RPoly":
@@ -351,17 +353,17 @@ def teichmuller_lift(gbar, params: RingParams) -> ZqPoly:
     return _conjugate_product(conjugates, modulus)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Value):
     """x^n - 1 = product of monic basic irreducible factors, in canonical
     order (ascending degree, then coefficient vectors compared from the
     leading end down).  cosets[l] is the p-cyclotomic coset C of Z_n with
     factors[l] = prod_{k in C} (X - zeta^k)."""
 
-    n: int
-    params: RingParams
-    factors: tuple[RPoly, ...]
-    cosets: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "params", "factors", "cosets")
+
+    def __init__(self, n: int, params: RingParams, factors: tuple[RPoly, ...],
+                 cosets: tuple[tuple[int, ...], ...]):
+        self.n, self.params, self.factors, self.cosets = n, params, factors, cosets
 
     @property
     def degrees(self) -> tuple[int, ...]:

@@ -10,13 +10,13 @@ p-adic digits of Z_q run over the Teichmuller set, reached in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
 from .fppoly import base_digits
 from .howell import pval
+from .value import Value
 
 
 def is_prime(n: int) -> bool:
@@ -30,8 +30,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class RingParams:
+class RingParams(Value):
     """The ambient ring R = Z_q + uZ_q with q = p^s, built as RingParams(p, s).
 
     The checks run cheapest first: s >= 1 and p < 2^16 before the primality
@@ -39,12 +38,9 @@ class RingParams:
     q^2 >= 2^64).
     """
 
-    p: int
-    s: int
-    q: int = field(init=False)
+    __slots__ = ("p", "s", "q")
 
-    def __post_init__(self):
-        p, s = self.p, self.s
+    def __init__(self, p: int, s: int):
         if not isinstance(p, int) or not isinstance(s, int):
             raise PreconditionError("p and s must be integers")
         if s < 1:
@@ -55,7 +51,7 @@ class RingParams:
             raise PreconditionError(f"p = {p} is not prime")
         if s >= 32 or p ** (2 * s) >= 1 << 63:
             raise PreconditionError(f"q^2 = {p}^{2 * s} does not fit a 64-bit word")
-        object.__setattr__(self, "q", p**s)
+        self.p, self.s, self.q = p, s, p**s
 
     def elem(self, a: int, b: int = 0) -> "RingElem":
         return RingElem(self, a % self.q, b % self.q)
@@ -86,13 +82,13 @@ def make_ring(p: int, s: int) -> RingParams:
     return RingParams(p, s)
 
 
-@dataclass(frozen=True)
-class RingElem:
+class RingElem(Value):
     """An element a + bu of R, both coordinates least residues mod q."""
 
-    params: RingParams
-    a: int
-    b: int
+    __slots__ = ("params", "a", "b")
+
+    def __init__(self, params: RingParams, a: int, b: int):
+        self.params, self.a, self.b = params, a, b
 
     def _check(self, other: "RingElem") -> None:
         if self.params != other.params:
@@ -213,20 +209,18 @@ _KIND_ORDER = {
 Reading = tuple[int, int, Optional[tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
-class IdealDescriptor:
-    kind: str
-    index: int
-    alpha: Optional[tuple[int, ...]] = None
+class IdealDescriptor(Value):
+    __slots__ = ("kind", "index", "alpha")
 
-    def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
-            raise PreconditionError(f"unknown ideal family {self.kind!r}")
-        if self.kind == KIND_P_ALPHA_U:
-            if self.alpha is None or not any(self.alpha):
+    def __init__(self, kind: str, index: int, alpha: Optional[tuple[int, ...]] = None):
+        if kind not in _KIND_ORDER:
+            raise PreconditionError(f"unknown ideal family {kind!r}")
+        if kind == KIND_P_ALPHA_U:
+            if alpha is None or not any(alpha):
                 raise PreconditionError("alpha must be a nonzero residue-field element")
-        elif self.alpha is not None:
-            raise PreconditionError(f"family {self.kind} carries no alpha")
+        elif alpha is not None:
+            raise PreconditionError(f"family {kind} carries no alpha")
+        self.kind, self.index, self.alpha = kind, index, alpha
 
     def sort_key(self) -> tuple:
         return (_KIND_ORDER[self.kind], self.index, self.alpha or ())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import fppoly
@@ -28,14 +27,14 @@ from .metrics import WordR, hamming_weight, min_distance
 from .poly import (RPoly, divmod_monic, factor_xn_minus_1, is_basic_primitive, parse_r_poly,
                    teichmuller_lift, xn_minus_1)
 from .ring import IdealDescriptor, RingElem, ideal_descriptors, make_ring
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CheckResult(Value):
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
+        self.name, self.passed, self.detail, self.seconds = name, passed, detail, seconds
 
     def to_json(self) -> dict:
         return {

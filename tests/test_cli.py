@@ -403,7 +403,7 @@ _IMPORT_PROBE = """
 import json, sys
 import zqu, zqu.cli
 codes = [zqu.cli.main(argv) for argv in json.loads(sys.argv[1])]
-loaded = [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+loaded = [m for m in ("numpy", "concurrent.futures", "dataclasses", "csv") if m in sys.modules]
 print(json.dumps({"exit": codes, "loaded": loaded}), file=sys.stderr)
 """
 
@@ -413,7 +413,8 @@ DISTANCE_README = ["distance", "--n", "7", "--p", "2", "--s", "2", "--gens",
 
 def probe_imports(*argvs):
     """Run zqu.cli.main on each argv in one fresh interpreter; return its
-    stdout and which of numpy / concurrent.futures it loaded."""
+    stdout and which of numpy / concurrent.futures / dataclasses / csv it
+    loaded."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True)
     return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
@@ -427,6 +428,28 @@ def test_algebra_commands_load_neither_numpy_nor_thread_pool():
          "x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1"],
     )
     assert report == {"exit": [0, 0, 0], "loaded": []}
+
+
+def test_csv_output_loads_csv():
+    _, report = probe_imports(["codes", "--n", "3", "--p", "2", "--s", "2", "--count",
+                               "--format", "csv"])
+    assert report == {"exit": [0], "loaded": ["csv"]}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_closed_stdout_exits_0_without_traceback(fmt):
+    # The reader keeps one line and closes the pipe, as `| head -1` does.  The
+    # 2,000 codes make about 300 kB, more than the pipe holds, so the writer
+    # meets the closed end.
+    argv = CMD + ["codes", "--n", "7", "--p", "2", "--s", "3", "--enumerate",
+                  "--limit", "2000", "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"[1] |C| = " if fmt == "text" else b"index,generators,")
+    assert (code, err) == (0, b"")
 
 
 def test_single_thread_distance_loads_numpy_only():
@@ -452,6 +475,31 @@ def test_src_reads_no_environment():
     readers = [path.name for path in sources
                if re.search(r"\b(environ|getenv|env_int)\b", path.read_text())]
     assert readers == []
+
+
+def test_src_has_one_value_class_implementation():
+    # every value class derives from zqu.value.Value
+    import ast
+
+    import zqu
+
+    sources = sorted(pathlib.Path(zqu.__file__).parent.glob("*.py"))
+    assert "value.py" in [path.name for path in sources]
+    banned = {"dataclasses", "collections.namedtuple", "typing.NamedTuple"}
+    users = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {f"{node.value.id}.{node.attr}"}
+            else:
+                continue
+            if names & banned:
+                users.append(path.name)
+    assert users == []
 
 
 def test_zqu_environment_variables_change_nothing():
