@@ -1,5 +1,8 @@
 """Exact algebra and analysis of cyclic codes over R = Z_q + uZ_q (u^2 = 0)."""
 
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
 from .ring import (
     IdealDescriptor,
     RingElem,
@@ -38,14 +41,32 @@ from .codes import (
     count_cyclic_codes,
     enumerate_cyclic_codes,
 )
-from .metrics import (
-    DistanceReport,
-    WordR,
-    gray_map,
-    hamming_weight,
-    lee_weight_z4,
-    min_distance,
-    phi_map,
-)
 
 __version__ = "0.1.0"
+
+# The metric names and the default word budget of a scan: the CLI parser
+# reads them without loading `zqu.metrics`.
+METRIC_HAMMING = "hamming"
+METRIC_LEE = "lee"
+METRIC_GRAY_HAMMING = "gray-hamming"
+METRICS = (METRIC_HAMMING, METRIC_LEE, METRIC_GRAY_HAMMING)
+DEFAULT_DISTANCE_BUDGET = 1 << 24
+
+
+# Only `distance` and verify-paper scan, so no other command runs the body of
+# `zqu.metrics`.  It still sits in sys.modules and on the package, as when it
+# was imported eagerly: the first attribute read runs it, and the package
+# serves the names it re-exports from it on first use.
+_spec = find_spec(f"{__name__}.metrics")
+_spec.loader = LazyLoader(_spec.loader)
+metrics = module_from_spec(_spec)
+sys.modules[_spec.name] = metrics
+_spec.loader.exec_module(metrics)
+_FROM_METRICS = frozenset({"DistanceReport", "WordR", "gray_map", "hamming_weight",
+                           "lee_weight_z4", "min_distance", "phi_map"})
+
+
+def __getattr__(name: str):
+    if name in _FROM_METRICS:
+        return getattr(metrics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,6 +15,7 @@ import os
 import sys
 from typing import Iterable
 
+from . import DEFAULT_DISTANCE_BUDGET, METRICS, metrics
 from .codes import (
     CyclicCode,
     count_cyclic_codes,
@@ -27,7 +28,6 @@ from .errors import (
     PreconditionError,
     ZquError,
 )
-from .metrics import DEFAULT_DISTANCE_BUDGET, METRICS, min_distance
 from .poly import factor_xn_minus_1, format_r_poly, is_basic_primitive, parse_r_poly, r_poly_to_json
 from .ring import make_ring
 
@@ -210,7 +210,7 @@ def _cmd_distance(args) -> int:
     gens = _parse_gens(args.gens, params, args.n)
     code = CyclicCode(args.n, params, gens, args.closure)
     try:
-        report = min_distance(code, args.metric, budget=args.budget, threads=args.threads)
+        report = metrics.min_distance(code, args.metric, budget=args.budget, threads=args.threads)
     except DistanceUndefinedError as exc:
         payload = {"command": "distance", "metric": args.metric, "defined": False,
                    "reason": str(exc)}

@@ -119,7 +119,8 @@ class CyclicCode:
         the ideal of R[x]/(x^n - 1), or in module closure the Z_q[x]-span."""
         if self._span is None:
             self._span = ideal_span_mod(self.generators, xn_minus_1(self.params, self.n),
-                                        with_u=self.closure_mode == MODE_IDEAL)
+                                        with_u=self.closure_mode == MODE_IDEAL,
+                                        factors=factor_xn_minus_1(self.n, self.params).factors)
         return self._span
 
     def fingerprint(self) -> tuple:

@@ -9,7 +9,7 @@ give the census ideals as spans and, over R, as explicit element sets.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import GuardExceededError
 from .howell import ZqSpan
@@ -26,7 +26,8 @@ def unit_group_order(p: int, s: int, m: int) -> int:
     return (p**m - 1) * p ** ((2 * s - 1) * m)
 
 
-def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True) -> ZqSpan:
+def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True,
+                   factors: Optional[Sequence[RPoly]] = None) -> ZqSpan:
     """The ideal that `gens` (reduced mod f here) generate in R[x]/(f), f
     monic of degree m, as a Z_q-span inside Z_q^{2m} (a-coordinates first,
     then u-coordinates).  With `with_u` false, only the Z_q[x]-span.
@@ -34,6 +35,13 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True) -> ZqSp
     Multiplier rows x^k * g and u * x^k * g for k < m suffice: any scalar
     sum_k (a_k + b_k u) x^k acts through them Z_q-linearly.  Each x^k * g
     comes from the previous one by a shift and one subtraction of f.
+
+    `factors`, if given, are pairwise coprime monic polynomials of Z_q[x]
+    whose product is f; then k < d_g suffices, d_g = sum of deg f_l over
+    the f_l that do not divide g.  Their product mu_g is monic of degree d_g
+    in Z_q[x] and, by the CRT, mu_g * g = 0 mod f.  So x^{d_g} * g =
+    (x^{d_g} - mu_g) * g is a Z_q-combination of the lower shifts, and by
+    induction so is every later shift and its u-multiple, in both closures.
     """
     params, m = f.params, f.degree
     q = params.q
@@ -42,9 +50,11 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True) -> ZqSp
     for g in gens:
         if g.degree >= m:
             g = divmod_monic(g, f)[1]
+        d = m if factors is None else sum(h.degree for h in factors
+                                          if not divmod_monic(g, h)[1].is_zero())
         a = list(g.a.coeffs) + [0] * (m - len(g.a.coeffs))
         b = list(g.b.coeffs) + [0] * (m - len(g.b.coeffs))
-        for _ in range(m):
+        for _ in range(d):
             rows.append(a + b)
             if with_u:
                 rows.append([0] * m + a)

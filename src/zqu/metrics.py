@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
+from . import DEFAULT_DISTANCE_BUDGET, METRIC_GRAY_HAMMING, METRIC_HAMMING, METRIC_LEE, METRICS
 from .codes import CyclicCode
 from .errors import (
     DistanceUndefinedError,
@@ -27,19 +28,11 @@ from .poly import RPoly
 from .ring import RingElem, RingParams
 from .value import Value
 
-METRIC_HAMMING = "hamming"
-METRIC_LEE = "lee"
-METRIC_GRAY_HAMMING = "gray-hamming"
-METRICS = (METRIC_HAMMING, METRIC_LEE, METRIC_GRAY_HAMMING)
-
 LEE_WEIGHT_Z4 = (0, 1, 2, 1)
 GRAY_IMAGE_Z4 = ((0, 0), (0, 1), (1, 1), (1, 0))
 
 # Largest q for which the scan builds its q*q weight table.
 MAX_DISTANCE_Q = 1 << 10
-
-# Word budget of a scan called without one.
-DEFAULT_DISTANCE_BUDGET = 1 << 24
 
 
 class WordR(Value):
@@ -176,7 +169,8 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
     q, n = code.params.q, code.n
     # One partition per worker, and no more workers than CPUs: the result
     # does not depend on the partition count.
-    threads = min(threads, os.cpu_count() or 1)
+    if threads > 1:
+        threads = min(threads, os.cpu_count() or 1)
 
     from . import kernels
 

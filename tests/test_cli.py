@@ -400,10 +400,13 @@ def test_generator_exponent_above_n_output_unchanged():
 
 
 _IMPORT_PROBE = """
-import json, sys
+import json, sys, types
 import zqu, zqu.cli
 codes = [zqu.cli.main(argv) for argv in json.loads(sys.argv[1])]
 loaded = [m for m in ("numpy", "concurrent.futures", "dataclasses", "csv") if m in sys.modules]
+# zqu.metrics sits in sys.modules from the start; it is a plain module once its body has run
+if type(sys.modules["zqu.metrics"]) is types.ModuleType:
+    loaded.append("zqu.metrics")
 print(json.dumps({"exit": codes, "loaded": loaded}), file=sys.stderr)
 """
 
@@ -413,8 +416,8 @@ DISTANCE_README = ["distance", "--n", "7", "--p", "2", "--s", "2", "--gens",
 
 def probe_imports(*argvs):
     """Run zqu.cli.main on each argv in one fresh interpreter; return its
-    stdout and which of numpy / concurrent.futures / dataclasses / csv it
-    loaded."""
+    stdout and which of numpy / concurrent.futures / dataclasses / csv /
+    zqu.metrics it loaded."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True)
     return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
@@ -454,7 +457,7 @@ def test_closed_stdout_exits_0_without_traceback(fmt):
 
 def test_single_thread_distance_loads_numpy_only():
     _, report = probe_imports(DISTANCE_README + ["--threads", "1"])
-    assert report == {"exit": [0], "loaded": ["numpy"]}
+    assert report == {"exit": [0], "loaded": ["numpy", "zqu.metrics"]}
 
 
 def test_two_thread_distance_output_matches_one_thread():

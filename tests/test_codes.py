@@ -587,6 +587,50 @@ def test_span_matches_rotation_oracle(data):
     assert c.span().fingerprint() == span_by_rotation(c).fingerprint()
 
 
+R25 = make_ring(5, 2)
+# lengths at which x^n - 1 has at least three factors
+BOUND_CASES = ([(R4, n) for n in (7, 9, 15, 21)] + [(R8, 7), (R8, 15)]
+               + [(R9, 4), (R9, 8), (R25, 4), (R25, 6)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_with_divisor_generators_matches_rotation_oracle(data):
+    # Generators that factors of x^n - 1 divide, where span() stops their
+    # shifts at d_g < n: a product of some factors times an R-multiplier
+    # (zero, p-scaled or with u-part), or u times that.
+    params, n = data.draw(st.sampled_from(BOUND_CASES))
+    factors = factor_xn_minus_1(n, params).factors
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        chosen = data.draw(st.lists(st.sampled_from(factors), unique=True))
+        g = product(chosen, params) * data.draw(r_poly_over(params, 3))
+        gens.append(g.mul_u() if data.draw(st.booleans()) else g)
+    mode = data.draw(st.sampled_from(["ideal", "module"]))
+    c = CyclicCode(n, params, gens, mode)
+    assert c.span().fingerprint() == span_by_rotation(c).fingerprint()
+
+
+def test_code_span_rows_stop_at_the_annihilator_degree(monkeypatch):
+    # 2 d_g rows per generator (d_g in module closure), d_g = n minus the
+    # degrees of the factors that divide g, instead of 2n
+    build = ZqSpan.from_rows.__func__
+    counts = []
+
+    def counting(cls, rows, p, s, ncols):
+        rows = list(rows)
+        counts.append(len(rows))
+        return build(cls, rows, p, s, ncols)
+
+    units = [IdealDescriptor("p_power", 0)] * build_crt(51, R4).t
+    codes = [CyclicCode.from_components(51, R4, units), code(R8, 15, [Z8_GEN]),
+             code(R4, 7, Z4_GENS, "module")]
+    monkeypatch.setattr(ZqSpan, "from_rows", classmethod(counting))
+    for c in codes:
+        c.span()
+    assert counts == [102, 10, 10]
+
+
 # -- membership and shifts -------------------------------------------------------------
 
 

@@ -210,6 +210,14 @@ def test_threads_capped_at_cpu_count(monkeypatch):
         single.value, single.witness, single.words_scanned)
 
 
+def test_single_thread_scan_reads_no_cpu_count(monkeypatch):
+    def refuse():
+        raise AssertionError("cpu_count read by a one-thread scan")
+
+    monkeypatch.setattr(metrics.os, "cpu_count", refuse)
+    assert min_distance(code(R4, 7, Z4_GENS, "module"), "lee").value == 4
+
+
 def test_partition_bounds_are_exact_integers():
     # np.linspace rounded these through float64: at 2^53 + 3 its last bound was 2^53 + 4.
     for stop in (2**53 + 3, 2**53 + 4, 2**63 - 1, 10**30 + 7):
