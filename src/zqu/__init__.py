@@ -5,7 +5,6 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 from .ring import (
     IdealDescriptor,
-    RingElem,
     RingParams,
     ideal_descriptors,
     make_ring,
@@ -62,8 +61,7 @@ _spec.loader = LazyLoader(_spec.loader)
 metrics = module_from_spec(_spec)
 sys.modules[_spec.name] = metrics
 _spec.loader.exec_module(metrics)
-_FROM_METRICS = frozenset({"DistanceReport", "WordR", "gray_map", "hamming_weight",
-                           "lee_weight_z4", "min_distance", "phi_map"})
+_FROM_METRICS = frozenset({"DistanceReport", "min_distance"})
 
 
 def __getattr__(name: str):

@@ -372,7 +372,7 @@ def _chain_generator(exponents: Sequence[int], crt: CrtSystem) -> ZqPoly:
     """Monic generator of the ideal with component (p^{e_l}) at each factor:
     unit-normalized sum of p^e * (product of factors with exponent > e)."""
     params = crt.params
-    zq_factors = [f.a_part() for f in crt.factorization.factors]
+    zq_factors = [f.a for f in crt.factorization.factors]
     acc = ZqPoly.zero(params)
     for e in range(params.s):
         g_e = ZqPoly.const(params, 1)
@@ -380,7 +380,8 @@ def _chain_generator(exponents: Sequence[int], crt: CrtSystem) -> ZqPoly:
             if exp > e:
                 g_e = g_e * f
         acc = acc + ZqPoly.const(params, params.p**e) * g_e
-    if acc.is_zero():  # all exponents are s and s == ... cannot happen: g_e >= 1
+    # never taken: g_0 is monic of top degree, so acc's leading coefficient is 1 mod p
+    if acc.is_zero():
         raise RuntimeError("chain generator collapsed to zero")
     return acc.monic()
 
@@ -402,12 +403,12 @@ def _canonical_form(code: CyclicCode) -> CanonicalGenerators:
     for (i_exp, _, alpha), f, e_l in zip(readings, crt.factorization.factors, crt.idempotents):
         if alpha is None or not any(alpha):
             continue
-        f_zq = f.a_part()
+        f_zq = f.a
         f0_mod = f0 % f_zq
         unit_part = ZqPoly.make(params, [c // params.p**i_exp for c in f0_mod.coeffs])
         alpha = ZqPoly.make(params, alpha)
         contrib = (alpha * unit_part) % f_zq
-        f1 = f1 + contrib * e_l.a_part()
+        f1 = f1 + contrib * e_l.a
     xn1 = xn_minus_1_zq(params, n)
     f1 = f1 % xn1
     if g1.degree == 0:

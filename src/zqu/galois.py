@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .errors import GuardExceededError
 from .howell import ZqSpan
 from .poly import RPoly, divmod_monic, xn_minus_1
-from .ring import IdealDescriptor, RingElem, RingParams, reading_generators
+from .ring import IdealDescriptor, RingParams, reading_generators
 
 # Largest q for which `ideal_elements` lists an ideal of R element by element.
 MAX_ORACLE_Q = 1 << 10
@@ -73,10 +73,10 @@ def gr_ideal_span(desc: IdealDescriptor, modulus: RPoly) -> ZqSpan:
     return ideal_span_mod([RPoly.make(params, g) for g in gens], modulus)
 
 
-def ideal_elements(desc: IdealDescriptor, params: RingParams) -> frozenset[RingElem]:
-    """Explicit element set of an ideal of R itself: the m = 1 case, over the
-    degree-1 factor x - 1 of x^1 - 1.  Guarded to desk scale."""
+def ideal_elements(desc: IdealDescriptor, params: RingParams) -> frozenset[tuple[int, int]]:
+    """Explicit element set of an ideal of R itself, as (a, b) pairs: the
+    m = 1 case, over the degree-1 factor x - 1 of x^1 - 1.  Guarded to desk
+    scale."""
     if params.q > MAX_ORACLE_Q:
         raise GuardExceededError(f"q = {params.q} exceeds the enumeration guard {MAX_ORACLE_Q}")
-    span = gr_ideal_span(desc, xn_minus_1(params, 1))
-    return frozenset(RingElem(params, a, b) for a, b in span.elements())
+    return frozenset(gr_ideal_span(desc, xn_minus_1(params, 1)).elements())

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedMetricError,
 )
 from .poly import RPoly
-from .ring import RingElem, RingParams
+from .ring import RingParams
 from .value import Value
 
 LEE_WEIGHT_Z4 = (0, 1, 2, 1)
@@ -51,9 +51,6 @@ class WordR(Value):
 
     def to_rpoly(self) -> RPoly:
         return RPoly.make(self.params, self.pairs)
-
-    def coordinates(self) -> list[RingElem]:
-        return [RingElem(self.params, a, b) for a, b in self.pairs]
 
     def __len__(self):
         return len(self.pairs)

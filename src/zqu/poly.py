@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import fppoly
 from .errors import LengthNotCoprimeError, NonMonicDivisorError, PolyParseError, PreconditionError
-from .ring import RingElem, RingParams
+from .ring import RingParams
 from .value import Value
 
 
@@ -161,9 +161,8 @@ class RPoly(Value):
 
     @classmethod
     def make(cls, params: RingParams, seq) -> "RPoly":
-        """From coefficients that are ints, (a, b) pairs or `RingElem`s."""
-        pairs = [(c.a, c.b) if isinstance(c, RingElem) else (c, 0) if isinstance(c, int) else c
-                 for c in seq]
+        """From coefficients that are ints or (a, b) pairs."""
+        pairs = [(c, 0) if isinstance(c, int) else c for c in seq]
         return cls(ZqPoly.make(params, [a for a, _ in pairs]),
                    ZqPoly.make(params, [b for _, b in pairs]))
 
@@ -189,12 +188,6 @@ class RPoly(Value):
         # Via a list, so the tuple is built at its size (see ZqSpan.from_rows).
         return tuple(list(zip_longest(self.a.coeffs, self.b.coeffs, fillvalue=0)))
 
-    def a_part(self) -> ZqPoly:
-        return self.a
-
-    def u_part(self) -> ZqPoly:
-        return self.b
-
     @property
     def degree(self) -> int:
         return max(self.a.degree, self.b.degree)
@@ -218,7 +211,7 @@ class RPoly(Value):
         return RPoly(-self.a, -self.b)
 
     def __mul__(self, other) -> "RPoly":
-        """Product with an int, a `RingElem` or an `RPoly`: (a + ub)(c + ud)
+        """Product with an int or an `RPoly`: (a + ub)(c + ud)
         = ac + u(ad + bc)."""
         c, d = (other, 0) if isinstance(other, int) else (other.a, other.b)
         return RPoly(self.a * c, self.a * d + self.b * c)
@@ -280,7 +273,7 @@ def coprime_with_witness(f: RPoly, g: RPoly):
     a0 = RPoly.make(params, [(c, 0) for c in abar])
     b0 = RPoly.make(params, [(c, 0) for c in bbar])
     delta = a0 * f + b0 * g - RPoly.one(params)
-    da, db = delta.a_part(), delta.u_part()
+    da, db = delta.a, delta.b
     # delta's a-part vanishes mod p; peel one factor of p off its residues
     r = ZqPoly.make(params, [c // p for c in da.coeffs])
     lam = ZqPoly.const(params, 1)
@@ -431,6 +424,7 @@ def is_basic_primitive(f: RPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?x(?:\^(\d+))?$|^(\d+)$")
+_U_RE = re.compile(r"(?<![\w*])u")
 
 
 def format_zq_poly(poly: ZqPoly) -> str:
@@ -476,27 +470,35 @@ def parse_zq_poly(text: str, params: RingParams, n: Optional[int] = None) -> ZqP
 
 
 def format_r_poly(poly: RPoly) -> str:
-    a, b = poly.a_part(), poly.u_part()
+    a, b = poly.a, poly.b
     if b.is_zero():
         return format_zq_poly(a)
     return f"{format_zq_poly(a)}+u*({format_zq_poly(b)})"
 
 
 def parse_r_poly(text: str, params: RingParams, n: Optional[int] = None) -> RPoly:
-    """Parse `a + u*(b)`; an optional n folds exponents as in parse_zq_poly."""
-    text = text.replace(" ", "")
-    # bare "u" is accepted as shorthand for "u*(1)"
-    text = re.sub(r"(?<![\w*])u(?!\*\()", "u*(1)", text)
-    idx = text.find("u*(")
-    if idx < 0:
-        return RPoly.from_zq(parse_zq_poly(text, params, n))
-    if not text.endswith(")"):
-        raise PolyParseError(f"unterminated u-part in {text!r}")
-    head = text[:idx].rstrip("+")
-    inner = text[idx + 3 : -1]
+    """Parse `a + u*(b)`, or `a + u` for b = 1; an optional n folds exponents
+    as in parse_zq_poly.  Errors quote `text` as given."""
+    flat = text.replace(" ", "")
+    # a u-part starts at a "u" that follows no letter, digit or "*"
+    starts = [m.start() for m in _U_RE.finditer(flat)]
+    if not starts:
+        return RPoly.from_zq(parse_zq_poly(flat, params, n))
+    if len(starts) > 1:
+        raise PolyParseError(f"more than one u-part in {text!r}")
+    idx = starts[0]
+    if flat.startswith("u*(", idx):
+        end = flat.find(")", idx)
+        if end < 0:
+            raise PolyParseError(f"unterminated u-part in {text!r}")
+        inner = flat[idx + 3 : end]
+    else:
+        end, inner = idx, "1"
+    if end != len(flat) - 1:
+        raise PolyParseError(f"the u-part (u or u*(...)) must come last in {text!r}")
+    head = flat[:idx].rstrip("+")
     a = parse_zq_poly(head, params, n) if head else ZqPoly.zero(params)
-    b = parse_zq_poly(inner, params, n)
-    return RPoly(a, b)
+    return RPoly(a, parse_zq_poly(inner, params, n))
 
 
 def r_poly_to_json(poly: RPoly) -> list[list[int]]:

@@ -3,8 +3,8 @@
 The census names four ideal families; only this module maps them to and from
 (i, j, alpha) readings and turns a reading into generators.
 
-Elements are stored as least nonnegative residue pairs (a, b) meaning a + bu.
-Every operation reduces eagerly, so equality and hashing are canonical.
+Everywhere in the package an element a + bu of R is the pair (a, b) of least
+nonnegative residues mod q: RPoly coefficients, span rows and scanned words.
 p-adic digits of Z_q run over the Teichmuller set, reached in closed form.
 """
 
@@ -53,26 +53,6 @@ class RingParams(Value):
             raise PreconditionError(f"q^2 = {p}^{2 * s} does not fit a 64-bit word")
         self.p, self.s, self.q = p, s, p**s
 
-    def elem(self, a: int, b: int = 0) -> "RingElem":
-        return RingElem(self, a % self.q, b % self.q)
-
-    @property
-    def zero(self) -> "RingElem":
-        return RingElem(self, 0, 0)
-
-    @property
-    def one(self) -> "RingElem":
-        return RingElem(self, 1, 0)
-
-    @property
-    def u(self) -> "RingElem":
-        return RingElem(self, 0, 1)
-
-    def elements(self) -> Iterator["RingElem"]:
-        for a in range(self.q):
-            for b in range(self.q):
-                yield RingElem(self, a, b)
-
     def __str__(self):
         return f"Z{self.q}+uZ{self.q}"
 
@@ -80,83 +60,6 @@ class RingParams(Value):
 def make_ring(p: int, s: int) -> RingParams:
     """Build parameters for R = Z_{p^s} + uZ_{p^s}, validating p and overflow."""
     return RingParams(p, s)
-
-
-class RingElem(Value):
-    """An element a + bu of R, both coordinates least residues mod q."""
-
-    __slots__ = ("params", "a", "b")
-
-    def __init__(self, params: RingParams, a: int, b: int):
-        self.params, self.a, self.b = params, a, b
-
-    def _check(self, other: "RingElem") -> None:
-        if self.params != other.params:
-            raise PreconditionError("mismatched ring parameters")
-
-    def __add__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        q = self.params.q
-        return RingElem(self.params, (self.a + other.a) % q, (self.b + other.b) % q)
-
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        q = self.params.q
-        return RingElem(self.params, (self.a - other.a) % q, (self.b - other.b) % q)
-
-    def __neg__(self) -> "RingElem":
-        q = self.params.q
-        return RingElem(self.params, (-self.a) % q, (-self.b) % q)
-
-    def __mul__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        q = self.params.q
-        # u^2 = 0, so (a+bu)(c+du) = ac + (ad+bc)u
-        return RingElem(
-            self.params,
-            (self.a * other.a) % q,
-            (self.a * other.b + self.b * other.a) % q,
-        )
-
-    def __pow__(self, k: int) -> "RingElem":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.params.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def is_unit(self) -> bool:
-        return self.a % self.params.p != 0
-
-    def residue(self) -> int:
-        """Image in the residue field R/(p, u) = F_p."""
-        return self.a % self.params.p
-
-    def inverse(self) -> "RingElem":
-        if not self.is_unit():
-            raise PreconditionError(f"{self} is not a unit")
-        q = self.params.q
-        ainv = pow(self.a, -1, q)
-        # (a+bu)^{-1} = a^{-1} - a^{-2} b u
-        return RingElem(self.params, ainv, (-ainv * ainv * self.b) % q)
-
-    def __str__(self):
-        if self.a == 0 and self.b == 0:
-            return "0"
-        if self.b == 0:
-            return str(self.a)
-        bu = "u" if self.b == 1 else f"{self.b}u"
-        if self.a == 0:
-            return bu
-        return f"{self.a}+{bu}"
 
 
 def teichmuller(a: int, p: int, q: int) -> int:

@@ -6,6 +6,9 @@ coefficient vectors, so library results are checked against a second route.
 Teichmuller lifts are checked against the routes the library's closed form
 replaced: quadratic Hensel lifting inside x^N - 1 and the fixed-point loop.
 
+Elements of R are (a, b) pairs, as in the library; `pair_mul` is their
+product, written out from u^2 = 0.
+
 The Galois-ring element layer (`GaloisRingCtx`, `GrElem`, `build_ctx`,
 `nth_root_of_unity`, `eval_at`) computes in GR(R, m) = R[x]/(f) by RPoly
 products and `divmod_monic`, a route independent of `ideal_span_mod`.  Ideal
@@ -28,6 +31,11 @@ from zqu.howell import ZqSpan
 from zqu.poly import (RPoly, ZqPoly, divmod_monic, is_basic_irreducible, is_basic_primitive,
                       teichmuller_lift, xn_minus_1_zq)
 from zqu.ring import IdealDescriptor, RingParams
+
+
+def pair_mul(a1, b1, a2, b2, q):
+    """(a1 + b1 u)(a2 + b2 u) = a1 a2 + (a1 b2 + b1 a2) u, on ints or numpy arrays."""
+    return (a1 * a2) % q, (a1 * b2 + b1 * a2) % q
 
 
 # -- the Galois-ring element layer ---------------------------------------------

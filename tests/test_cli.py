@@ -63,9 +63,15 @@ def test_missing_flag_exits_1():
     assert proc.returncode == 1
 
 
-def test_bad_generator_exits_1():
+def test_bad_generator_exits_1(capsys):
     proc = run("analyze", "--n", "3", "--p", "2", "--s", "2", "--gens", "x^^2")
     assert proc.returncode == 1
+    # the message quotes the generator as typed
+    import zqu.cli
+
+    assert zqu.cli.main(["analyze", "--n", "3", "--p", "2", "--s", "2", "--gens", "u*(x)+1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the u-part (u or u*(...)) must come last in 'u*(x)+1'\n")
 
 
 def test_nonprime_exits_2():
@@ -560,3 +566,18 @@ def test_cli_fuzz_gives_documented_exit_codes(monkeypatch, capsys):
         exits.append(code)
     assert time.perf_counter() - start < 10
     assert {0, 1, 2} <= set(exits)
+
+
+def test_readme_library_tour_runs():
+    # the README's "Library tour" block, run as written in a fresh
+    # interpreter, then the values its comments state
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    tour = re.search(r"## Library tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+    stated = ("import json\nprint(json.dumps([code.is_free() == g, code.cardinality(),"
+              " code.bch_bound().delta, report.value, report.exhaustive, len(fact.factors)]))\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", tour + stated], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, [2, 30], 7, 7, True, 5]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from functools import lru_cache
@@ -22,13 +23,14 @@ from zqu.errors import (
 from zqu.galois import gr_ideal_span, ideal_elements
 from zqu.howell import ZqSpan
 from zqu.poly import RPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
-from zqu.ring import IdealDescriptor, KIND_U_P_POWER, ideal_descriptors, make_ring
+from zqu.ring import IdealDescriptor, KIND_U_P_POWER, RingParams, ideal_descriptors, make_ring
 
 from helpers import (
     bch_by_evaluation,
     build_ctx,
     code_element_set,
     gr_span_by_multiplication,
+    pair_mul,
     rotate,
     span_by_rotation,
 )
@@ -116,14 +118,12 @@ def test_enumeration_n7_fingerprint_sample():
 def test_enumeration_n1_embeds_base_ring_ideals():
     codes1 = list(enumerate_cyclic_codes(1, R4))
     assert len(codes1) == 7
-    sets = set()
-    for c in codes1:
-        sets.add(frozenset((v[0], v[1]) for v in code_element_set(c)))
-    ring_sets = {
-        frozenset((e.a, e.b) for e in ideal_elements(d, R4))
-        for d in ideal_descriptors(R4.p, R4.s)
-    }
-    assert sets == ring_sets
+    sets = {frozenset((v[0], v[1]) for v in code_element_set(c)) for c in codes1}
+    assert sets == {ideal_elements(d, R4) for d in ideal_descriptors(R4.p, R4.s)}
+    # each is closed under multiplication by R
+    ring = list(itertools.product(range(R4.q), repeat=2))
+    for members in sets:
+        assert {pair_mul(a, b, c, d, R4.q) for a, b in members for c, d in ring} == members
 
 
 def test_enumeration_budget_error_past_default_budget(monkeypatch):
@@ -535,15 +535,18 @@ def test_bch_matches_evaluation_oracle_on_any_g(data):
 
 
 def test_codes_need_no_galois_ring_evaluation():
-    # the Galois-ring element layer lives only in the test oracles
+    # the element layers of GR(R, m) and of R live only in the test oracles
     import zqu.cli  # noqa: F401
     import zqu.verify  # noqa: F401
 
     layer = ("GrElem", "GaloisRingCtx", "build_ctx", "eval_at", "nth_root_of_unity",
-             "gr_ideal_elements")
+             "gr_ideal_elements", "RingElem")
     modules = {name: m for name, m in sys.modules.items() if name.split(".")[0] == "zqu"}
     assert {"zqu", "zqu.cli", "zqu.codes", "zqu.galois", "zqu.verify"} <= set(modules)
     assert [(name, attr) for name, m in modules.items() for attr in layer if hasattr(m, attr)] == []
+    # an element of R is an (a, b) pair; RingParams builds no element objects
+    assert [attr for attr in ("elem", "zero", "one", "u", "elements")
+            if hasattr(RingParams, attr)] == []
     c = code(R8, 15, [Z8_GEN])
     assert c.to_descriptor()["bch"] == {"b": 1, "delta": 7}
     assert c.bch_bound().root_exponents == (1, 2, 3, 4, 5, 6)

@@ -183,15 +183,27 @@ forced_groups = st.one_of(
 )
 
 
-def forced_plan(labels):
-    """A `_plan` that merges the coordinates with equal labels, whatever it costs."""
+# The rows a forced plan may build.  Merged rows are products of their
+# parts' counts: four coordinates over Z25 with a two-digit mid table take up
+# to 625 codes each, and one group of all four would need 625^4 rows.
+_FORCED_ROW_BYTES = 1 << 22
 
-    def plan(tree, *_):
+
+def forced_plan(labels):
+    """A `_plan` that merges the coordinates with equal labels, whatever it
+    costs in passes, while the rows of all nodes fit _FORCED_ROW_BYTES; a
+    coordinate whose merge would not fit starts a new group of its label."""
+
+    def plan(tree, blocks, epochs, width, itemsize):
+        budget = _FORCED_ROW_BYTES // (width * itemsize)
         n = len(tree.groups)
         for label in set(labels[:n]):
             coords = [c for c in range(n) if labels[c] == label]
             node = coords[0]
             for c in coords[1:]:
+                if sum(tree.counts) + tree.counts[node] * tree.counts[c] > budget:
+                    node = c
+                    continue
                 pair = (tree.groups.index(node), tree.groups.index(c))
                 assert not tree.merge([pair], math.inf, math.inf)
                 node = len(tree.counts) - 1
@@ -265,6 +277,33 @@ def test_chunked_scan_agrees(instance, chunk_words, row_bytes, mid_bytes, split,
             mp.setattr(kernels, "_plan", forced_plan(labels))
         res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
     assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
+
+
+def test_forced_group_past_the_row_budget_stays_in_memory():
+    # One forced group of four Z25 coordinates over a two-digit mid table
+    # (625 mid words, one word a block) would need up to 625^4 merged rows;
+    # the forced plan merges what fits and the scan still agrees.
+    rng = np.random.default_rng(25)
+    q, n = 25, 4
+    ranges = np.array([25, 25, 5], dtype=np.int64)
+    rows = rng.integers(0, q, size=(len(ranges), 2 * n)).astype(np.int64)
+    table = rng.integers(0, 8, size=q * q).astype(np.int64)
+    trees = []
+
+    def plan(*args):
+        trees.append(forced_plan([0, 0, 0, 0])(*args))
+        return trees[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_CHUNK_WORDS", 32)
+        mp.setattr(kernels, "_ROW_BYTES", 512)
+        mp.setattr(kernels, "_MID_BYTES", 8)
+        mp.setattr(kernels, "_split", lambda *_: (0, 2))
+        mp.setattr(kernels, "_plan", plan)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, 2585, 3065)
+    assert res == _reference_scan(rows, ranges, table, q, n, 2585, 3065)
+    assert len(trees) == 1 and trees[0].merges
+    assert sum(trees[0].counts) <= _FORCED_ROW_BYTES
 
 
 @pytest.mark.parametrize("seed, merged", [(4, True), (3, False)])

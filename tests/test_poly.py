@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,9 +26,9 @@ from zqu.poly import (
     teichmuller_lift,
     xn_minus_1,
 )
-from zqu.ring import RingElem, make_ring
+from zqu.ring import make_ring
 
-from helpers import hensel_lift, root_exponents_by_evaluation
+from helpers import hensel_lift, pair_mul, root_exponents_by_evaluation
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -100,17 +102,16 @@ def _pairs(poly, length):
     return [poly[i] for i in range(length)]
 
 
-def _oracle_sum(xs, ys, sign=1):
-    zero = xs[0].params.zero if xs else ys[0].params.zero
-    xs, ys = xs + [zero] * (len(ys) - len(xs)), ys + [zero] * (len(xs) - len(ys))
-    return [x + y if sign > 0 else x - y for x, y in zip(xs, ys)]
+def _oracle_sum(xs, ys, q, sign=1):
+    xs, ys = xs + [(0, 0)] * (len(ys) - len(xs)), ys + [(0, 0)] * (len(xs) - len(ys))
+    return [((a + sign * c) % q, (b + sign * d) % q) for (a, b), (c, d) in zip(xs, ys)]
 
 
-def _oracle_product(xs, ys):
-    out = [xs[0].params.zero] * (len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            out[i + j] = out[i + j] + x * y
+def _oracle_product(xs, ys, q):
+    out = [(0, 0)] * (len(xs) + len(ys) - 1)
+    for i, (a, b) in enumerate(xs):
+        for j, (c, d) in enumerate(ys):
+            out[i + j] = _oracle_sum([out[i + j]], [pair_mul(a, b, c, d, q)], q)[0]
     return out
 
 
@@ -118,28 +119,36 @@ def _oracle_product(xs, ys):
 @given(st.sampled_from([R4, R8, R9, make_ring(5, 2)]), st.integers(1, 8), st.data())
 def test_rpoly_arithmetic_matches_ring_element_convolution(params, n, data):
     """+, -, *, mul_u and reduce_cyclic against sums and products of
-    `RingElem`s, coefficient by coefficient (u-parts included)."""
+    (a, b) pairs, coefficient by coefficient (u-parts included)."""
     q = params.q
-    elem = st.builds(lambda a, b: RingElem(params, a, b), st.integers(0, q - 1), st.integers(0, q - 1))
-    xs = data.draw(st.lists(elem, min_size=1, max_size=7))
-    ys = data.draw(st.lists(elem, min_size=1, max_size=7))
-    scalar = data.draw(elem)
+    pair = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+    xs = data.draw(st.lists(pair, min_size=1, max_size=7))
+    ys = data.draw(st.lists(pair, min_size=1, max_size=7))
+    scalar = data.draw(pair)
     k = data.draw(st.integers(-q, 2 * q))
     f, g = RPoly.make(params, xs), RPoly.make(params, ys)
     width = max(len(xs) + len(ys), n)
-    as_pairs = lambda elems: [(e.a, e.b) for e in elems] + [(0, 0)] * (width - len(elems))
-    assert _pairs(f + g, width) == as_pairs(_oracle_sum(xs, ys))
-    assert _pairs(f - g, width) == as_pairs(_oracle_sum(xs, ys, -1))
-    assert _pairs(-f, width) == as_pairs([-x for x in xs])
-    assert _pairs(f * g, width) == as_pairs(_oracle_product(xs, ys))
-    assert _pairs(f * scalar, width) == as_pairs([x * scalar for x in xs])
-    assert _pairs(f * k, width) == _pairs(k * f, width) == as_pairs([x * params.elem(k) for x in xs])
-    assert _pairs(f.mul_u(), width) == as_pairs([params.u * x for x in xs])
-    folded = [params.zero] * n
-    for i, x in enumerate(_oracle_product(xs, ys)):
-        folded[i % n] = folded[i % n] + x
-    assert _pairs((f * g).reduce_cyclic(n), width) == as_pairs(folded)
+    padded = lambda pairs: pairs + [(0, 0)] * (width - len(pairs))
+    assert _pairs(f + g, width) == padded(_oracle_sum(xs, ys, q))
+    assert _pairs(f - g, width) == padded(_oracle_sum(xs, ys, q, -1))
+    assert _pairs(-f, width) == padded(_oracle_sum([], xs, q, -1))
+    assert _pairs(f * g, width) == padded(_oracle_product(xs, ys, q))
+    assert _pairs(f * RPoly.make(params, [scalar]), width) == padded(_oracle_product(xs, [scalar], q))
+    assert _pairs(f * k, width) == _pairs(k * f, width) == padded(_oracle_product(xs, [(k, 0)], q))
+    assert _pairs(f.mul_u(), width) == padded(_oracle_product(xs, [(0, 1)], q))
+    folded = [(0, 0)] * n
+    for i, x in enumerate(_oracle_product(xs, ys, q)):
+        folded[i % n] = _oracle_sum([folded[i % n]], [x], q)[0]
+    assert _pairs((f * g).reduce_cyclic(n), width) == padded(folded)
     assert (f * g).reduce_cyclic(n).degree < n
+
+
+def test_make_takes_ints_and_pairs():
+    # an int c is the pair (c, 0); both parts reduce mod q and strip
+    assert RPoly.make(R4, [5, (6, -1), 0, (4, 8)]) == RPoly.make(R4, [(1, 0), (2, 3)])
+    assert RPoly.make(R4, [3, 1]) == rpoly(R4, "x+3")
+    assert RPoly.make(R9, [(0, 2)]) == rpoly(R9, "0+u*(2)")
+    assert RPoly.make(R4, [(4, 0), 0]).is_zero()
 
 
 # -- coprimality witnesses -------------------------------------------------------
@@ -219,8 +228,8 @@ def test_hensel_postconditions_per_factor(n, params):
     for f in factor_xn_minus_1(n, params).factors:
         res = list(f.residue())
         assert fppoly.is_irreducible(res, params.p)
-        assert teichmuller_lift(res, params) == f.a_part()
-        assert hensel_lift(res, params) == f.a_part()
+        assert teichmuller_lift(res, params) == f.a
+        assert hensel_lift(res, params) == f.a
         order = fppoly.order_of_x(res, params.p)
         assert divmod_monic(xn_minus_1(params, order), f)[1].is_zero()
 
@@ -371,5 +380,15 @@ def test_parse_errors():
         parse_r_poly("x^", R4)
     with pytest.raises(PolyParseError):
         parse_r_poly("", R4)
-    with pytest.raises(PolyParseError):
-        parse_r_poly("x+u*(3", R4)
+    # errors quote the text as given and name the rule it breaks
+    for text, message in [
+        ("x+u*(3", "unterminated u-part in 'x+u*(3'"),
+        ("x+u+u", "more than one u-part in 'x+u+u'"),
+        ("u*(u)", "more than one u-part in 'u*(u)'"),
+        ("u*(x)+1", "the u-part (u or u*(...)) must come last in 'u*(x)+1'"),
+        ("u * (x) + 1", "must come last in 'u * (x) + 1'"),
+        ("u*x", "must come last in 'u*x'"),
+        ("2u*(x)", "cannot parse polynomial term '2u*(x)'"),
+    ]:
+        with pytest.raises(PolyParseError, match=re.escape(message)):
+            parse_r_poly(text, R4)

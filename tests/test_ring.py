@@ -1,12 +1,13 @@
+import itertools
 import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from zqu.errors import GuardExceededError, PreconditionError
-from zqu.galois import ideal_elements
+from zqu.galois import ideal_elements, unit_group_order
+from zqu.poly import RPoly, parse_r_poly
 from zqu.ring import (
     IdealDescriptor,
     KIND_P_AND_U,
@@ -21,7 +22,7 @@ from zqu.ring import (
     teichmuller_set,
 )
 
-from helpers import teichmuller_loop
+from helpers import pair_mul, teichmuller_loop
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -58,45 +59,57 @@ def test_make_ring_largest_word():
     assert make_ring(65521, 1).q == 65521
 
 
+def elements(params):
+    return list(itertools.product(range(params.q), repeat=2))
+
+
 def test_mul_examples():
-    assert R4.elem(1, 1) * R4.elem(1, 3) == R4.elem(1, 0)
-    assert R4.elem(2, 1) * R4.elem(2, 1) == R4.zero
-    assert R8.elem(3, 2) * R8.elem(5, 1) == R8.elem(7, 5)
-    with pytest.raises(PreconditionError):
-        R4.elem(1, 0) * R8.elem(1, 0)
+    def mul(params, x, y):
+        return RPoly.make(params, [x]) * RPoly.make(params, [y])
+
+    assert mul(R4, (1, 1), (1, 3)) == RPoly.make(R4, [(1, 0)]) == RPoly.one(R4)
+    assert mul(R4, (2, 1), (2, 1)).is_zero()
+    assert mul(R8, (3, 2), (5, 1)) == RPoly.make(R8, [(7, 5)])
 
 
 def test_unit_examples():
-    assert R4.elem(1, 3).is_unit()
-    assert not R4.elem(2, 1).is_unit()
-    assert sum(1 for e in R4.elements() if e.is_unit()) == 8
+    one = RPoly.one(R4)
+    # (1 + 3u)^{-1} = 1^{-1} - 1^{-2} * 3u = 1 + u
+    assert RPoly.make(R4, [(1, 3)]) * RPoly.make(R4, [(1, 1)]) == one
+    x = RPoly.make(R4, [(2, 1)])
+    assert all(x * RPoly.make(R4, [y]) != one for y in elements(R4))
+    assert sum(1 for a, b in elements(R4) if a % R4.p) == 8
 
 
 @pytest.mark.parametrize("params", [R4, R8, R9, make_ring(2, 4)])
 def test_unit_iff_invertible_exhaustive(params):
-    elements = list(params.elements())
-    for x in elements:
-        has_inverse = any((x * y) == params.one for y in elements)
-        assert x.is_unit() == has_inverse
-        if x.is_unit():
-            assert x * x.inverse() == params.one
+    # a + bu is invertible iff p does not divide a, and there are
+    # unit_group_order(p, s, 1) of them
+    pairs = elements(params)
+    units = [(a, b) for a, b in pairs
+             if any(pair_mul(a, b, c, d, params.q) == (1, 0) for c, d in pairs)]
+    assert units == [(a, b) for a, b in pairs if a % params.p]
+    assert len(units) == unit_group_order(params.p, params.s, 1)
 
 
 def test_residue_examples():
-    assert R4.elem(3, 1).residue() == 1
-    assert R9.elem(6, 8).residue() == 0
+    # the image in R/(p, u) = F_p, stripped: a zero residue is ()
+    assert RPoly.make(R4, [(3, 1)]).residue() == (1,)
+    assert RPoly.make(R9, [(6, 8)]).residue() == ()
+    assert RPoly.make(R9, [(6, 8), (4, 0)]).residue() == (0, 1)
 
 
 def test_residue_is_homomorphism_q8():
     p = R8.p
-    for x in R8.elements():
-        for y in R8.elements():
-            assert (x * y).residue() == (x.residue() * y.residue()) % p
-            assert (x + y).residue() == (x.residue() + y.residue()) % p
+    consts = {x: RPoly.make(R8, [x]) for x in elements(R8)}
 
+    def residue(poly):
+        return poly.residue()[0] if poly.residue() else 0
 
-def _vec_mul(a1, b1, a2, b2, q):
-    return (a1 * a2) % q, (a1 * b2 + b1 * a2) % q
+    for fx in consts.values():
+        for fy in consts.values():
+            assert residue(fx * fy) == (residue(fx) * residue(fy)) % p
+            assert residue(fx + fy) == (residue(fx) + residue(fy)) % p
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -108,17 +121,17 @@ def test_ring_axioms_exhaustive(p, s):
     a, b = idx // q, idx % q
     xa, xb = a[:, None], b[:, None]
     ya, yb = a[None, :], b[None, :]
-    xya, xyb = _vec_mul(xa, xb, ya, yb, q)
-    assert np.array_equal(xya, _vec_mul(ya, yb, xa, xb, q)[0])
-    assert np.array_equal(xyb, _vec_mul(ya, yb, xa, xb, q)[1])
+    xya, xyb = pair_mul(xa, xb, ya, yb, q)
+    assert np.array_equal(xya, pair_mul(ya, yb, xa, xb, q)[0])
+    assert np.array_equal(xyb, pair_mul(ya, yb, xa, xb, q)[1])
     for za, zb in zip(a, b):
-        lhs = _vec_mul(xya, xyb, za, zb, q)
-        yza, yzb = _vec_mul(ya, yb, za, zb, q)
-        rhs = _vec_mul(xa, xb, yza, yzb, q)
+        lhs = pair_mul(xya, xyb, za, zb, q)
+        yza, yzb = pair_mul(ya, yb, za, zb, q)
+        rhs = pair_mul(xa, xb, yza, yzb, q)
         assert np.array_equal(lhs[0], rhs[0]) and np.array_equal(lhs[1], rhs[1])
         suma, sumb = (ya + za) % q, (yb + zb) % q
-        da, db = _vec_mul(xa, xb, suma, sumb, q)
-        ea, eb = _vec_mul(xa, xb, za, zb, q)
+        da, db = pair_mul(xa, xb, suma, sumb, q)
+        ea, eb = pair_mul(xa, xb, za, zb, q)
         assert np.array_equal(da, (xya + ea) % q) and np.array_equal(db, (xyb + eb) % q)
 
 
@@ -166,11 +179,9 @@ def test_census_q2_is_three_named_ideals():
 
 def test_ideal_element_examples():
     u_ideal = IdealDescriptor(KIND_U_P_POWER, 0)
-    elems = {(e.a, e.b) for e in ideal_elements(u_ideal, R4)}
-    assert elems == {(0, 0), (0, 1), (0, 2), (0, 3)}
+    assert ideal_elements(u_ideal, R4) == {(0, 0), (0, 1), (0, 2), (0, 3)}
     mixed = IdealDescriptor(KIND_P_ALPHA_U, 1, (1,))
-    elems = {(e.a, e.b) for e in ideal_elements(mixed, R4)}
-    assert elems == {(0, 0), (0, 2), (2, 1), (2, 3)}
+    assert ideal_elements(mixed, R4) == {(0, 0), (0, 2), (2, 1), (2, 3)}
     two_gen = IdealDescriptor(KIND_P_AND_U, 1)
     assert len(ideal_elements(two_gen, R4)) == 8
 
@@ -190,22 +201,21 @@ def test_units_and_maximal_ideal_partition():
     for params in (R4, R8, R9, make_ring(2, 4)):
         maximal = IdealDescriptor(KIND_P_AND_U, 1)  # (p, u); these rings have s >= 2
         members = ideal_elements(maximal, params)
-        units = {e for e in params.elements() if e.is_unit()}
+        units = {(a, b) for a, b in elements(params) if a % params.p}
         assert units.isdisjoint(members)
         assert len(units) + len(members) == params.q**2
 
 
 def test_every_two_generated_ideal_is_in_census():
     for params in (R4, R9):
-        census = {frozenset(ideal_elements(d, params))
-                  for d in ideal_descriptors(params.p, params.s)}
-        principal = set()
-        for g in params.elements():
-            principal.add(frozenset(r * g for r in params.elements()))
+        q = params.q
+        census = {ideal_elements(d, params) for d in ideal_descriptors(params.p, params.s)}
+        principal = {frozenset(pair_mul(a, b, c, d, q) for a, b in elements(params))
+                     for c, d in elements(params)}
         found = set(principal)
-        for a in principal:
-            for b in principal:
-                found.add(frozenset(x + y for x in a for y in b))
+        for x in principal:
+            for y in principal:
+                found.add(frozenset(((a + c) % q, (b + d) % q) for a, b in x for c, d in y))
         assert found == census
 
 
@@ -234,21 +244,8 @@ def test_descriptor_reading_round_trip(p, s):
 
 
 def test_elem_text_forms():
-    assert str(R4.elem(0, 0)) == "0"
-    assert str(R4.elem(2, 0)) == "2"
-    assert str(R4.elem(0, 3)) == "3u"
-    assert str(R4.elem(2, 1)) == "2+u"
-
-
-@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (5, 1)]), st.data())
-@settings(max_examples=60, deadline=None)
-def test_pow_matches_repeated_multiplication(ps, data):
-    params = make_ring(*ps)
-    a = data.draw(st.integers(0, params.q - 1))
-    b = data.draw(st.integers(0, params.q - 1))
-    k = data.draw(st.integers(0, 12))
-    x = params.elem(a, b)
-    expected = params.one
-    for _ in range(k):
-        expected = expected * x
-    assert x**k == expected
+    # an element a + bu is the constant RPoly of the pair (a, b)
+    forms = {(0, 0): "0", (2, 0): "2", (0, 3): "0+u*(3)", (2, 1): "2+u*(1)"}
+    for pair, text in forms.items():
+        assert str(RPoly.make(R4, [pair])) == text
+        assert parse_r_poly(text, R4) == RPoly.make(R4, [pair])

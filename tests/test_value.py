@@ -8,7 +8,7 @@ from zqu.errors import PreconditionError
 from zqu.howell import ZqSpan
 from zqu.metrics import DistanceReport, WordR
 from zqu.poly import RPoly, ZqPoly, factor_xn_minus_1
-from zqu.ring import IdealDescriptor, RingElem, RingParams, make_ring
+from zqu.ring import IdealDescriptor, RingParams, make_ring
 from zqu.value import Value
 from zqu.verify import CheckResult
 
@@ -21,7 +21,6 @@ def samples():
     word = WordR(R, ((1, 0), (0, 1)))
     return [
         R,
-        RingElem(R, 1, 2),
         IdealDescriptor("p_power_plus_alpha_u", 1, (1,)),
         ZqSpan.from_rows([[1, 2], [0, 2]], 2, 2, 2),
         X1,
@@ -39,7 +38,7 @@ def samples():
 def test_samples_cover_every_value_class():
     package = {cls for cls in Value.__subclasses__() if cls.__module__.startswith("zqu.")}
     assert {type(v) for v in samples()} == package
-    assert len(package) == 13
+    assert len(package) == 12
 
 
 @pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
@@ -67,7 +66,7 @@ def test_no_equality_across_classes():
     # same field values, different classes
     assert ZqPoly(R, ((1, 0),)) != WordR(R, ((1, 0),))
     assert WordR(R, ((1, 0),)) != ZqPoly(R, ((1, 0),))
-    assert RingElem(R, 1, 0) != (R, 1, 0)
+    assert IdealDescriptor("p_power", 0) != ("p_power", 0, None)
     assert make_ring(2, 2) != (2, 2, 4)
 
 
@@ -75,8 +74,8 @@ def test_pinned_reprs():
     assert repr(make_ring(2, 2)) == "RingParams(p=2, s=2, q=4)"
     assert repr(IdealDescriptor("p_power", 0)) == \
         "IdealDescriptor(kind='p_power', index=0, alpha=None)"
-    assert repr(RingElem(R, 1, 3)) == \
-        "RingElem(params=RingParams(p=2, s=2, q=4), a=1, b=3)"
+    assert repr(ZqPoly(R, (1, 3))) == \
+        "ZqPoly(params=RingParams(p=2, s=2, q=4), coeffs=(1, 3))"
 
 
 def test_keyword_construction():
