@@ -15,7 +15,6 @@ from .poly import (
     Factorization,
     RPoly,
     ZqPoly,
-    coprime_with_witness,
     divmod_monic,
     factor_xn_minus_1,
     format_r_poly,

@@ -30,6 +30,7 @@ from .poly import (
     check_length,
     divmod_monic,
     factor_xn_minus_1,
+    powmod,
     xn_minus_1,
     xn_minus_1_zq,
 )
@@ -62,22 +63,25 @@ class CrtSystem(Value):
 
 @lru_cache(maxsize=None)
 def build_crt(n: int, params: RingParams) -> CrtSystem:
-    """Idempotent system for R[x]/(x^n - 1); requires gcd(n, p) = 1."""
-    from .poly import coprime_with_witness
+    """Idempotent system for R[x]/(x^n - 1); requires gcd(n, p) = 1.
 
+    The factors and cofactors lie in Z_q[x].  A unit of the Galois ring
+    Z_q[x]/(f), m = deg f, is a Teichmuller part (order | p^m - 1) times
+    1 + p*e (order | p^(s-1)); so b = fhat^(N - 1) mod f, N = (p^m - 1) p^(s-1),
+    inverts fhat, and b * fhat mod (x^n - 1) is 1 at f and 0 at the others.
+    """
+    p, s = params.p, params.s
     fact = factor_xn_minus_1(n, params)
     cofactors = []
     idempotents = []
-    whole = xn_minus_1(params, n)
+    whole = xn_minus_1_zq(params, n)
     for f in fact.factors:
-        fhat, rem = divmod_monic(whole, f)
+        fhat, rem = divmod(whole, f.a)
         assert rem.is_zero()
-        w = coprime_with_witness(f, fhat)
-        if w is None:
-            raise RuntimeError("factor and cofactor unexpectedly not coprime")
-        b = w[1]  # a*f + b*fhat = 1
-        cofactors.append(fhat)
-        idempotents.append((b * fhat).reduce_cyclic(n))
+        m = f.degree
+        b = powmod(fhat % f.a, (p**m - 1) * p ** (s - 1) - 1, f.a)
+        cofactors.append(RPoly.from_zq(fhat))
+        idempotents.append(RPoly.from_zq((b * fhat).reduce_cyclic(n)))
     return CrtSystem(n, params, fact, tuple(cofactors), tuple(idempotents))
 
 

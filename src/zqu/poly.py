@@ -2,9 +2,11 @@
 
 Coefficients are little-endian with trailing zeros stripped.  An R-polynomial
 a + u*b holds its two parts as Z_q-polynomials, so Z_q[x] arithmetic has one
-implementation; u^2 = 0 keeps multiplication a single cross term.  Includes coprimality with exact Bezout
-witnesses, Teichmuller lifts of irreducible polynomials over F_p, and the
-complete factorization of x^n - 1 into basic irreducible polynomials.
+implementation; u^2 = 0 keeps multiplication a single cross term.  F_p[x] is
+the same arithmetic at s = 1, over `residue_field(p)`: on it sit the
+irreducibility and primitivity tests, the order of x and the canonical
+primitive polynomials.  Teichmuller lifts carry irreducible polynomials over
+F_p to Z_q, and x^n - 1 factors completely into basic irreducible polynomials.
 """
 
 from __future__ import annotations
@@ -15,17 +17,20 @@ from functools import lru_cache, reduce
 from itertools import zip_longest
 from typing import Optional
 
-from . import fppoly
 from .errors import LengthNotCoprimeError, NonMonicDivisorError, PolyParseError, PreconditionError
-from .ring import RingParams
+from .ring import RingParams, base_digits, prime_factors
 from .value import Value
 
 
-def _strip(seq):
-    out = list(seq)
+def _strip(out: list) -> list:
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def _same_ring(f: "ZqPoly", g: "ZqPoly") -> None:
+    if f.params.q != g.params.q:
+        raise PreconditionError(f"a polynomial over Z{f.params.q} meets one over Z{g.params.q}")
 
 
 class ZqPoly(Value):
@@ -64,10 +69,12 @@ class ZqPoly(Value):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "ZqPoly") -> "ZqPoly":
+        _same_ring(self, other)
         return ZqPoly.make(self.params, [x + y for x, y in
                                          zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other: "ZqPoly") -> "ZqPoly":
+        _same_ring(self, other)
         return ZqPoly.make(self.params, [x - y for x, y in
                                          zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
@@ -77,6 +84,7 @@ class ZqPoly(Value):
     def __mul__(self, other) -> "ZqPoly":
         if isinstance(other, int):
             return ZqPoly.make(self.params, [c * other for c in self.coeffs])
+        _same_ring(self, other)
         if self.is_zero() or other.is_zero():
             return ZqPoly.zero(self.params)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -102,8 +110,10 @@ class ZqPoly(Value):
             acc[i % n] += c
         return ZqPoly.make(self.params, acc)
 
-    def __divmod__(self, divisor: "ZqPoly"):
-        """Long division; the divisor's leading coefficient must be a unit."""
+    def _divide(self, divisor: "ZqPoly") -> tuple[list[int], list[int]]:
+        """Long division by a divisor with a unit leading coefficient: the
+        quotient's coefficients, and the remainder's not yet reduced mod q."""
+        _same_ring(self, divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         q = self.params.q
@@ -121,16 +131,17 @@ class ZqPoly(Value):
                 quo[k] = c
                 for i, b in enumerate(divisor.coeffs):
                     rem[k + i] -= c * b
-        return ZqPoly.make(self.params, quo), ZqPoly.make(self.params, rem[:dd])
+        return quo, rem[:dd]
+
+    def __divmod__(self, divisor: "ZqPoly"):
+        quo, rem = self._divide(divisor)
+        return ZqPoly.make(self.params, quo), ZqPoly.make(self.params, rem)
 
     def __mod__(self, divisor: "ZqPoly") -> "ZqPoly":
-        return divmod(self, divisor)[1]
-
-    def __floordiv__(self, divisor: "ZqPoly") -> "ZqPoly":
-        return divmod(self, divisor)[0]
+        return ZqPoly.make(self.params, self._divide(divisor)[1])
 
     def divides(self, other: "ZqPoly") -> bool:
-        return divmod(other, self)[1].is_zero()
+        return (other % self).is_zero()
 
     def monic(self) -> "ZqPoly":
         """Scale by the inverse of the (unit) leading coefficient."""
@@ -256,60 +267,119 @@ def xn_minus_1_zq(params: RingParams, n: int) -> ZqPoly:
     return ZqPoly.make(params, [-1] + [0] * (n - 1) + [1])
 
 
-def coprime_with_witness(f: RPoly, g: RPoly):
-    """Exact Bezout witnesses (a, b) with a*f + b*g = 1 over R, or None.
-
-    Witnesses exist precisely when the residues of f and g are coprime over
-    F_p; the lift inverts 1 + p*r + u*t via the finite geometric series in
-    p*r and the complement of u*t.
-    """
-    if f.is_zero() or g.is_zero():
-        raise PreconditionError("coprimality is only defined for nonzero polynomials")
-    params = f.params
-    p, q, s = params.p, params.q, params.s
-    d, abar, bbar = fppoly.xgcd(list(f.residue()), list(g.residue()), p)
-    if len(d) != 1:
-        return None
-    a0 = RPoly.make(params, [(c, 0) for c in abar])
-    b0 = RPoly.make(params, [(c, 0) for c in bbar])
-    delta = a0 * f + b0 * g - RPoly.one(params)
-    da, db = delta.a, delta.b
-    # delta's a-part vanishes mod p; peel one factor of p off its residues
-    r = ZqPoly.make(params, [c // p for c in da.coeffs])
-    lam = ZqPoly.const(params, 1)
-    term = ZqPoly.const(params, 1)
-    minus_pr = ZqPoly.make(params, [-p * c for c in r.coeffs])
-    for _ in range(1, s):
-        term = term * minus_pr
-        lam = lam + term
-    lam_r = RPoly.from_zq(lam)
-    tau = RPoly.one(params) - (RPoly.from_zq(db * lam)).mul_u()
-    kappa = lam_r * tau
-    return kappa * a0, kappa * b0
-
-
-def _powmod(base: ZqPoly, e: int, modulus: ZqPoly) -> ZqPoly:
+def powmod(base: ZqPoly, e: int, modulus: ZqPoly) -> ZqPoly:
+    """base^e mod modulus, by square and multiply."""
     result = ZqPoly.const(base.params, 1)
     while e:
         if e & 1:
             result = (result * base) % modulus
-        base = (base * base) % modulus
         e >>= 1
+        if e:
+            base = (base * base) % modulus
     return result
 
 
+# ---------------------------------------------------------------------------
+# F_p[x]: ZqPoly over residue_field(p).
+# ---------------------------------------------------------------------------
+
+
 @lru_cache(maxsize=None)
-def _teichmuller_root(gbar: tuple[int, ...], params: RingParams) -> tuple[ZqPoly, ZqPoly]:
-    """(G, T) with G = gbar read over Z_q and T = x^(p^(m(s-1))) mod G.
+def residue_field(p: int) -> RingParams:
+    """F_p as Z_p, the ring with s = 1."""
+    return RingParams(p, 1)
+
+
+def _gcd(f: ZqPoly, g: ZqPoly) -> ZqPoly:
+    """A gcd of f and g over a field, up to a unit."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f
+
+
+def is_irreducible(f: ZqPoly) -> bool:
+    """Rabin's test over F_p: x^(p^d) = x mod f, and x^(p^(d/l)) - x is prime
+    to f for every prime l dividing d = deg f."""
+    p, d = f.params.p, f.degree
+    if d < 1:
+        return False
+    x = ZqPoly(f.params, (0, 1))
+    if powmod(x, p**d, f) != x % f:
+        return False
+    return all(_gcd(powmod(x, p ** (d // ell), f) - x, f).degree == 0 for ell in prime_factors(d))
+
+
+def order_of_x(f: ZqPoly) -> int:
+    """Multiplicative order of x modulo an irreducible f over F_p, a divisor
+    of p^d - 1 (f must not be divisible by x)."""
+    if f[0] == 0:
+        raise PreconditionError("x divides f; order undefined")
+    order = f.params.p ** f.degree - 1
+    for ell in prime_factors(order):
+        while order % ell == 0 and powmod(ZqPoly(f.params, (0, 1)), order // ell, f).coeffs == (1,):
+            order //= ell
+    return order
+
+
+def _x_has_order(f: ZqPoly, n: int, primes: list[int]) -> bool:
+    """x has order n mod f: x is a unit (f(0) != 0) with x^(n+1) = x, and
+    x^(n/l) != 1 for each prime l | n (the `primes`).  n + 1 = p^d takes
+    fewer multiplications than n."""
+    x = ZqPoly(f.params, (0, 1))
+    return (f[0] != 0 and powmod(x, n + 1, f) == x % f
+            and all(powmod(x, n // ell, f).coeffs != (1,) for ell in primes))
+
+
+def is_primitive(f: ZqPoly) -> bool:
+    """x has order p^d - 1 mod f, d = deg f >= 1.  That many units leave no
+    nonzero non-unit in F_p[x]/(f), which is then a field: f is irreducible."""
+    n = f.params.p ** f.degree - 1
+    return f.degree >= 1 and _x_has_order(f, n, prime_factors(n))
+
+
+@lru_cache(maxsize=None)
+def smallest_primitive(p: int, m: int) -> ZqPoly:
+    """The canonical primitive polynomial of degree m over F_p: smallest when
+    coefficient vectors are compared from the leading end down."""
+    field = residue_field(p)
+    n = p**m - 1
+    primes = prime_factors(n)
+    for enc in range(p**m):
+        f = ZqPoly(field, (*base_digits(enc, p, m), 1))
+        if _x_has_order(f, n, primes):
+            return f
+    raise RuntimeError(f"no primitive polynomial of degree {m} over F_{p}")
+
+
+def cyclotomic_cosets(n: int, p: int) -> list[list[int]]:
+    """Cosets of multiplication by p on Z_n, sorted by minimal representative."""
+    seen = [False] * n
+    cosets = []
+    for a in range(n):
+        if seen[a]:
+            continue
+        coset = []
+        b = a
+        while not seen[b]:
+            seen[b] = True
+            coset.append(b)
+            b = (b * p) % n
+        cosets.append(coset)
+    return cosets
+
+
+@lru_cache(maxsize=None)
+def _teichmuller_root(gbar: ZqPoly, params: RingParams) -> tuple[ZqPoly, ZqPoly]:
+    """(G, T) with G = gbar (over F_p) read over Z_q and T = x^(p^(m(s-1))) mod G.
 
     Z_q[x]/(G) is the Galois ring of degree m = deg gbar over Z_q, and T is
     the Teichmuller lift of the residue root x (Wan 2003): the p^m-th power
     fixes a unit's Teichmuller part and sends a factor 1 + p^k*e to
     1 + p^(k+1)*e', so s - 1 such steps leave only the Teichmuller part.
     """
-    modulus = ZqPoly.make(params, gbar)
-    p, m = params.p, len(gbar) - 1
-    return modulus, _powmod(ZqPoly.make(params, [0, 1]), p ** (m * (params.s - 1)), modulus)
+    modulus = ZqPoly.make(params, gbar.coeffs)
+    p, m = params.p, gbar.degree
+    return modulus, powmod(ZqPoly.make(params, [0, 1]), p ** (m * (params.s - 1)), modulus)
 
 
 def _conjugate_product(roots, modulus: ZqPoly) -> ZqPoly:
@@ -329,20 +399,20 @@ def teichmuller_lift(gbar, params: RingParams) -> ZqPoly:
     """The unique monic lift of an irreducible gbar over F_p to Z_q that still
     divides x^N - 1, N the multiplicative order of gbar's roots: the product
     of X - T^(p^k), k < m, over the conjugates of the Teichmuller root T."""
-    coeffs = [int(c) % params.p for c in (gbar.residue() if isinstance(gbar, (ZqPoly, RPoly)) else gbar)]
-    coeffs = _strip(coeffs)
-    if not coeffs or coeffs[-1] != 1:
+    coeffs = gbar.residue() if isinstance(gbar, (ZqPoly, RPoly)) else gbar
+    g = ZqPoly.make(residue_field(params.p), coeffs)
+    if not g.is_monic():
         raise PreconditionError("input must be monic over F_p")
-    if len(coeffs) == 1:
+    if g.degree == 0:
         raise PreconditionError("input must have positive degree")
-    if coeffs[0] == 0:
+    if g[0] == 0:
         raise PreconditionError("x divides the input; it cannot divide x^N - 1")
-    if not fppoly.is_irreducible(coeffs, params.p):
+    if not is_irreducible(g):
         raise PreconditionError("input is reducible over F_p")
-    modulus, t = _teichmuller_root(tuple(coeffs), params)
+    modulus, t = _teichmuller_root(g, params)
     conjugates = [t]
     for _ in range(modulus.degree - 1):
-        conjugates.append(_powmod(conjugates[-1], params.p, modulus))
+        conjugates.append(powmod(conjugates[-1], params.p, modulus))
     return _conjugate_product(conjugates, modulus)
 
 
@@ -386,14 +456,15 @@ def factor_xn_minus_1(n: int, params: RingParams) -> Factorization:
     primitive polynomial of degree m = ord_n(p)."""
     p = params.p
     check_length(n, p)
-    m = fppoly.multiplicative_order(p, n)
-    modulus, t = _teichmuller_root(fppoly.smallest_primitive(p, m), params)
-    zeta = _powmod(t, (p**m - 1) // n, modulus)
+    cosets = cyclotomic_cosets(n, p)
+    m = len(cosets[1 % n])  # ord_n(p): the coset of 1 is {p^k mod n}
+    modulus, t = _teichmuller_root(smallest_primitive(p, m), params)
+    zeta = powmod(t, (p**m - 1) // n, modulus)
     powers = [ZqPoly.const(params, 1)]
     for _ in range(n - 1):
         powers.append((powers[-1] * zeta) % modulus)
     lifted = [(RPoly.from_zq(_conjugate_product([powers[k] for k in coset], modulus)), tuple(coset))
-              for coset in fppoly.cyclotomic_cosets(n, p)]
+              for coset in cosets]
     lifted.sort(key=lambda pair: _factor_sort_key(pair[0]))
     factors, cosets = zip(*lifted)
     fact = Factorization(n, params, factors, cosets)
@@ -404,13 +475,13 @@ def factor_xn_minus_1(n: int, params: RingParams) -> Factorization:
 def is_basic_irreducible(f: RPoly) -> bool:
     if not f.is_monic():
         raise PreconditionError("basic irreducibility is tested for monic polynomials")
-    return fppoly.is_irreducible(list(f.residue()), f.params.p)
+    return is_irreducible(ZqPoly.make(residue_field(f.params.p), f.a.coeffs))
 
 
 def is_basic_primitive(f: RPoly) -> bool:
     if not f.is_monic():
         raise PreconditionError("basic primitivity is tested for monic polynomials")
-    return fppoly.is_primitive(list(f.residue()), f.params.p)
+    return is_primitive(ZqPoly.make(residue_field(f.params.p), f.a.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,32 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
-from .fppoly import base_digits
 from .howell import pval
 from .value import Value
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division ([] for n < 2)."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def base_digits(v: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of v, least significant first."""
+    out = []
+    for _ in range(m):
+        v, d = divmod(v, p)
+        out.append(d)
+    return out
 
 
 class RingParams(Value):
@@ -47,7 +59,7 @@ class RingParams(Value):
             raise PreconditionError(f"s = {s} must be >= 1")
         if p >= 1 << 16:
             raise PreconditionError(f"p = {p} exceeds the 16-bit prime bound")
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise PreconditionError(f"p = {p} is not prime")
         if s >= 32 or p ** (2 * s) >= 1 << 63:
             raise PreconditionError(f"q^2 = {p}^{2 * s} does not fit a 64-bit word")

@@ -12,7 +12,6 @@ import itertools
 import time
 from typing import Callable
 
-from . import fppoly
 from .codes import (
     CyclicCode,
     bch_bound_of,
@@ -24,7 +23,8 @@ from .errors import ZquError
 from .galois import ideal_elements, unit_group_order
 from .howell import ZqSpan
 from .metrics import WordR, hamming_weight, min_distance
-from .poly import (RPoly, divmod_monic, factor_xn_minus_1, is_basic_primitive, parse_r_poly,
+from .poly import (RPoly, ZqPoly, divmod_monic, factor_xn_minus_1, is_basic_primitive,
+                   is_irreducible, order_of_x, parse_r_poly, residue_field, smallest_primitive,
                    teichmuller_lift, xn_minus_1)
 from .ring import IdealDescriptor, ideal_descriptors, make_ring
 from .value import Value
@@ -187,7 +187,7 @@ def check_z8_length15_chain(slow: bool = False) -> tuple[bool, str]:
     notes: list[str] = []
     r8 = make_ring(2, 3)
     # GR(Z8 + uZ8, 4) holds the 15th roots of unity: ord_15(2) = 4
-    modulus = RPoly.from_zq(teichmuller_lift(fppoly.smallest_primitive(2, 4), r8))
+    modulus = RPoly.from_zq(teichmuller_lift(smallest_primitive(2, 4), r8))
     _fail(is_basic_primitive(modulus), "modulus residue is not primitive", notes)
     _fail(str(modulus) == "x^4+4*x^3+6*x^2+3*x+1", f"modulus was {modulus}", notes)
     g = parse_r_poly(_Z8_GEN, r8)
@@ -245,12 +245,12 @@ def check_property_suite() -> tuple[bool, str]:
         params = make_ring(p, s)
         fact = factor_xn_minus_1(n, params)
         for f in fact.factors:
-            res = list(f.residue())
+            res = ZqPoly.make(residue_field(p), f.a.coeffs)
             _fail(f.is_monic(), f"factor {f} not monic", notes)
-            _fail(fppoly.is_irreducible(res, p), f"residue of {f} reducible", notes)
+            _fail(is_irreducible(res), f"residue of {f} reducible", notes)
             relift = teichmuller_lift(res, params)
             _fail(relift == f.a, f"re-lift of {f} differs", notes)
-            order = fppoly.order_of_x(res, p)
+            order = order_of_x(res)
             target = xn_minus_1(params, order)
             _fail(divmod_monic(target, f)[1].is_zero(),
                   f"{f} does not divide x^{order}-1", notes)

@@ -24,12 +24,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from zqu import fppoly
 from zqu.errors import LengthNotCoprimeError, PreconditionError
 from zqu.galois import gr_ideal_span
 from zqu.howell import ZqSpan
 from zqu.poly import (RPoly, ZqPoly, divmod_monic, is_basic_irreducible, is_basic_primitive,
-                      teichmuller_lift, xn_minus_1_zq)
+                      order_of_x, smallest_primitive, teichmuller_lift, xn_minus_1_zq)
 from zqu.ring import IdealDescriptor, RingParams
 
 
@@ -177,8 +176,8 @@ def nth_root_of_unity(n: int, params: RingParams) -> tuple[GaloisRingCtx, GrElem
         raise PreconditionError("n must be positive")
     if math.gcd(n, params.p) != 1:
         raise LengthNotCoprimeError(f"gcd({n}, {params.p}) != 1")
-    m = fppoly.multiplicative_order(params.p, n)
-    pi = fppoly.smallest_primitive(params.p, m)
+    m = next(k for k in range(1, n + 1) if pow(params.p, k, n) == 1 % n)
+    pi = smallest_primitive(params.p, m)
     modulus = RPoly.from_zq(teichmuller_lift(pi, params))
     ctx = build_ctx(modulus)
     zeta = ctx.xi ** ((params.p**m - 1) // n)
@@ -334,21 +333,33 @@ def gr_span_by_multiplication(ctx, gens):
     return ZqSpan.from_rows(rows, ctx.params.p, ctx.params.s, 2 * m)
 
 
+def fp_xgcd(f: ZqPoly, g: ZqPoly) -> tuple[ZqPoly, ZqPoly, ZqPoly]:
+    """(d, a, b) with a*f + b*g = d, the monic gcd of f and g over F_p (s = 1)
+    and not both zero, by the extended Euclidean algorithm."""
+    one, zero = ZqPoly.const(f.params, 1), ZqPoly.zero(f.params)
+    r0, r1, a0, a1, b0, b1 = f, g, one, zero, zero, one
+    while not r1.is_zero():
+        quo, rem = divmod(r0, r1)
+        r0, r1 = r1, rem
+        a0, a1 = a1, a0 - quo * a1
+        b0, b1 = b1, b0 - quo * b1
+    inv = pow(r0.leading(), -1, f.params.p)
+    return r0 * inv, a0 * inv, b0 * inv
+
+
 def _hensel_pair(target, gbar, hbar):
-    """Lift a coprime factor pair of `target` mod p to an exact pair mod q.
+    """Lift a coprime factor pair of `target` mod p (ZqPolys over F_p) to an
+    exact pair mod q.
 
     Quadratic iteration: the factorization and its Bezout witnesses are
     refined together, doubling precision each step.
     """
     params = target.params
     p, q = params.p, params.q
-    d, abar, bbar = fppoly.xgcd(gbar, hbar, p)
-    if len(d) != 1:
+    d, abar, bbar = fp_xgcd(gbar, hbar)
+    if d.degree != 0:
         raise PreconditionError("factor pair is not coprime mod p")
-    G = ZqPoly.make(params, gbar)
-    H = ZqPoly.make(params, hbar)
-    A = ZqPoly.make(params, abar)
-    B = ZqPoly.make(params, bbar)
+    G, H, A, B = (ZqPoly.make(params, f.coeffs) for f in (gbar, hbar, abar, bbar))
     one = ZqPoly.const(params, 1)
     precision = p
     while precision < q:
@@ -365,19 +376,17 @@ def _hensel_pair(target, gbar, hbar):
     return G, H
 
 
-def hensel_lift(gbar, params):
+def hensel_lift(gbar: ZqPoly, params):
     """The monic lift of an irreducible gbar over F_p (nonzero constant term)
     that divides x^N - 1, N the order of gbar's roots, by Hensel lifting the
     split x^N - 1 = gbar * cofactor mod p."""
-    coeffs = [int(c) % params.p for c in gbar]
-    root_order = fppoly.order_of_x(coeffs, params.p)
+    root_order = order_of_x(gbar)
     target = xn_minus_1_zq(params, root_order)
-    xn1 = [params.p - 1] + [0] * (root_order - 1) + [1]
-    cofactor, rem = fppoly.poly_divmod(xn1, coeffs, params.p)
-    assert not rem
-    if len(cofactor) == 1:
+    cofactor, rem = divmod(xn_minus_1_zq(gbar.params, root_order), gbar)
+    assert rem.is_zero()
+    if cofactor.degree == 0:
         return target
-    return _hensel_pair(target, coeffs, cofactor)[0]
+    return _hensel_pair(target, gbar, cofactor)[0]
 
 
 def teichmuller_loop(a, p, q):

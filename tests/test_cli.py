@@ -413,7 +413,8 @@ loaded = [m for m in ("numpy", "concurrent.futures", "dataclasses", "csv") if m 
 # zqu.metrics sits in sys.modules from the start; it is a plain module once its body has run
 if type(sys.modules["zqu.metrics"]) is types.ModuleType:
     loaded.append("zqu.metrics")
-print(json.dumps({"exit": codes, "loaded": loaded}), file=sys.stderr)
+modules = sorted(m for m in sys.modules if m.startswith("zqu."))
+print(json.dumps({"exit": codes, "loaded": loaded, "modules": modules}), file=sys.stderr)
 """
 
 DISTANCE_README = ["distance", "--n", "7", "--p", "2", "--s", "2", "--gens",
@@ -422,8 +423,9 @@ DISTANCE_README = ["distance", "--n", "7", "--p", "2", "--s", "2", "--gens",
 
 def probe_imports(*argvs):
     """Run zqu.cli.main on each argv in one fresh interpreter; return its
-    stdout and which of numpy / concurrent.futures / dataclasses / csv /
-    zqu.metrics it loaded."""
+    stdout and a report: the exit codes, which of numpy / concurrent.futures /
+    dataclasses / csv / zqu.metrics it loaded, and the sorted zqu.* modules
+    in sys.modules."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True)
     return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
@@ -436,13 +438,16 @@ def test_algebra_commands_load_neither_numpy_nor_thread_pool():
         ["analyze", "--n", "15", "--p", "2", "--s", "3", "--gens",
          "x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1"],
     )
-    assert report == {"exit": [0, 0, 0], "loaded": []}
+    # The start-up that set-up time measures: a module added here fails this test.
+    assert report == {"exit": [0, 0, 0], "loaded": [], "modules": [
+        "zqu.cli", "zqu.codes", "zqu.errors", "zqu.galois", "zqu.howell", "zqu.metrics",
+        "zqu.poly", "zqu.ring", "zqu.value"]}
 
 
 def test_csv_output_loads_csv():
     _, report = probe_imports(["codes", "--n", "3", "--p", "2", "--s", "2", "--count",
                                "--format", "csv"])
-    assert report == {"exit": [0], "loaded": ["csv"]}
+    assert (report["exit"], report["loaded"]) == ([0], ["csv"])
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
@@ -463,7 +468,7 @@ def test_closed_stdout_exits_0_without_traceback(fmt):
 
 def test_single_thread_distance_loads_numpy_only():
     _, report = probe_imports(DISTANCE_README + ["--threads", "1"])
-    assert report == {"exit": [0], "loaded": ["numpy", "zqu.metrics"]}
+    assert (report["exit"], report["loaded"]) == ([0], ["numpy", "zqu.metrics"])
 
 
 def test_two_thread_distance_output_matches_one_thread():

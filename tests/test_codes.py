@@ -55,7 +55,9 @@ def all63():
 # -- CRT system -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,params", [(3, R4), (1, R4), (7, R4), (15, R8), (5, R9)])
+@pytest.mark.parametrize("n,params", [(3, R4), (1, R4), (7, R4), (15, R8), (5, R9),
+                                      (17, R8), (51, R4), (8, R9), (4, make_ring(5, 2)),
+                                      (7, make_ring(2, 4))])
 def test_crt_idempotent_identities(n, params):
     crt = build_crt(n, params)
     total = RPoly.zero(params)

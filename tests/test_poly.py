@@ -12,23 +12,28 @@ from zqu.errors import (
 from zqu.poly import (
     RPoly,
     ZqPoly,
-    coprime_with_witness,
+    cyclotomic_cosets,
     divmod_monic,
     factor_xn_minus_1,
     format_r_poly,
     format_zq_poly,
     is_basic_irreducible,
     is_basic_primitive,
+    is_irreducible,
+    is_primitive,
+    order_of_x,
     parse_r_poly,
     parse_zq_poly,
     r_poly_from_json,
     r_poly_to_json,
+    residue_field,
+    smallest_primitive,
     teichmuller_lift,
     xn_minus_1,
 )
 from zqu.ring import make_ring
 
-from helpers import hensel_lift, pair_mul, root_exponents_by_evaluation
+from helpers import fp_xgcd, hensel_lift, pair_mul, root_exponents_by_evaluation
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -151,53 +156,20 @@ def test_make_takes_ints_and_pairs():
     assert RPoly.make(R4, [(4, 0), 0]).is_zero()
 
 
-# -- coprimality witnesses -------------------------------------------------------
+# -- one ring per operation --------------------------------------------------------
 
 
-def test_witness_example():
-    f = rpoly(R4, "x+3")
-    g = rpoly(R4, "x^2+x+1")
-    a, b = coprime_with_witness(f, g)
-    assert (a * f + b * g - RPoly.one(R4)).is_zero()
-
-
-def test_witness_absent_for_common_factor():
-    f = rpoly(R4, "x^2+x+1")
-    assert coprime_with_witness(f, f) is None
-    assert coprime_with_witness(f, f * rpoly(R4, "x+1")) is None
-
-
-def test_witness_unit_case():
-    g = rpoly(R4, "x^2+x+1")
-    a, b = coprime_with_witness(RPoly.one(R4), g)
-    assert a == RPoly.one(R4) and b.is_zero()
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(PARAMS), st.data())
-def test_witness_iff_residues_coprime(params, data):
-    import zqu.fppoly as fppoly
-
-    q = params.q
-
-    def poly():
-        deg = data.draw(st.integers(0, 3))
-        coeffs = [
-            (data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1)))
-            for _ in range(deg + 1)
-        ]
-        return RPoly.make(params, coeffs)
-
-    f, g = poly(), poly()
-    if f.is_zero() or g.is_zero():
-        return
-    gcd = fppoly.gcd(list(f.residue()), list(g.residue()), params.p)
-    witness = coprime_with_witness(f, g)
-    if len(gcd) == 1:
-        a, b = witness
-        assert (a * f + b * g - RPoly.one(params)).is_zero()
-    else:
-        assert witness is None
+def test_zq_operations_refuse_mixed_rings():
+    x = ZqPoly.make(R4, [1, 1])
+    y = ZqPoly.make(R8, [1, 2])
+    for a, b in ((x, y), (y, x)):
+        for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g, divmod):
+            with pytest.raises(PreconditionError):
+                op(a, b)
+    with pytest.raises(PreconditionError):
+        RPoly.from_zq(x) * RPoly.from_zq(y)
+    assert x * 6 == 6 * x == ZqPoly.make(R4, [2, 2])
+    assert y * ZqPoly.make(make_ring(2, 3), [3]) == ZqPoly.make(R8, [3, 6])
 
 
 # -- Teichmuller lifts (Hensel lifting as the oracle) -----------------------------
@@ -223,24 +195,23 @@ def test_hensel_rejects_bad_input():
 @pytest.mark.parametrize("n,params", [(3, R4), (7, R4), (15, R8), (5, R9),
                                       (45, R8), (63, R4), (85, R4), (91, R9)])
 def test_hensel_postconditions_per_factor(n, params):
-    import zqu.fppoly as fppoly
-
     for f in factor_xn_minus_1(n, params).factors:
-        res = list(f.residue())
-        assert fppoly.is_irreducible(res, params.p)
+        res = ZqPoly.make(residue_field(params.p), f.a.coeffs)
+        assert is_irreducible(res)
         assert teichmuller_lift(res, params) == f.a
         assert hensel_lift(res, params) == f.a
-        order = fppoly.order_of_x(res, params.p)
+        order = order_of_x(res)
         assert divmod_monic(xn_minus_1(params, order), f)[1].is_zero()
 
 
-def _monic_irreducibles(p, m):
-    import zqu.fppoly as fppoly
-
+def _monics(p, m):
+    """Every monic polynomial of degree m over F_p."""
     for enc in range(p**m):
-        coeffs = [(enc // p**i) % p for i in range(m)] + [1]
-        if coeffs[0] and fppoly.is_irreducible(coeffs, p):
-            yield coeffs
+        yield ZqPoly.make(residue_field(p), [(enc // p**i) % p for i in range(m)] + [1])
+
+
+def _monic_irreducibles(p, m):
+    return (f for f in _monics(p, m) if f[0] and is_irreducible(f))
 
 
 @pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in range(1, 9) if p**m <= 256])
@@ -270,27 +241,23 @@ def test_factor_examples():
 @pytest.mark.parametrize("n,params", [(3, R4), (7, R4), (15, R8), (5, R9), (9, R4), (4, R9),
                                       (45, R8), (63, R4), (85, R4), (91, R9)])
 def test_factor_product_and_coprimality(n, params):
-    import zqu.fppoly as fppoly
-
     fact = factor_xn_minus_1(n, params)
     assert (fact.product() - xn_minus_1(params, n)).is_zero()
     assert fact.degrees == tuple(sorted(fact.degrees))
-    cosets = fppoly.cyclotomic_cosets(n, params.p)
+    cosets = cyclotomic_cosets(n, params.p)
     assert sorted(len(c) for c in cosets) == sorted(fact.degrees)
+    residues = [ZqPoly.make(residue_field(params.p), f.a.coeffs) for f in fact.factors]
     for i, f in enumerate(fact.factors):
         assert f.is_monic() and is_basic_irreducible(f)
-        for g in fact.factors[i + 1 :]:
-            a, b = coprime_with_witness(f, g)
-            assert (a * f + b * g - RPoly.one(params)).is_zero()
+        for g in residues[i + 1 :]:
+            assert fp_xgcd(residues[i], g)[0] == ZqPoly.const(residue_field(params.p), 1)
 
 
 @pytest.mark.parametrize("n,params", [(1, R4), (3, R4), (7, R4), (9, R4), (15, R8), (17, R4),
                                       (5, R9), (8, R9)])
 def test_factor_cosets_are_the_root_exponents(n, params):
-    import zqu.fppoly as fppoly
-
     fact = factor_xn_minus_1(n, params)
-    assert sorted(fact.cosets) == sorted(tuple(c) for c in fppoly.cyclotomic_cosets(n, params.p))
+    assert sorted(fact.cosets) == sorted(tuple(c) for c in cyclotomic_cosets(n, params.p))
     for f, coset in zip(fact.factors, fact.cosets):
         assert root_exponents_by_evaluation(f, n, params) == frozenset(coset)
 
@@ -309,10 +276,56 @@ def test_basic_irreducible_primitive():
     assert is_basic_primitive(quart)
     prod = rpoly(R4, "x+3") * f2
     assert not is_basic_irreducible(prod)
-    # basic irreducible but not primitive: x^2+x+1 has order-3 roots over F_4... use
-    # a degree-2 non-primitive residue over F_3: x^2+1 (roots of order 4 < 8)
+    # basic irreducible but not primitive: x^2+1 is irreducible over F_3, and
+    # its roots have order 4, not 3^2 - 1 = 8
     nonprim = rpoly(R9, "x^2+1")
     assert is_basic_irreducible(nonprim) and not is_basic_primitive(nonprim)
+
+
+def _order_by_iteration(f):
+    """The least k >= 1 with x^k = 1 mod f, or None when x is no unit mod f:
+    a unit's order is at most the p^d - 1 nonzero classes."""
+    x = ZqPoly.make(f.params, [0, 1])
+    power, k = x % f, 1
+    while power.coeffs != (1,) and k < f.params.p ** f.degree - 1:
+        power, k = (power * x) % f, k + 1
+    return k if power.coeffs == (1,) else None
+
+
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 3), (5, 2)])
+def test_irreducible_and_primitive_match_brute_force(p, top):
+    # every monic f, reducible ones with f(0) != 0 included: x of order
+    # p^d - 1 must be refused there, since it would make F_p[x]/(f) a field
+    for d in range(1, top + 1):
+        for f in _monics(p, d):
+            irreducible = not any((f % g).is_zero()
+                                  for e in range(1, d // 2 + 1) for g in _monics(p, e))
+            order = _order_by_iteration(f)
+            assert is_irreducible(f) == irreducible, f
+            assert is_primitive(f) == (order == p**d - 1), f
+            if irreducible and f[0]:
+                assert order_of_x(f) == order, f
+
+
+# The canonical primitive polynomials, little-endian, as the list-based F_p
+# search gave them.
+SMALLEST_PRIMITIVE = {
+    (2, 1): (1, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1), (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1), (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (3, 1): (1, 1), (3, 2): (2, 1, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 1): (2, 1), (5, 2): (2, 1, 1), (5, 3): (2, 3, 0, 1),
+    (65521, 1): (17, 1),
+}
+
+
+def test_smallest_primitive_pinned():
+    for (p, m), coeffs in SMALLEST_PRIMITIVE.items():
+        f = smallest_primitive(p, m)
+        assert f == ZqPoly(residue_field(p), coeffs), (p, m)
+        assert is_primitive(f)
 
 
 # -- text grammar and JSON ---------------------------------------------------------
