@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     ZquError,
 )
-from .poly import factor_xn_minus_1, format_r_poly, is_basic_primitive, parse_r_poly, r_poly_to_json
+from .poly import factor_xn_minus_1, format_r_poly, parse_r_poly, r_poly_to_json
 from .ring import make_ring
 
 EXIT_OK = 0
@@ -78,8 +78,6 @@ def _build_parser() -> _Parser:
     pd.add_argument("--threads", type=int, default=1)
 
     pv = sub.add_parser("verify-paper", help="run the reference verification suite")
-    pv.add_argument("--slow", action="store_true",
-                    help="include the opt-in full 2^30-word Hamming sweep (under 1 s in all)")
     pv.add_argument("--format", choices=["json", "csv", "text"], default="text")
     return parser
 
@@ -123,9 +121,9 @@ def _cmd_factor(args) -> int:
             "poly": format_r_poly(f),
             "coeffs": r_poly_to_json(f),
             "degree": f.degree,
-            "basic_primitive": is_basic_primitive(f),
+            "basic_primitive": primitive,
         }
-        for f in fact.factors
+        for f, primitive in zip(fact.factors, fact.primitive)
     ]
     payload = {"command": "factor", "n": args.n, "p": args.p, "s": args.s, "factors": factors}
     if args.format == "json":
@@ -237,7 +235,7 @@ def _cmd_distance(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_all
 
-    results = run_all(slow=args.slow)
+    results = run_all()
     if args.format == "json":
         _emit_json([r.to_json() for r in results])
     elif args.format == "csv":

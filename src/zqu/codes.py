@@ -28,6 +28,7 @@ from .poly import (
     RPoly,
     ZqPoly,
     check_length,
+    cyclotomic_cosets,
     divmod_monic,
     factor_xn_minus_1,
     powmod,
@@ -86,9 +87,10 @@ def build_crt(n: int, params: RingParams) -> CrtSystem:
 
 
 def count_cyclic_codes(n: int, params: RingParams) -> int:
-    """Product over the factor degrees of the per-component ideal counts."""
-    fact = factor_xn_minus_1(n, params)
-    return math.prod(census_size(params.p, params.s, m) for m in fact.degrees)
+    """Product of census_size(p, s, |C|), one factor of x^n - 1 per p-cyclotomic coset C."""
+    check_length(n, params.p)
+    p, s = params.p, params.s
+    return math.prod(census_size(p, s, len(coset)) for coset in cyclotomic_cosets(n, p))
 
 
 MODE_IDEAL = "ideal"
@@ -234,7 +236,7 @@ class CyclicCode:
                 g = g * f
             elif (i, j) != (0, 0):
                 return None
-        return g.reduce_cyclic(self.n) if g.degree < self.n else g
+        return g
 
     def bch_bound(self) -> "BchCertificate":
         g = self.is_free()
@@ -384,10 +386,7 @@ def _chain_generator(exponents: Sequence[int], crt: CrtSystem) -> ZqPoly:
             if exp > e:
                 g_e = g_e * f
         acc = acc + ZqPoly.const(params, params.p**e) * g_e
-    # never taken: g_0 is monic of top degree, so acc's leading coefficient is 1 mod p
-    if acc.is_zero():
-        raise RuntimeError("chain generator collapsed to zero")
-    return acc.monic()
+    return acc.monic()  # g_0 is monic of top degree, so the leading coefficient is 1 mod p
 
 
 def _canonical_form(code: CyclicCode) -> CanonicalGenerators:

@@ -64,7 +64,6 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True,
     return ZqSpan.from_rows(rows, params.p, params.s, 2 * m)
 
 
-
 def gr_ideal_span(desc: IdealDescriptor, modulus: RPoly) -> ZqSpan:
     """The span of a census ideal of GR(R, m) = R[x]/(modulus), from its
     reading's generators."""

@@ -68,6 +68,9 @@ class ZqPoly(Value):
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    def __iter__(self):  # else iteration would index past the degree forever
+        return iter(self.coeffs)
+
     def __add__(self, other: "ZqPoly") -> "ZqPoly":
         _same_ring(self, other)
         return ZqPoly.make(self.params, [x + y for x, y in
@@ -212,6 +215,8 @@ class RPoly(Value):
     def __getitem__(self, i: int) -> tuple[int, int]:
         return self.a[i], self.b[i]
 
+    __iter__ = ZqPoly.__iter__  # over the (a, b) pairs
+
     def __add__(self, other: "RPoly") -> "RPoly":
         return RPoly(self.a + other.a, self.b + other.b)
 
@@ -352,7 +357,7 @@ def smallest_primitive(p: int, m: int) -> ZqPoly:
 
 
 def cyclotomic_cosets(n: int, p: int) -> list[list[int]]:
-    """Cosets of multiplication by p on Z_n, sorted by minimal representative."""
+    """Cosets of multiplication by p on Z_n, each from its least element, in that order."""
     seen = [False] * n
     cosets = []
     for a in range(n):
@@ -432,12 +437,15 @@ class Factorization(Value):
     def degrees(self) -> tuple[int, ...]:
         return tuple(f.degree for f in self.factors)
 
+    @property
+    def primitive(self) -> tuple[bool, ...]:
+        """Per factor, whether its roots zeta^k, k in C, have the order p^|C| - 1
+        of a primitive residue; their order is n / gcd(n, min C), min C = C[0]."""
+        n, p = self.n, self.params.p
+        return tuple(n // math.gcd(n, c[0]) == p ** len(c) - 1 for c in self.cosets)
+
     def product(self) -> RPoly:
         return reduce(lambda x, y: x * y, self.factors, RPoly.one(self.params))
-
-
-def _factor_sort_key(f: RPoly):
-    return (f.degree, tuple(reversed(f.a.coeffs)))
 
 
 def check_length(n: int, p: int) -> None:
@@ -465,7 +473,7 @@ def factor_xn_minus_1(n: int, params: RingParams) -> Factorization:
         powers.append((powers[-1] * zeta) % modulus)
     lifted = [(RPoly.from_zq(_conjugate_product([powers[k] for k in coset], modulus)), tuple(coset))
               for coset in cosets]
-    lifted.sort(key=lambda pair: _factor_sort_key(pair[0]))
+    lifted.sort(key=lambda pair: (pair[0].degree, pair[0].a.coeffs[::-1]))
     factors, cosets = zip(*lifted)
     fact = Factorization(n, params, factors, cosets)
     assert (fact.product() - xn_minus_1(params, n)).is_zero(), "factor product mismatch"

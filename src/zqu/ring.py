@@ -69,9 +69,7 @@ class RingParams(Value):
         return f"Z{self.q}+uZ{self.q}"
 
 
-def make_ring(p: int, s: int) -> RingParams:
-    """Build parameters for R = Z_{p^s} + uZ_{p^s}, validating p and overflow."""
-    return RingParams(p, s)
+make_ring = RingParams  # make_ring(p, s) builds and validates R = Z_{p^s} + uZ_{p^s}
 
 
 def teichmuller(a: int, p: int, q: int) -> int:
@@ -82,8 +80,9 @@ def teichmuller(a: int, p: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def teichmuller_set(params: RingParams) -> tuple[int, ...]:
-    """{0} plus the (p-1)-th roots of unity in Z_q, sorted."""
-    return tuple(sorted({teichmuller(a, params.p, params.q) for a in range(params.q)}))
+    """{0} plus the (p-1)-th roots of unity in Z_q, sorted: one pow per residue
+    class mod p, since a^(q/p) mod q depends only on a mod p."""
+    return tuple(sorted({0} | {teichmuller(a, params.p, params.q) for a in range(1, params.p)}))
 
 
 def p_adic_digits(a: int, params: RingParams) -> tuple[int, ...]:
@@ -201,7 +200,8 @@ def reading_generators(reading: Reading, params: RingParams) -> list[tuple[tuple
 
 
 def census_size(p: int, s: int, m: int = 1) -> int:
-    """Number of ideals of GR(R, m): 3s + (s-1)(p^m - 1)."""
+    """Number of ideals of GR(R, m) in the four families, 3s + (s-1)(p^m - 1):
+    all of them for s <= 2, too few for s >= 3 (Z8 + uZ8 has 13, not 11)."""
     return 3 * s + (s - 1) * (p**m - 1)
 
 

@@ -183,7 +183,7 @@ def check_unit_groups() -> tuple[bool, str]:
 _Z8_GEN = "x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1"
 
 
-def check_z8_length15_chain(slow: bool = False) -> tuple[bool, str]:
+def check_z8_length15_chain() -> tuple[bool, str]:
     notes: list[str] = []
     r8 = make_ring(2, 3)
     # GR(Z8 + uZ8, 4) holds the 15th roots of unity: ord_15(2) = 4
@@ -202,12 +202,11 @@ def check_z8_length15_chain(slow: bool = False) -> tuple[bool, str]:
           f"BCH run was b={cert.b}, delta={cert.delta}", notes)
     w = hamming_weight(WordR.from_rpoly(g * 4, 15))
     _fail(w == 7, f"weight of 4*g was {w}", notes)
-    detail = "free (15, 64^5) code; delta=7 certificate and weight-7 word bracket d_H = 7"
-    if slow:
-        report = min_distance(code, "hamming", budget=1 << 30)
-        _fail(report.exhaustive and report.value == 7,
-              f"exhaustive sweep gave {report.value} (exhaustive={report.exhaustive})", notes)
-        detail += f"; full 2^30-word sweep confirms 7 ({report.words_scanned} words)"
+    report = min_distance(code, "hamming", budget=1 << 30)
+    _fail(report.exhaustive and report.value == 7,
+          f"exhaustive sweep gave {report.value} (exhaustive={report.exhaustive})", notes)
+    detail = ("free (15, 64^5) code; delta=7 certificate and weight-7 word bracket d_H = 7; "
+              f"full 2^30-word sweep confirms 7 ({report.words_scanned} words)")
     return not notes, "; ".join(notes) or detail
 
 
@@ -329,7 +328,7 @@ def check_property_suite() -> tuple[bool, str]:
     return not notes, "; ".join(notes) or detail
 
 
-CHECKS: list[tuple[str, Callable[..., tuple[bool, str]]]] = [
+CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("ideal-census", check_ideal_census),
     ("factorization", check_factorization),
     ("code-census", check_code_census),
@@ -340,15 +339,12 @@ CHECKS: list[tuple[str, Callable[..., tuple[bool, str]]]] = [
 ]
 
 
-def run_all(slow: bool = False) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     results = []
     for name, fn in CHECKS:
         start = time.perf_counter()
         try:
-            if name == "z8-length15-chain":
-                passed, detail = fn(slow=slow)
-            else:
-                passed, detail = fn()
+            passed, detail = fn()
         except ZquError as exc:
             passed, detail = False, f"error: {exc}"
         results.append(CheckResult(name, passed, detail, time.perf_counter() - start))

@@ -1,8 +1,9 @@
 """Independent oracles shared by the tests.
 
 Everything here deliberately avoids the library's Howell-basis machinery:
-element sets come from breadth-first additive closure over explicitly rotated
-coefficient vectors, so library results are checked against a second route.
+element sets come from `zqu.verify`'s oracles, breadth-first additive closure
+over explicitly rotated coefficient vectors, so library results are checked
+against a second route.
 Teichmuller lifts are checked against the routes the library's closed form
 replaced: quadratic Hensel lifting inside x^N - 1 and the fixed-point loop.
 
@@ -27,9 +28,11 @@ from functools import lru_cache
 from zqu.errors import LengthNotCoprimeError, PreconditionError
 from zqu.galois import gr_ideal_span
 from zqu.howell import ZqSpan
-from zqu.poly import (RPoly, ZqPoly, divmod_monic, is_basic_irreducible, is_basic_primitive,
-                      order_of_x, smallest_primitive, teichmuller_lift, xn_minus_1_zq)
+from zqu.poly import (RPoly, ZqPoly, cyclotomic_cosets, divmod_monic, is_basic_irreducible,
+                      is_basic_primitive, order_of_x, smallest_primitive, teichmuller_lift,
+                      xn_minus_1_zq)
 from zqu.ring import IdealDescriptor, RingParams
+from zqu.verify import _code_element_set, _code_vectors
 
 
 def pair_mul(a1, b1, a2, b2, q):
@@ -203,28 +206,13 @@ def gr_ideal_elements(desc: IdealDescriptor, ctx: GaloisRingCtx) -> frozenset[Gr
     return frozenset(out)
 
 
+def short_lengths(p, top=12):
+    """The lengths n < 64 prime to p with ord_n(p) <= top, so that no
+    primitive-polynomial search runs past degree `top`."""
+    return [n for n in range(1, 64) if n % p and len(cyclotomic_cosets(n, p)[1 % n]) <= top]
+
+
 # -- element sets, spans and roots by independent routes ------------------------
-
-
-def additive_closure(vectors, q):
-    """BFS closure of integer vectors under addition mod q."""
-    vectors = [tuple(v % q for v in vec) for vec in vectors]
-    if not vectors:
-        return frozenset()
-    zero = (0,) * len(vectors[0])
-    gens = set(vectors) - {zero}
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for v in frontier:
-            for g in gens:
-                w = tuple((a + b) % q for a, b in zip(v, g))
-                if w not in seen:
-                    seen.add(w)
-                    new.append(w)
-        frontier = new
-    return frozenset(seen)
 
 
 def rotate(row, i):
@@ -232,33 +220,11 @@ def rotate(row, i):
     return tuple(row[-i:] + row[:-i]) if i else tuple(row)
 
 
-def code_generator_rows(code):
-    """Shift/u-multiple rows of a code's generators via plain list rotation."""
-    n, q = code.n, code.params.q
-    rows = []
-    for g in code.generators:
-        a = [g[k][0] for k in range(n)]
-        b = [g[k][1] for k in range(n)]
-        for i in range(n):
-            row = list(rotate(a, i)) + list(rotate(b, i))
-            rows.append(tuple(row))
-            if code.closure_mode == "ideal":
-                rows.append(tuple([0] * n + list(rotate(a, i))))
-    return rows
-
-
-def code_element_set(code):
-    rows = code_generator_rows(code)
-    if not rows:
-        return frozenset({(0,) * (2 * code.n)})
-    return additive_closure(rows, code.params.q)
-
-
 def brute_min_weight(code, weight_fn):
-    """Minimum weight over the BFS element set; weight_fn sees (a, b) pairs."""
+    """Minimum weight over verify's BFS element set; weight_fn sees (a, b) pairs."""
     n = code.n
     best = None
-    for vec in code_element_set(code):
+    for vec in _code_element_set(code):
         if not any(vec):
             continue
         pairs = [(vec[i], vec[n + i]) for i in range(n)]
@@ -280,7 +246,7 @@ def lee_pairs(pairs):
 def span_by_rotation(code):
     """A code as a Z_q-span of its rotated generator rows: the route that
     ideal_span_mod at f = x^n - 1 replaced in CyclicCode.span()."""
-    return ZqSpan.from_rows(code_generator_rows(code), code.params.p, code.params.s, 2 * code.n)
+    return ZqSpan.from_rows(_code_vectors(code), code.params.p, code.params.s, 2 * code.n)
 
 
 def root_exponents_by_evaluation(f, n, params):

@@ -342,6 +342,54 @@ def test_csv_factor():
     assert len(lines) == 3
 
 
+FACTOR_15_OVER_Z8 = """\
+x^15-1 over Z8+uZ8 factors into 5 basic irreducibles:
+  f_1 = x+7  [degree 1] (basic primitive)
+  f_2 = x^2+x+1  [degree 2] (basic primitive)
+  f_3 = x^4+x^3+x^2+x+1  [degree 4]
+  f_4 = x^4+3*x^3+6*x^2+4*x+1  [degree 4] (basic primitive)
+  f_5 = x^4+4*x^3+6*x^2+3*x+1  [degree 4] (basic primitive)
+"""
+
+
+def test_factor_labels_primitivity_without_an_order_test(monkeypatch, capsys):
+    import zqu.cli
+
+    def refuse(f):
+        raise AssertionError("factor reads primitivity off the cosets")
+
+    monkeypatch.setattr("zqu.poly.is_primitive", refuse)
+    assert zqu.cli.main(["factor", "--n", "15", "--p", "2", "--s", "3"]) == 0
+    assert capsys.readouterr() == (FACTOR_15_OVER_Z8, "")
+
+
+# Every option of every subcommand: an added flag fails here until the pin
+# changes with it.
+CLI_OPTIONS = {
+    "factor": ["--format", "--help", "--n", "--p", "--s", "-h"],
+    "codes": ["--count", "--enumerate", "--format", "--help", "--limit", "--n", "--p", "--s",
+              "-h"],
+    "analyze": ["--closure", "--format", "--gens", "--help", "--n", "--p", "--s", "-h"],
+    "distance": ["--budget", "--closure", "--format", "--gens", "--help", "--metric", "--n",
+                 "--p", "--s", "--threads", "-h"],
+    "verify-paper": ["--format", "--help", "-h"],
+}
+
+
+def test_cli_options_are_pinned():
+    import argparse
+
+    import zqu.cli
+
+    def options(parser):
+        return sorted(o for action in parser._actions for o in action.option_strings)
+
+    parser = zqu.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert options(parser) == ["--help", "-h"]
+    assert {name: options(p) for name, p in sub.choices.items()} == CLI_OPTIONS
+
+
 def test_threads_flag():
     proc = run("distance", "--n", "7", "--p", "2", "--s", "2", "--gens",
                "3*x^3+x^2+2*x+1, u*(x+3)", "--closure", "module",

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -23,15 +24,17 @@ from zqu.errors import (
 from zqu.galois import gr_ideal_span, ideal_elements
 from zqu.howell import ZqSpan
 from zqu.poly import RPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
-from zqu.ring import IdealDescriptor, KIND_U_P_POWER, RingParams, ideal_descriptors, make_ring
+from zqu.ring import (IdealDescriptor, KIND_U_P_POWER, RingParams, census_size, ideal_descriptors,
+                      make_ring)
+from zqu.verify import _closure, _code_element_set
 
 from helpers import (
     bch_by_evaluation,
     build_ctx,
-    code_element_set,
     gr_span_by_multiplication,
     pair_mul,
     rotate,
+    short_lengths,
     span_by_rotation,
 )
 
@@ -84,11 +87,39 @@ def test_count_examples():
     assert count_cyclic_codes(7, R4) == 7 * 13 * 13
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_count_is_the_census_product_over_the_factor_degrees(p):
+    for s in (1, 2, 3):
+        params = make_ring(p, s)
+        for n in short_lengths(p):
+            degrees = factor_xn_minus_1(n, params).degrees
+            assert count_cyclic_codes(n, params) == math.prod(census_size(p, s, m) for m in degrees)
+
+
+def test_count_and_budget_refusal_factor_nothing(monkeypatch, capsys):
+    from zqu.cli import main
+
+    def refuse(*args):
+        raise AssertionError("the code count factors nothing")
+
+    for name in ("zqu.poly.smallest_primitive", "zqu.poly.factor_xn_minus_1",
+                 "zqu.codes.factor_xn_minus_1"):
+        monkeypatch.setattr(name, refuse)
+    # ord_179(2) = 178: the cosets are {0} and one of size 178
+    total = 2681867196515305502127107297513041071332793463821303843
+    assert total == census_size(2, 2, 1) * census_size(2, 2, 178)
+    assert count_cyclic_codes(179, R4) == total
+    assert main(["codes", "--n", "179", "--p", "2", "--s", "2", "--count"]) == 0
+    assert capsys.readouterr().out == f"{total} cyclic codes of length 179 over Z4+uZ4\n"
+    assert main(["codes", "--n", "83", "--p", "2", "--s", "2", "--enumerate"]) == 3
+    assert "exceed the enumeration budget" in capsys.readouterr().err
+
+
 def test_enumeration_distinct_and_complete(all63):
     assert len(all63) == 63
     fingerprints = {c.fingerprint() for c in all63}
     assert len(fingerprints) == 63
-    element_sets = {code_element_set(c) for c in all63}
+    element_sets = {_code_element_set(c) for c in all63}
     assert len(element_sets) == 63
 
 
@@ -120,7 +151,7 @@ def test_enumeration_n7_fingerprint_sample():
 def test_enumeration_n1_embeds_base_ring_ideals():
     codes1 = list(enumerate_cyclic_codes(1, R4))
     assert len(codes1) == 7
-    sets = {frozenset((v[0], v[1]) for v in code_element_set(c)) for c in codes1}
+    sets = {frozenset((v[0], v[1]) for v in _code_element_set(c)) for c in codes1}
     assert sets == {ideal_elements(d, R4) for d in ideal_descriptors(R4.p, R4.s)}
     # each is closed under multiplication by R
     ring = list(itertools.product(range(R4.q), repeat=2))
@@ -357,7 +388,7 @@ def test_cardinality_matches_element_sets_and_components(all63):
     crt = build_crt(3, R4)
     for c in all63:
         base, exp = c.cardinality()
-        assert base**exp == len(code_element_set(c))
+        assert base**exp == len(_code_element_set(c))
         total = 1
         for desc, f in zip(c.components(), crt.factorization.factors):
             total *= gr_ideal_span(desc, f).size()
@@ -393,8 +424,6 @@ def test_min_gen_set_whole_ring():
 
 
 def test_min_gen_set_spans(all63):
-    from helpers import additive_closure
-
     for c in all63:
         can = c.canonical()
         if not can.hypotheses_ok:
@@ -404,8 +433,8 @@ def test_min_gen_set_spans(all63):
         for m in beta:
             vecs.append([m[i][0] for i in range(3)] + [m[i][1] for i in range(3)])
             vecs.append([0, 0, 0] + [m[i][0] for i in range(3)])
-        span = additive_closure(vecs, 4) if vecs else frozenset({(0,) * 6})
-        assert len(span) == len(code_element_set(c))
+        span = _closure(vecs, 4) if vecs else frozenset({(0,) * 6})
+        assert len(span) == len(_code_element_set(c))
 
 
 def test_min_gen_set_rejects_non_divisor_chain():
@@ -653,7 +682,7 @@ def test_contains_examples():
 
 def test_cyclic_shift_closure(all63):
     for c in all63[:20]:
-        members = list(code_element_set(c))[:40]
+        members = list(_code_element_set(c))[:40]
         for vec in members:
             a, b = vec[:3], vec[3:]
             shifted = list(rotate(list(a), 1)) + list(rotate(list(b), 1))

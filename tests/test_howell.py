@@ -11,8 +11,7 @@ from zqu.errors import PreconditionError
 from zqu.howell import ZqSpan, pval
 from zqu.poly import factor_xn_minus_1, parse_r_poly
 from zqu.ring import ideal_descriptors, make_ring
-
-from helpers import additive_closure
+from zqu.verify import _closure
 
 PS = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]
 WIDE_PS = PS + [(2, 4), (3, 3), (5, 2)]
@@ -60,7 +59,7 @@ def test_span_matches_bfs_closure(data):
     span = ZqSpan.from_rows(rows, p, s, ncols)
     # scalar multiples make the additive closure a Z_q-span
     scaled = [[(c * x) % q for x in r] for r in rows for c in range(q)]
-    truth = additive_closure(scaled, q)
+    truth = _closure(scaled, q)
     assert span.size() == len(truth)
     enumerated = set(span.elements())
     assert enumerated == truth

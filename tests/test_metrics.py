@@ -19,8 +19,9 @@ from zqu.metrics import (
 )
 from zqu.poly import RPoly, parse_r_poly
 from zqu.ring import make_ring
+from zqu.verify import _code_element_set
 
-from helpers import brute_min_weight, code_element_set, hamming_pairs, lee_pairs
+from helpers import brute_min_weight, hamming_pairs, lee_pairs
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -148,7 +149,7 @@ def test_min_distance_matches_brute_force(texts, n, mode):
     report = min_distance(c, "hamming")
     assert report.exhaustive
     assert report.value == brute_min_weight(c, hamming_pairs)
-    assert report.words_scanned == len(code_element_set(c)) - 1
+    assert report.words_scanned == len(_code_element_set(c)) - 1
     lee = min_distance(c, "lee")
     assert lee.value == brute_min_weight(c, lee_pairs)
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -33,7 +34,7 @@ from zqu.poly import (
 )
 from zqu.ring import make_ring
 
-from helpers import fp_xgcd, hensel_lift, pair_mul, root_exponents_by_evaluation
+from helpers import fp_xgcd, hensel_lift, pair_mul, root_exponents_by_evaluation, short_lengths
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
@@ -154,6 +155,18 @@ def test_make_takes_ints_and_pairs():
     assert RPoly.make(R4, [3, 1]) == rpoly(R4, "x+3")
     assert RPoly.make(R9, [(0, 2)]) == rpoly(R9, "0+u*(2)")
     assert RPoly.make(R4, [(4, 0), 0]).is_zero()
+
+
+@pytest.mark.parametrize("params", [R4, R9])
+def test_iteration_yields_the_coefficients(params):
+    # __getitem__ reads 0 past the degree, so iteration must not fall back on
+    # it; the bounded read fails where the unbounded one would never end
+    for coeffs in ([], [3], [1, 0, 2, 0, 0, 1]):
+        f = ZqPoly.make(params, coeffs)
+        for poly in (f, RPoly.from_zq(f), RPoly(f, ZqPoly.make(params, coeffs[::-1]).shift(1))):
+            assert tuple(itertools.islice(poly, len(poly.coeffs) + 1)) == poly.coeffs
+            assert tuple(poly) == poly.coeffs
+    assert tuple(RPoly.make(params, [(1, 2), 0, (0, 1)])) == ((1, 2), (0, 0), (0, 1))
 
 
 # -- one ring per operation --------------------------------------------------------
@@ -280,6 +293,13 @@ def test_basic_irreducible_primitive():
     # its roots have order 4, not 3^2 - 1 = 8
     nonprim = rpoly(R9, "x^2+1")
     assert is_basic_irreducible(nonprim) and not is_basic_primitive(nonprim)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_primitive_labels_match_the_primitivity_test(p):
+    for n in short_lengths(p):
+        fact = factor_xn_minus_1(n, make_ring(p, 1))
+        assert fact.primitive == tuple(is_basic_primitive(f) for f in fact.factors), n
 
 
 def _order_by_iteration(f):

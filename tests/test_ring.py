@@ -150,6 +150,16 @@ def test_teichmuller_closed_form_matches_loop(p):
             assert teichmuller(a, p, q) == teichmuller_loop(a, p, q), (a, q)
 
 
+def test_teichmuller_set_matches_the_sweep_over_z_q():
+    # the sweep over all q residues that one pow per class mod p replaced
+    primes = [p for p in range(2, 1025) if all(p % d for d in range(2, p))]
+    rings = [make_ring(p, s) for p in primes for s in range(1, 11) if p**s <= 1024]
+    assert len(rings) == 198  # 172 primes and 26 higher prime powers
+    for params in rings:
+        p, q = params.p, params.q
+        assert teichmuller_set(params) == tuple(sorted({teichmuller(a, p, q) for a in range(q)}))
+
+
 @pytest.mark.parametrize("params", [R4, R8, R9, make_ring(5, 2), make_ring(3, 3)])
 def test_p_adic_round_trip(params):
     teich = set(teichmuller_set(params))
