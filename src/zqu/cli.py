@@ -148,12 +148,19 @@ def _cmd_codes(args) -> int:
     params = make_ring(args.p, args.s)
     if args.count:
         total = count_cyclic_codes(args.n, params)
+        try:
+            text = str(total)
+        except ValueError:  # past the interpreter's integer-string limit, 4300 digits by default
+            raise PreconditionError(
+                f"the number of cyclic codes of length {args.n} has more than "
+                f"{sys.get_int_max_str_digits()} decimal digits; zqu does not print it"
+            ) from None
         if args.format == "json":
             _emit_json({"command": "codes", "n": args.n, "p": args.p, "s": args.s, "count": total})
         elif args.format == "csv":
             _emit_csv([{"n": args.n, "p": args.p, "s": args.s, "count": total}])
         else:
-            print(f"{total} cyclic codes of length {args.n} over Z{params.q}+uZ{params.q}")
+            print(f"{text} cyclic codes of length {args.n} over Z{params.q}+uZ{params.q}")
         return EXIT_OK
     stream = enumerate_cyclic_codes(args.n, params, limit=args.limit)
     if args.format == "csv":

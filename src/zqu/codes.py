@@ -29,7 +29,6 @@ from .poly import (
     ZqPoly,
     check_length,
     cyclotomic_cosets,
-    divmod_monic,
     factor_xn_minus_1,
     powmod,
     xn_minus_1,
@@ -331,11 +330,11 @@ def enumerate_cyclic_codes(n: int, params: RingParams,
     """The first `limit` cyclic codes in canonical component order, or all of
     them when there are at most DEFAULT_ENUM_BUDGET."""
     if limit is None:
-        total = count_cyclic_codes(n, params)
-        if total > DEFAULT_ENUM_BUDGET:
+        if count_cyclic_codes(n, params) > DEFAULT_ENUM_BUDGET:
+            # without the count, which can be too long to print
             raise EnumerationBudgetError(
-                f"{total} codes exceed the enumeration budget {DEFAULT_ENUM_BUDGET}; "
-                "pass an explicit limit"
+                f"the cyclic codes of length {n} over Z{params.q}+uZ{params.q} exceed the "
+                f"enumeration budget {DEFAULT_ENUM_BUDGET}; pass an explicit limit"
             )
     elif limit < 0:
         raise PreconditionError("limit must be >= 0")
@@ -466,7 +465,7 @@ def bch_bound_of(g: RPoly, n: int, params: RingParams) -> BchCertificate:
     fact = factor_xn_minus_1(n, params)
     is_root = [False] * n
     for f, coset in zip(fact.factors, fact.cosets):
-        if divmod_monic(g, f)[1].is_zero():
+        if f.divides(g):
             for k in coset:
                 is_root[k] = True
     if all(is_root):

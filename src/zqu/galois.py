@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .errors import GuardExceededError
 from .howell import ZqSpan
-from .poly import RPoly, divmod_monic, xn_minus_1
+from .poly import RPoly, divmod_monic, times_x_mod, xn_minus_1
 from .ring import IdealDescriptor, RingParams, reading_generators
 
 # Largest q for which `ideal_elements` lists an ideal of R element by element.
@@ -38,10 +38,11 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True,
 
     `factors`, if given, are pairwise coprime monic polynomials of Z_q[x]
     whose product is f; then k < d_g suffices, d_g = sum of deg f_l over
-    the f_l that do not divide g.  Their product mu_g is monic of degree d_g
-    in Z_q[x] and, by the CRT, mu_g * g = 0 mod f.  So x^{d_g} * g =
-    (x^{d_g} - mu_g) * g is a Z_q-combination of the lower shifts, and by
-    induction so is every later shift and its u-multiple, in both closures.
+    the f_l that do not divide g, as `RPoly.divides` tells without building
+    a quotient.  Their product mu_g is monic of degree d_g in Z_q[x] and, by
+    the CRT, mu_g * g = 0 mod f.  So x^{d_g} * g = (x^{d_g} - mu_g) * g is a
+    Z_q-combination of the lower shifts, and by induction so is every later
+    shift and its u-multiple, in both closures.
     """
     params, m = f.params, f.degree
     q = params.q
@@ -50,17 +51,14 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True,
     for g in gens:
         if g.degree >= m:
             g = divmod_monic(g, f)[1]
-        d = m if factors is None else sum(h.degree for h in factors
-                                          if not divmod_monic(g, h)[1].is_zero())
+        d = m if factors is None else sum(h.degree for h in factors if not h.divides(g))
         a = list(g.a.coeffs) + [0] * (m - len(g.a.coeffs))
         b = list(g.b.coeffs) + [0] * (m - len(g.b.coeffs))
         for _ in range(d):
             rows.append(a + b)
             if with_u:
                 rows.append([0] * m + a)
-            ta, tb = a[-1], b[-1]  # x^m = -(f_0 + ... + f_{m-1} x^{m-1})
-            a = [(x - ta * y) % q for x, y in zip([0] + a[:-1], fa)]
-            b = [(x - ta * y - tb * z) % q for x, y, z in zip([0] + b[:-1], fb, fa)]
+            a, b = times_x_mod(a, b, fa, fb, q)
     return ZqSpan.from_rows(rows, params.p, params.s, 2 * m)
 
 

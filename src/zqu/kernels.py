@@ -9,7 +9,8 @@ values it reaches.  The others split three ways, lowest first:
   coordinate-major as pair indices a*2q + b, in the narrowest unsigned dtype
   holding 4q^2 - 1;
 - mid digits: their M words, the mid table, are built once per call by the
-  same routine, as codes a*q + b;
+  same routine, as codes a*q + b; a scan of one epoch keeps only the words
+  of the blocks below stop;
 - outer digits: block o holds the words o*B + j, block word j plus mid word
   o mod M plus the outer word of epoch o // M.
 
@@ -56,6 +57,7 @@ imports it on the first scan, converts the weight table once with
 from __future__ import annotations
 
 import array
+import itertools
 import math
 
 import numpy as np
@@ -102,10 +104,16 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
     pairs = block[:n] * (2 * q) + block[n:]
     width = pairs.shape[1]
     del block
-    mid = _words(rows[k0:k2], ranges[k0:k2], q, pair_dt)
-    span = mid.shape[1]  # blocks per epoch
+    span = math.prod(ranges[k0:k2])  # blocks per epoch
     first, last = start // width, -(-stop // width)
     epochs = (last - 1) // span - first // span + 1
+    # A single epoch reads no mid word at or past the block of stop, so
+    # its table ends there, and its top digit stops at the last value read.
+    used = span if epochs > 1 else last - first // span * span
+    mid_ranges = ranges[k0:k2]
+    if mid_ranges:
+        mid_ranges[-1] = -(-used // (span // mid_ranges[-1]))
+    mid = _words(rows[k0:k2], mid_ranges, q, pair_dt)[:, :used]
     tree = _Tree(mid[:n] * q + mid[n:], q)
     del mid
     # Singleton row r weighs coordinate coord[r] at code value[r], and
@@ -135,10 +143,7 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
     def bound(slot, m0, m1):
         """sum_G min W_G[slot[G, m]] for m in [m0, m1): no word of block m
         weighs less."""
-        total = np.take(low, slot[0, m0:m1])
-        for s in slot[1:, m0:m1]:
-            total += np.take(low, s)
-        return total
+        return np.take(low, slot[:, m0:m1]).sum(axis=0, dtype=low.dtype)
 
     for epoch in range(first // span, (last - 1) // span + 1):
         outer = word_at_index(rows[k2:], ranges[k2:], q, epoch)
@@ -187,6 +192,9 @@ def _weigh(weights, slot, ids, acc, tmp):
     """Row i of acc := sum over groups g of weights[slot[g, ids[i]]]: the
     weights of the blocks of mid words ids, returned flat."""
     chunk, part = acc[: len(ids)], tmp[: len(ids)]
+    if len(ids) == 1:  # one gather and one sum, not a call pair per group
+        np.add.reduce(np.take(weights, slot[:, ids[0]], axis=0), axis=0, out=chunk[0])
+        return chunk.reshape(-1)
     np.take(weights, slot[0, ids], axis=0, out=chunk, mode="clip")
     for s in slot[1:, ids]:
         np.take(weights, s, axis=0, out=part, mode="clip")
@@ -271,9 +279,8 @@ class _Tree:
             if joint > most or sum(self.counts) + joint > budget:
                 failed.append((a, b))
                 continue
-            # a dtype holding J_b as well as the joint values
-            self.slots[i] = self.slots[i].astype(np.min_scalar_type(joint))
-            self.slots[i] *= self.counts[b]
+            # in a dtype holding J_b as well as the joint values
+            self.slots[i] = np.multiply(self.slots[i], self.counts[b], dtype=np.min_scalar_type(joint))
             self.slots[i] += self.slots[j]
             self.merges.append((a, b))
             self.groups[i] = len(self.counts)
@@ -288,11 +295,11 @@ class _Tree:
         each merge (d, a, b), the slices of rows of the node and of its
         parts, row v_a * J_b + v_b of d the sum of rows a[v_a] and b[v_b];
         and an array slot[g, m], the row of groups[g] that mid word m reads."""
-        base = np.cumsum([0] + self.counts).tolist()
+        base = list(itertools.accumulate(self.counts, initial=0))
         n = len(self.counts) - len(self.merges)
         joins = [tuple(slice(base[node], base[node + 1]) for node in (n + t, a, b))
                  for t, (a, b) in enumerate(self.merges)]
-        slot = np.stack(self.slots, dtype=np.min_scalar_type(base[-1] - 1))
+        slot = np.array(self.slots, np.min_scalar_type(base[-1] - 1))
         slot += np.array([base[g] for g in self.groups], slot.dtype)[:, None]
         return base[-1], joins, slot
 
@@ -342,12 +349,13 @@ def _split(ranges, q, n, itemsize):
 
 
 def word_at_index(rows, ranges, q, index) -> np.ndarray:
-    """Reconstruct the span word at a mixed-radix linear index."""
+    """Reconstruct the span word at a mixed-radix linear index: its digits,
+    then one vector step."""
     rows = np.asarray(rows, dtype=np.int64)
-    word = np.zeros(rows.shape[1], np.int64)
-    for i in range(rows.shape[0]):
-        d = index % int(ranges[i])
-        index //= int(ranges[i])
-        if d:
-            word = (word + d * rows[i]) % q
-    return word
+    digits = []
+    for r in ranges:
+        index, d = divmod(index, int(r))
+        digits.append(d)
+    if not any(digits):  # as the outer word of a scan's first epoch is
+        return np.zeros(rows.shape[1], np.int64)
+    return np.dot(np.array(digits, np.int64), rows) % q

@@ -15,6 +15,7 @@ import math
 import re
 from functools import lru_cache, reduce
 from itertools import zip_longest
+from operator import mul
 from typing import Optional
 
 from .errors import LengthNotCoprimeError, NonMonicDivisorError, PolyParseError, PreconditionError
@@ -237,6 +238,23 @@ class RPoly(Value):
     def shift(self, k: int) -> "RPoly":
         return RPoly(self.a.shift(k), self.b.shift(k))
 
+    def divides(self, other: "RPoly") -> bool:
+        """Whether this monic f = fa + u*fb (deg fb < deg fa) divides `other`.
+
+        Reduction mod f is R-linear, so g mod f = sum_k g_k (x^k mod f), and
+        with u^2 = 0 its coefficient j is sum_k ga_k Xa_kj + u sum_k (ga_k Xb_kj
+        + gb_k Xa_kj) for x^k mod f = Xa_k + u Xb_k.  The test reads these
+        sums off the coefficient lists and the cached columns of x^k mod f:
+        no quotient and no polynomial is built."""
+        _same_ring(self.a, other.a)
+        if not self.is_monic():
+            raise NonMonicDivisorError(f"divisor {self} is not monic")
+        q = self.params.q
+        ga, gb = other.a.coeffs, other.b.coeffs
+        cols_a, cols_b = _power_residues(self.a.coeffs[:-1], self.b.coeffs, q, max(len(ga), len(gb)))
+        return not any(sum(map(mul, ga, xa)) % q or (sum(map(mul, ga, xb)) + sum(map(mul, gb, xa))) % q
+                       for xa, xb in zip(cols_a, cols_b))
+
     def mul_u(self) -> "RPoly":
         return RPoly(ZqPoly.zero(self.params), self.a)
 
@@ -249,6 +267,38 @@ class RPoly(Value):
 
     def __str__(self):
         return format_r_poly(self)
+
+
+def times_x_mod(a: list, b: list, fa, fb, q: int) -> tuple[list, list]:
+    """(a + u*b) * x mod f = x^m + fa + u*fb, all four given by their m low
+    coefficients: a shift, less the top coefficient times f."""
+    ta, tb = a[-1], b[-1]  # x^m = -(fa + u*fb)
+    return ([(x - ta * y) % q for x, y in zip([0] + a[:-1], fa)],
+            [(x - ta * y - tb * z) % q for x, y, z in zip([0] + b[:-1], fb, fa)])
+
+
+@lru_cache(maxsize=256)
+def _power_residues(fa: tuple, fb: tuple, q: int, size: int) -> tuple[tuple, tuple]:
+    """x^k mod (x^d + fa + u*fb), fa and fb the d low coefficients (fb may
+    be shorter), for k < size, transposed: the a-parts and the b-parts, each
+    as d columns indexed by k.  A table holds 2 * d * size ints, and the
+    cache keeps 256 of them, one per divisor and length: the rounds of the
+    distance and enumerate benchmarks use 84 and 153."""
+    d = len(fa)
+    if not d:  # mod 1 every power is 0, with no coefficients
+        return (), ()
+    fb = fb + (0,) * (d - len(fb))
+    a, b = [0] * d, [0] * d
+    powers_a, powers_b = [], []
+    for k in range(size):
+        if k < d:
+            a = [0] * d
+            a[k] = 1
+        else:
+            a, b = times_x_mod(a, b, fa, fb, q)
+        powers_a.append(a)
+        powers_b.append(b)
+    return tuple(zip(*powers_a)), tuple(zip(*powers_b))
 
 
 def divmod_monic(dividend: RPoly, divisor: RPoly) -> tuple[RPoly, RPoly]:

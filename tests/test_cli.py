@@ -140,7 +140,37 @@ def test_codes_budget_exceeded_exits_3():
     proc = run("codes", "--n", "15", "--p", "2", "--s", "3", "--enumerate")
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: 9787635 codes exceed the enumeration budget 1048576")
+    assert proc.stderr == ("error: the cyclic codes of length 15 over Z8+uZ8 exceed the "
+                           "enumeration budget 1048576; pass an explicit limit\n")
+
+
+def _default_digit_limit():
+    return {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_codes_count_past_the_digit_limit_exits_2(fmt):
+    # The count at n = 20001 over Z4 has 6022 decimal digits, past Python's
+    # 4300-digit integer-string limit, which raised ValueError with a traceback.
+    proc = run("codes", "--n", "20001", "--p", "2", "--s", "2", "--count", "--format", fmt,
+               env=_default_digit_limit())
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the number of cyclic codes of length 20001 has more than "
+                           "4300 decimal digits; zqu does not print it\n")
+
+
+def test_codes_count_within_the_digit_limit_prints_it():
+    proc = run("codes", "--n", "14001", "--p", "2", "--s", "2", "--count", env=_default_digit_limit())
+    assert proc.returncode == 0
+    count, rest = proc.stdout.split(" ", 1)
+    assert len(count) == 4216 and rest == "cyclic codes of length 14001 over Z4+uZ4\n"
+
+
+def test_codes_enumerate_refusal_names_the_budget_not_the_count():
+    proc = run("codes", "--n", "20001", "--p", "2", "--s", "2", "--enumerate", env=_default_digit_limit())
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("error: the cyclic codes of length 20001 over Z4+uZ4 exceed the "
+                           "enumeration budget 1048576; pass an explicit limit\n")
 
 
 def test_codes_csv_streams_rows(monkeypatch, capsys):

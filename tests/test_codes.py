@@ -23,7 +23,7 @@ from zqu.errors import (
 )
 from zqu.galois import gr_ideal_span, ideal_elements
 from zqu.howell import ZqSpan
-from zqu.poly import RPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
+from zqu.poly import RPoly, ZqPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
 from zqu.ring import (IdealDescriptor, KIND_U_P_POWER, RingParams, census_size, ideal_descriptors,
                       make_ring)
 from zqu.verify import _closure, _code_element_set
@@ -563,6 +563,40 @@ def test_bch_matches_evaluation_oracle_on_any_g(data):
         g = g + (term.mul_u() if u_times else term)
     cert = bch_bound_of(g, n, params)
     assert (cert.b, cert.delta, cert.root_exponents) == bch_by_evaluation(g, n, params)
+
+
+def test_span_and_bch_divide_nothing(monkeypatch):
+    # Counts calls, not a timing: the d_g count of a code span and the BCH
+    # root test read divisibility off RPoly.divides, which builds no quotient;
+    # test_howell pins the Howell rows these spans produce.
+    def last_of_each(n, params):
+        return [ideal_descriptors(params.p, params.s, m)[-1]
+                for m in factor_xn_minus_1(n, params).degrees]
+
+    built = [code(R8, 15, [Z8_GEN]), code(R4, 7, ["3*x^3+x^2+2*x+1", "u*(x+3)"], "module"),
+             code(R9, 8, ["x^2+2", "3*x+u*(x+1)"]),
+             CyclicCode(15, R4, [product(factor_xn_minus_1(15, R4).factors[1:4:2], R4)]),
+             CyclicCode.from_components(15, R4, last_of_each(15, R4)),
+             CyclicCode.from_components(5, R9, last_of_each(5, R9))]
+    free = [c.is_free() for c in built]  # the readings divide; they come first
+    assert sum(g is not None for g in free) == 2
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "zqu"]:
+        if hasattr(module, "divmod_monic"):
+            monkeypatch.setattr(module, "divmod_monic", counted(module.divmod_monic))
+    monkeypatch.setattr(ZqPoly, "_divide", counted(ZqPoly._divide))
+    for c, g in zip(built, free):
+        c.span()
+        if g is not None:
+            bch_bound_of(g, c.n, c.params)
+    assert calls == []
 
 
 def test_codes_need_no_galois_ring_evaluation():

@@ -83,6 +83,21 @@ def test_multi_block_scan_agrees(instance, block_words):
     assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
 
 
+@settings(max_examples=100, deadline=None)
+@given(table_instance([(2, 2), (2, 3), (3, 1)]), st.integers(1, 16), st.data())
+def test_budget_one_word_into_a_top_digit_value_agrees(instance, block_words, data):
+    # The shape of the Z8 paper item's budget scan: the last index scanned is
+    # the first word at which digit i takes a new value, so the last block
+    # holds one word and the mid table ends inside a value of its top digit.
+    q, n, rows, ranges, table, _, _ = instance
+    i = data.draw(st.integers(0, len(ranges) - 1))
+    stop = math.prod(int(r) for r in ranges[:i]) * data.draw(st.integers(1, int(ranges[i]) - 1)) + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_WORDS", block_words)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, 1, stop)
+    assert res == _reference_scan(rows, ranges, table, q, n, 1, stop)
+
+
 @settings(max_examples=80, deadline=None)
 @given(table_instance([(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]))
 def test_dtype_edges_agree(instance):
@@ -365,7 +380,8 @@ def test_scan_memory_does_not_grow_with_its_length(budget):
 def test_scan_memory_holds_with_the_largest_mid_table():
     # Binary digits at n = 31 give the widest mid table and the most groups:
     # the split takes the largest mid table that _MID_BYTES allows, and the
-    # scan still keeps to the same cap.
+    # scan still keeps to the same cap.  Its stop, 2^25, ends the first epoch
+    # (2^14 blocks of 2^11 words), so the scan builds that whole table.
     import tracemalloc
 
     from zqu import CyclicCode
@@ -383,7 +399,7 @@ def test_scan_memory_holds_with_the_largest_mid_table():
             spans.append(codes.shape)
             super().__init__(codes, q)
 
-    budget = 1 << 24
+    budget = (1 << 25) - 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_Tree", Recorded)
         tracemalloc.start()
@@ -502,10 +518,14 @@ def test_bound_skips_most_blocks_of_the_z8_paper_code():
     assert sum(weighed) <= 0.02 * blocks
 
 
-@pytest.mark.parametrize("build, ring, words, split", [
+# (basis, ring, words scanned, split) of two budget scans of one epoch
+ONE_EPOCH_SCANS = [
     (_seeded_z4_basis, (2, 2), (1 << 20) - 1, (11, 20)),
     (_z8_paper_basis, (2, 3), 1 << 22, (3, 8)),
-], ids=["z4-seeded", "z8-paper"])
+]
+
+
+@pytest.mark.parametrize("build, ring, words, split", ONE_EPOCH_SCANS, ids=["z4-seeded", "z8-paper"])
 def test_split_keeps_mid_digits_in_one_epoch(build, ring, words, split):
     # Counts what the split decides, not a timing: the block and mid digits
     # it picks and the epochs (one outer word each) the scan walks.
@@ -529,6 +549,30 @@ def test_split_keeps_mid_digits_in_one_epoch(build, ring, words, split):
         res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, 1, 1 + words)
     assert res[2] == words
     assert splits == [split] and len(outer) == 1
+
+
+@pytest.mark.parametrize("build, ring, words, split", ONE_EPOCH_SCANS, ids=["z4-seeded", "z8-paper"])
+def test_one_epoch_scan_builds_no_mid_word_past_stop(build, ring, words, split):
+    # Counts table columns, not a timing: the tree, its ranks and its slots
+    # cover the mid words of the blocks below ceil(stop / width) and no more.
+    # The Z8 budget stops one word into the top digit's third value, so its
+    # whole table would be 3 * 8^4 = 12288 words, and 8193 are read.
+    basis, ranges = build()
+    tables = []
+
+    class Recorded(kernels._Tree):
+        def __init__(self, codes, q):
+            tables.append(codes.shape[1])
+            super().__init__(codes, q)
+
+    params = make_ring(*ring)
+    table = weight_table("hamming", params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_Tree", Recorded)
+        res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, 1, 1 + words)
+    assert res[2] == words
+    width = math.prod(ranges[:split[0]])
+    assert tables == [-(-(1 + words) // width)]
 
 
 def test_split_of_the_full_z8_sweep():

@@ -76,6 +76,11 @@ def test_divmod_requires_monic():
         divmod_monic(xn_minus_1(R4, 3), rpoly(R4, "2*x+1"))
     with pytest.raises(NonMonicDivisorError):
         divmod_monic(xn_minus_1(R4, 3), rpoly(R4, "x+1+u*(x^2)"))
+    for divisor in ("2*x+1", "x+1+u*(x^2)"):
+        with pytest.raises(NonMonicDivisorError):
+            rpoly(R4, divisor).divides(xn_minus_1(R4, 3))
+    with pytest.raises(PreconditionError):
+        rpoly(R4, "x+1").divides(xn_minus_1(R8, 3))
 
 
 @st.composite
@@ -99,6 +104,49 @@ def test_divmod_round_trip(case):
     quo, rem = divmod_monic(dividend, divisor)
     assert (divisor * quo + rem - dividend).is_zero()
     assert rem.is_zero() or rem.degree < divisor.degree
+
+
+DIVISIBILITY_RINGS = [make_ring(2, 1), make_ring(3, 1), R4, R8, R9, make_ring(5, 2)]
+
+
+@st.composite
+def divisibility_case(draw):
+    """(divisor, dividend, expected): a monic divisor, u-part allowed, and a
+    dividend that is zero, shorter than it, a multiple of it, a multiple
+    reduced mod x^n - 1 of a product of factors of x^n - 1, or random;
+    expected is True or False where the kind decides it, else None."""
+    params = draw(st.sampled_from(DIVISIBILITY_RINGS))
+    q = params.q
+
+    def coeffs(length):
+        return [(draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))) for _ in range(length)]
+
+    kind = draw(st.sampled_from(["zero", "shorter", "multiple", "cyclic multiple", "random"]))
+    if kind == "cyclic multiple":
+        n = draw(st.sampled_from([k for k in range(1, 16) if k % params.p]))
+        divisor = RPoly.one(params)
+        for f in factor_xn_minus_1(n, params).factors:
+            if draw(st.booleans()):
+                divisor = divisor * f
+        return divisor, (RPoly.make(params, coeffs(n)) * divisor).reduce_cyclic(n), True
+    divisor = RPoly.make(params, coeffs(draw(st.integers(0, 5))) + [(1, 0)])
+    if kind == "zero":
+        return divisor, RPoly.zero(params), True
+    if kind == "shorter":
+        dividend = RPoly.make(params, coeffs(draw(st.integers(0, divisor.degree))))
+        return divisor, dividend, dividend.is_zero()
+    if kind == "multiple":
+        return divisor, RPoly.make(params, coeffs(draw(st.integers(0, 7)))) * divisor, True
+    return divisor, RPoly.make(params, coeffs(draw(st.integers(0, 14)))), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisibility_case())
+def test_divides_matches_the_remainder(case):
+    divisor, dividend, expected = case
+    divides = divisor.divides(dividend)
+    assert divides == divmod_monic(dividend, divisor)[1].is_zero()
+    assert expected is None or divides == expected
 
 
 # -- arithmetic against a coefficient-wise oracle ---------------------------------
