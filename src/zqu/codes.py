@@ -114,6 +114,7 @@ class CyclicCode:
         self.generators = tuple(g.reduce_cyclic(n) for g in generators)
         self.closure_mode = closure_mode
         self._span: Optional[ZqSpan] = None
+        self._divides: Optional[tuple[tuple[bool, ...], ...]] = None
         self._readings: Optional[tuple[Reading, ...]] = None
         self._canonical = None
 
@@ -123,10 +124,20 @@ class CyclicCode:
         """The code as a Z_q-span in Z_q^{2n} (this is exactly the element set):
         the ideal of R[x]/(x^n - 1), or in module closure the Z_q[x]-span."""
         if self._span is None:
+            degrees = factor_xn_minus_1(self.n, self.params).degrees
+            shifts = [sum(m for m, d in zip(degrees, row) if not d) for row in self._divisibility()]
             self._span = ideal_span_mod(self.generators, xn_minus_1(self.params, self.n),
-                                        with_u=self.closure_mode == MODE_IDEAL,
-                                        factors=factor_xn_minus_1(self.n, self.params).factors)
+                                        with_u=self.closure_mode == MODE_IDEAL, shifts=shifts)
         return self._span
+
+    def _divisibility(self) -> tuple[tuple[bool, ...], ...]:
+        """Whether each factor of x^n - 1 divides each generator, a row per
+        generator: the one divisibility pass of the code, read by the span's
+        d_g and by the BCH floor."""
+        if self._divides is None:
+            factors = factor_xn_minus_1(self.n, self.params).factors
+            self._divides = tuple(tuple(f.divides(g) for f in factors) for g in self.generators)
+        return self._divides
 
     def fingerprint(self) -> tuple:
         return self.span().fingerprint()
@@ -238,10 +249,27 @@ class CyclicCode:
         return g
 
     def bch_bound(self) -> "BchCertificate":
-        g = self.is_free()
-        if g is None:
+        """The BCH certificate of a free code (g): that of `bch_floor`, since
+        the factors of x^n - 1 dividing every generator are those of g."""
+        if self.is_free() is None:
             raise PreconditionError("BCH certificate requires a free code")
-        return bch_bound_of(g, self.n, self.params)
+        return self.bch_floor()
+
+    def bch_floor(self) -> "BchCertificate":
+        """The BCH certificate of g_0, the product of the factors of x^n - 1
+        that divide every generator: a floor on the minimum Hamming distance
+        of every code, in both closures.
+
+        Each generator is g_0 * h for some h, so every codeword is
+        c = a + u*b with a and b in the free Z_q-code (g_0), and the support
+        of c holds theirs.  A nonzero word w of (g_0) has some p^k w =
+        p^(s-1) w' with w' a nonzero word of (g_0 mod p) over F_p, whose
+        support lies in that of w; so d_H(C) >= d((g_0 mod p)) >= delta, the
+        BCH bound over F_p.  In ideal closure the first is an equality:
+        p^(s-1) u (g_0 mod p), the socle of the ideal, lies in C."""
+        t = len(factor_xn_minus_1(self.n, self.params).factors)
+        shared = [all(row[l] for row in self._divisibility()) for l in range(t)]
+        return bch_bound_of(shared, self.n, self.params)
 
     # -- serialization --------------------------------------------------------
 
@@ -292,10 +320,10 @@ class CyclicCode:
                     f"ideal closure of the same generators is strictly larger "
                     f"({base}^{ideal_exp} vs {base}^{exp}); the two closure semantics disagree"
                 )
-        g = self.is_free()
-        out["free"] = g is not None
-        if g is not None:
-            cert = bch_bound_of(g, self.n, self.params)
+        free = self.is_free() is not None
+        out["free"] = free
+        if free:
+            cert = self.bch_floor()
             out["bch"] = {"b": cert.b, "delta": cert.delta}
         else:
             out["bch"] = None
@@ -443,8 +471,9 @@ def _canonical_form(code: CyclicCode) -> CanonicalGenerators:
 
 
 class BchCertificate(Value):
-    """Verified consecutive roots zeta^b .. zeta^{b+delta-2} of a free code's
-    generator, certifying minimum Hamming distance >= delta."""
+    """Consecutive roots zeta^b .. zeta^{b+delta-2} of g_0, the product of the
+    factors of x^n - 1 dividing every generator of a code, certifying
+    minimum Hamming distance >= delta."""
 
     __slots__ = ("n", "b", "delta", "root_exponents")
 
@@ -452,20 +481,23 @@ class BchCertificate(Value):
         self.n, self.b, self.delta, self.root_exponents = n, b, delta, root_exponents
 
 
-def bch_bound_of(g: RPoly, n: int, params: RingParams) -> BchCertificate:
-    """Longest cyclic run of consecutive root exponents of g at powers of the
-    basic primitive n-th root of unity zeta; delta = run length + 1.
+def bch_bound_of(dividing: Sequence[bool], n: int, params: RingParams) -> BchCertificate:
+    """Longest cyclic run of consecutive root exponents, at powers of the
+    basic primitive n-th root of unity zeta, of the product of the factors
+    of x^n - 1 flagged in `dividing` (one flag per factor, in factorization
+    order); delta = run length + 1.
 
-    zeta^k is a root exactly when the factor prod_{j in C} (X - zeta^j) of
-    x^n - 1 over the p-cyclotomic coset C of k divides g: Frobenius carries
-    a root zeta^k to every zeta^j with j in C, and the remainder of g mod that
-    factor, of degree < |C|, then has |C| roots whose differences are units,
-    so it is zero.
+    The factor over the p-cyclotomic coset C is prod_{j in C} (X - zeta^j),
+    so its roots are the zeta^j with j in C.  A polynomial g has zeta^k as a
+    root exactly when the factor of the coset of k divides g: Frobenius
+    carries a root zeta^k to every zeta^j with j in C, and the remainder of
+    g mod that factor, of degree < |C|, then has |C| roots whose differences
+    are units, so it is zero.
     """
     fact = factor_xn_minus_1(n, params)
     is_root = [False] * n
-    for f, coset in zip(fact.factors, fact.cosets):
-        if f.divides(g):
+    for flag, coset in zip(dividing, fact.cosets):
+        if flag:
             for k in coset:
                 is_root[k] = True
     if all(is_root):

@@ -27,7 +27,7 @@ def unit_group_order(p: int, s: int, m: int) -> int:
 
 
 def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True,
-                   factors: Optional[Sequence[RPoly]] = None) -> ZqSpan:
+                   shifts: Optional[Sequence[int]] = None) -> ZqSpan:
     """The ideal that `gens` (reduced mod f here) generate in R[x]/(f), f
     monic of degree m, as a Z_q-span inside Z_q^{2m} (a-coordinates first,
     then u-coordinates).  With `with_u` false, only the Z_q[x]-span.
@@ -36,11 +36,11 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True,
     sum_k (a_k + b_k u) x^k acts through them Z_q-linearly.  Each x^k * g
     comes from the previous one by a shift and one subtraction of f.
 
-    `factors`, if given, are pairwise coprime monic polynomials of Z_q[x]
-    whose product is f; then k < d_g suffices, d_g = sum of deg f_l over
-    the f_l that do not divide g, as `RPoly.divides` tells without building
-    a quotient.  Their product mu_g is monic of degree d_g in Z_q[x] and, by
-    the CRT, mu_g * g = 0 mod f.  So x^{d_g} * g = (x^{d_g} - mu_g) * g is a
+    `shifts`, if given, holds one d_g <= m per generator, and k < d_g
+    suffices.  The caller takes d_g = sum of deg f_l over the f_l that do
+    not divide g, for pairwise coprime monic f_l of Z_q[x] whose product is
+    f.  Their product mu_g is monic of degree d_g in Z_q[x] and, by the CRT,
+    mu_g * g = 0 mod f.  So x^{d_g} * g = (x^{d_g} - mu_g) * g is a
     Z_q-combination of the lower shifts, and by induction so is every later
     shift and its u-multiple, in both closures.
     """
@@ -48,10 +48,9 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True,
     q = params.q
     fa, fb = f.a.coeffs[:m], (f.b.coeffs + (0,) * m)[:m]
     rows = []
-    for g in gens:
+    for g, d in zip(gens, [m] * len(gens) if shifts is None else shifts):
         if g.degree >= m:
             g = divmod_monic(g, f)[1]
-        d = m if factors is None else sum(h.degree for h in factors if not h.divides(g))
         a = list(g.a.coeffs) + [0] * (m - len(g.a.coeffs))
         b = list(g.b.coeffs) + [0] * (m - len(g.b.coeffs))
         for _ in range(d):

@@ -23,14 +23,22 @@ mid word its row at every coordinate.  Block o weighs as
 sum_c W_c[slot(c, o mod M)], so no word of it weighs less than its bound
 sum_c min W_c[slot(c, o mod M)].
 
-Blocks are taken in index order: the scan's first block alone, then in each
-epoch only the live blocks, those whose bound is below the best weight found
-so far (checked again per chunk, as the best falls).  A skipped block holds
-no lighter word, nor, coming later, an earlier one of equal weight, so the
-result is that of weighing every word; this is a bound per block, not an
-early stop.  A chunk of live blocks is packed into two buffers allocated
+Blocks are taken in index order.  The scan's first block is weighed alone,
+straight from the block words and its base word, before any mid table, tree
+or weight row is built; then each epoch weighs only the live blocks, those
+whose bound is below the best weight found so far (checked again per chunk,
+as the best falls).  A skipped block holds no lighter word, nor, coming
+later, an earlier one of equal weight, so the result is that of weighing
+every word.  A chunk of live blocks is packed into two buffers allocated
 once per call, as one row copy (and, after the first group, one narrow add)
 per group and one argmin, mapped back to (block, word).
+
+The caller may pass a floor, a lower bound it has proven on the weight of
+every word of the range (`metrics.min_distance` passes the BCH bound of the
+code).  The scan returns as soon as the best weight is at or below it,
+after the first block or after any chunk: every later word weighs at least
+the floor and comes later, so it is excluded just as a block bound would
+exclude it.
 
 While the live blocks times n stay within the blocks of the epoch, the
 groups are single coordinates.  Beyond that, weighing them one coordinate
@@ -46,8 +54,9 @@ The digits split by a rule on the two memory bounds, not by a search
 scan's length.  Weights are summed in the narrowest unsigned dtype holding
 max(table) * n.  A scan returns (best weight, index of the first word
 attaining it, words scanned): every word of [start, stop) counts as
-scanned, whether weighed or excluded by its block's bound, and the triple
-is the same for every split, every grouping and every thread partition.
+scanned, whether weighed or excluded by its block's bound or the floor, and
+the triple is the same for every split, every grouping, every thread
+partition and every floor up to the least weight of the range.
 
 This is the only zqu module that imports numpy; `metrics.min_distance`
 imports it on the first scan, converts the weight table once with
@@ -78,9 +87,11 @@ def weight_array(table) -> np.ndarray:
     return np.frombuffer(array.array("Q", table), np.uint64)
 
 
-def min_weight_scan(rows, ranges, table, q, n, start, stop):
+def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     """Scan span words with linear indices in [start, stop); returns
-    (min weight, first index attaining it, words scanned)."""
+    (min weight, first index attaining it, words scanned).  `floor` is a
+    lower bound, proven by the caller, on the weight of every word of the
+    range: the scan ends at the first word that weighs no more."""
     if stop <= start:
         return (1 << 62, -1, 0)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -104,8 +115,23 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
     pairs = block[:n] * (2 * q) + block[n:]
     width = pairs.shape[1]
     del block
-    span = math.prod(ranges[k0:k2])  # blocks per epoch
+    tiled = np.tile(table.reshape(q, q).astype(wdt), (2, 2)).ravel()
     first, last = start // width, -(-stop // width)
+    # The scan's first block alone, from the block words and its base word:
+    # a scan that ends there builds no table.
+    idx = pairs
+    if first:
+        base = word_at_index(rows[k0:], ranges[k0:], q, first)
+        idx = pairs + (base[:n] * (2 * q) + base[n:]).astype(pair_dt)[:, None]
+    flat = np.take(tiled, idx).sum(axis=0, dtype=wdt)
+    lo, hi = start - first * width, min(stop - first * width, width)
+    j = lo + int(np.argmin(flat[lo:hi]))
+    best, best_idx = int(flat[j]), first * width + j
+    if best <= floor or last - first == 1:
+        return best, best_idx, stop - start
+    del idx, flat
+
+    span = math.prod(ranges[k0:k2])  # blocks per epoch
     epochs = (last - 1) // span - first // span + 1
     # A single epoch reads no mid word at or past the block of stop, so
     # its table ends there, and its top digit stops at the last value read.
@@ -120,7 +146,6 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
     # leaf_slot[c, m] is the row of coordinate c that mid word m reads.
     leaves, _, leaf_slot = tree.layout()
     coord, value = tree.coord, tree.value
-    tiled = np.tile(table.reshape(q, q).astype(wdt), (2, 2)).ravel()
     weights = np.empty((leaves, width), wdt)
     low = np.empty(leaves, wdt)  # row minima
     merged = None  # (rows, joins, slot) of the planned tree
@@ -128,16 +153,15 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
     per_gather = max(1, (_CHUNK_WORDS >> 2) // width)  # rows
     acc = np.empty((per_chunk, width), wdt)
     tmp = np.empty((per_chunk, width), wdt)
-    best, best_idx = 1 << 62, -1
 
     def least(ids, slot):
-        """The least weight in [start, stop) of the blocks of mid words ids
-        (ascending) of this epoch, and the first index attaining it."""
+        """The least weight below stop of the blocks of mid words ids
+        (ascending) of this epoch, all past the scan's first block, and the
+        first index attaining it."""
         flat = _weigh(weights, slot, ids, acc, tmp)
         o = ids + epoch * span
-        lo = max(start - int(o[0]) * width, 0)
         hi = (len(o) - 1) * width + min(stop - int(o[-1]) * width, width)
-        j = lo + int(np.argmin(flat[lo:hi]))
+        j = int(np.argmin(flat[:hi]))
         return int(flat[j]), int(o[j // width]) * width + j % width
 
     def bound(slot, m0, m1):
@@ -146,6 +170,10 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
         return np.take(low, slot[:, m0:m1]).sum(axis=0, dtype=low.dtype)
 
     for epoch in range(first // span, (last - 1) // span + 1):
+        m0 = max(first + 1, epoch * span) - epoch * span
+        m1 = min(last, (epoch + 1) * span) - epoch * span
+        if m0 == m1:  # the first block ends this epoch
+            continue
         outer = word_at_index(rows[k2:], ranges[k2:], q, epoch)
         a = (outer[:n][coord] + value // q) % q
         b = (outer[n:][coord] + value % q) % q
@@ -155,11 +183,6 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
             idx = pairs[coord[t : t + per_gather]] + offset[t : t + per_gather, None]
             np.take(tiled, idx, out=weights[t : t + len(idx)], mode="clip")
         np.min(weights[:leaves], axis=1, out=low[:leaves])
-        m0 = max(first, epoch * span) - epoch * span
-        m1 = min(last, (epoch + 1) * span) - epoch * span
-        if best_idx < 0:  # the scan's first block sets best
-            best, best_idx = least(np.array([m0]), leaf_slot)
-            m0 += 1
         slot = leaf_slot
         lows = bound(slot, m0, m1)
         live = np.flatnonzero(lows < best)
@@ -185,6 +208,8 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop):
                 weight, idx = least(ids + m0, slot)
                 if weight < best:
                     best, best_idx = weight, idx
+                    if best <= floor:
+                        return best, best_idx, stop - start
     return best, best_idx, stop - start
 
 

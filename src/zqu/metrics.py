@@ -146,7 +146,21 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
                  budget: Optional[int] = None, threads: int = 1) -> DistanceReport:
     """Exact minimum weight by scanning every nonzero codeword once (the span
     basis enumeration is bijective); degrades to a budget-limited upper bound
-    with exhaustive=False when the code is larger than the budget."""
+    with exhaustive=False when the code is larger than the budget.
+
+    The scan ends at the first word weighing at most delta =
+    `code.bch_floor().delta`, which no nonzero word undercuts in any of the
+    three metrics: d_H(C) >= delta, and each table weighs every nonzero
+    coordinate at least 1.  No later word is lighter, and the words past it
+    count as scanned, so the report is the one weighing every word gives."""
+    return _scan_distance(code, metric, budget, threads, None)
+
+
+def _scan_distance(code: CyclicCode, metric: str, budget: Optional[int], threads: int,
+                   floor: Optional[int]) -> DistanceReport:
+    """`min_distance` with the scan's floor given: None takes the code's BCH
+    floor, and 0 weighs or bounds every word, as the oracles that check the
+    floor must."""
     if metric not in METRICS:
         raise UnsupportedMetricError(f"unknown metric {metric!r}")
     if threads < 1:
@@ -160,6 +174,8 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
     total = span.size() - 1
     if total == 0:
         raise DistanceUndefinedError("the zero code has no nonzero codeword")
+    if floor is None:
+        floor = code.bch_floor().delta
     basis, ranges = span.enumeration_basis()
     exhaustive = total <= budget
     stop = total + 1 if exhaustive else budget + 1
@@ -174,7 +190,7 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
     # one array for every partition
     table = kernels.weight_array(table)
     if threads == 1 or stop - 1 < 4 * threads:
-        best, idx, scanned = kernels.min_weight_scan(basis, ranges, table, q, n, 1, stop)
+        best, idx, scanned = kernels.min_weight_scan(basis, ranges, table, q, n, 1, stop, floor)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -182,7 +198,7 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(
                 pool.map(
-                    lambda se: kernels.min_weight_scan(basis, ranges, table, q, n, *se),
+                    lambda se: kernels.min_weight_scan(basis, ranges, table, q, n, *se, floor),
                     zip(bounds[:-1], bounds[1:]),
                 )
             )

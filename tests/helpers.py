@@ -215,6 +215,14 @@ def short_lengths(p, top=12):
 # -- element sets, spans and roots by independent routes ------------------------
 
 
+def product(polys, params):
+    """The product of R-polynomials, 1 for none."""
+    out = RPoly.one(params)
+    for f in polys:
+        out = out * f
+    return out
+
+
 def rotate(row, i):
     i %= len(row)
     return tuple(row[-i:] + row[:-i]) if i else tuple(row)
@@ -232,6 +240,45 @@ def brute_min_weight(code, weight_fn):
         if best is None or w < best:
             best = w
     return best
+
+
+def full_scan_distance(code):
+    """The minimum Hamming weight of a code from a kernel scan of every
+    nonzero word with no floor: a check of the BCH floor must not rest on a
+    scan that stops at a word weighing it."""
+    from zqu import kernels
+    from zqu.metrics import weight_table
+
+    span = code.span()
+    basis, ranges = span.enumeration_basis()
+    table = weight_table("hamming", code.params)
+    return kernels.min_weight_scan(basis, ranges, table, code.params.q, code.n, 1, span.size())[0]
+
+
+def enumerated_min_hamming(code):
+    """The minimum Hamming weight over every nonzero word of a code, listed at
+    once as digit vectors times the span basis: no scan kernel."""
+    import numpy as np
+
+    n, q = code.n, code.params.q
+    basis, ranges = code.span().enumeration_basis()
+    digits = np.indices(ranges).reshape(len(ranges), -1).T
+    words = digits @ np.array(basis, dtype=np.int64).reshape(len(ranges), 2 * n) % q
+    weights = ((words[:, :n] != 0) | (words[:, n:] != 0)).sum(axis=1)
+    return int(weights[1:].min())  # row 0 is the zero word
+
+
+def residue_code_distance(g0, n, p):
+    """The minimum distance of the cyclic code (g0 mod p) over F_p, g0 a
+    proper monic divisor of x^n - 1 over Z_q, from its p^(n - deg g0) words."""
+    import numpy as np
+
+    k = n - g0.degree
+    gbar = [c % p for c in g0.coeffs]
+    shifts = np.array([[0] * i + gbar + [0] * (k - 1 - i) for i in range(k)], dtype=np.int64)
+    messages = np.indices([p] * k).reshape(k, -1).T
+    weights = (messages @ shifts % p != 0).sum(axis=1)
+    return int(weights[1:].min())
 
 
 def hamming_pairs(pairs):

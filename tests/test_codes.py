@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from zqu.codes import (
     CyclicCode,
     _read_component,
-    bch_bound_of,
     build_crt,
     count_cyclic_codes,
     enumerate_cyclic_codes,
@@ -33,6 +32,7 @@ from helpers import (
     build_ctx,
     gr_span_by_multiplication,
     pair_mul,
+    product,
     rotate,
     short_lengths,
     span_by_rotation,
@@ -519,20 +519,13 @@ BCH_GRID = [(params, n) for params in (R4, R8, R9) for n in (1, 3, 5, 7, 9, 15, 
             if n % params.p]
 
 
-def product(polys, params):
-    out = RPoly.one(params)
-    for f in polys:
-        out = out * f
-    return out
-
-
 def test_bch_matches_evaluation_oracle_on_every_divisor():
     divisors = 0
     for params, n in BCH_GRID:
         factors = factor_xn_minus_1(n, params).factors
         for mask in range(1 << len(factors)):
             g = product([f for l, f in enumerate(factors) if mask >> l & 1], params)
-            cert = bch_bound_of(g, n, params)
+            cert = CyclicCode(n, params, [g]).bch_floor()
             assert (cert.b, cert.delta, cert.root_exponents) == bch_by_evaluation(g, n, params)
             divisors += 1
     assert divisors == 146
@@ -561,7 +554,7 @@ def test_bch_matches_evaluation_oracle_on_any_g(data):
         h = data.draw(r_poly_over(params, 4))
         term = product(chosen, params) * h
         g = g + (term.mul_u() if u_times else term)
-    cert = bch_bound_of(g, n, params)
+    cert = CyclicCode(n, params, [g]).bch_floor()
     assert (cert.b, cert.delta, cert.root_exponents) == bch_by_evaluation(g, n, params)
 
 
@@ -595,7 +588,7 @@ def test_span_and_bch_divide_nothing(monkeypatch):
     for c, g in zip(built, free):
         c.span()
         if g is not None:
-            bch_bound_of(g, c.n, c.params)
+            c.bch_bound()
     assert calls == []
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zqu import kernels
 from zqu.metrics import weight_table
@@ -573,6 +573,89 @@ def test_one_epoch_scan_builds_no_mid_word_past_stop(build, ring, words, split):
     assert res[2] == words
     width = math.prod(ranges[:split[0]])
     assert tables == [-(-(1 + words) // width)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunked_instance(), st.integers(1, 16), st.integers(1, 64), st.data())
+def test_a_floor_up_to_the_minimum_keeps_the_triple(instance, block_words, chunk_words, data):
+    # Small blocks and chunks put the first word of least weight in the
+    # first block, in a later live chunk or in a later epoch; a floor at or
+    # below the least weight of [start, stop) may end the scan early but
+    # changes none of (value, index, words scanned).
+    q, n, rows, ranges, table, _, _ = instance
+    total = int(np.prod(ranges))
+    assume(total > 2)
+    start = data.draw(st.integers(2, total - 1))
+    stop = data.draw(st.integers(start + 1, total))  # below total: a budget cut
+    ref = _reference_scan(rows, ranges, table, q, n, start, stop)
+    floors = range(ref[0] + 1) if ref[0] <= 24 else [0, 1, ref[0] // 2, ref[0] - 1, ref[0]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_WORDS", block_words)
+        mp.setattr(kernels, "_CHUNK_WORDS", chunk_words)
+        for floor in floors:
+            assert kernels.min_weight_scan(rows, ranges, table, q, n, start, stop, floor) == ref
+
+
+def _counted_scan(basis, ranges, params, stop, floor):
+    """A scan's triple, with the _Tree instances and the blocks of each
+    _weigh call it made."""
+    trees, weighed = [], []
+    weigh = kernels._weigh
+
+    class Recorded(kernels._Tree):
+        def __init__(self, codes, q):
+            trees.append(codes.shape)
+            super().__init__(codes, q)
+
+    def recorded(weights, slot, ids, *args):
+        weighed.append(len(ids))
+        return weigh(weights, slot, ids, *args)
+
+    table = weight_table("hamming", params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_Tree", Recorded)
+        mp.setattr(kernels, "_weigh", recorded)
+        res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, 1, stop, floor)
+    return res, trees, weighed
+
+
+def test_z8_paper_scan_at_its_floor_ends_in_the_first_block():
+    # Counts calls, not a timing: the first block holds a weight-7 word and
+    # delta = 7, so the budget scan builds no table and weighs no block past it.
+    res, trees, weighed = _counted_scan(*_z8_paper_basis(), make_ring(2, 3), (1 << 22) + 1, 7)
+    assert res == (7, 4, 1 << 22)
+    assert trees == [] and weighed == []
+
+
+def _late_z4_basis():
+    """A code of 2^20 words over Z4 at n = 15, delta = d = 4, whose first
+    weight-4 word, index 4096, lies in the fifth block of 1024 words."""
+    from zqu import CyclicCode
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 2)
+    gens = [
+        "0+u*(x^13+3*x^12+x^10+3*x^9+x^7+3*x^6+x^4+3*x^3+x+3)",
+        "2*x^11+2*x^10+2*x^6+2*x^5+2*x+2+u*(x^13+3*x^11+x^8+3*x^6+x^3+3*x)",
+        "2*x^11+2*x^10+2*x^9+2*x^8+2*x^6+2*x^4+2*x^3+2"
+        "+u*(x^14+2*x^13+x^12+2*x^11+3*x^10+x^9+2*x^8+2*x^7+3*x^6+2*x^5+2*x^4+x^2+3*x+3)",
+    ]
+    code = CyclicCode(15, params, [parse_r_poly(g, params) for g in gens], "ideal")
+    assert code.bch_floor().delta == 4
+    return code.span().enumeration_basis()
+
+
+def test_late_minimum_ends_the_scan_in_the_live_block_loop():
+    # Counts calls, not a timing: the floor is met in the first live chunk,
+    # and the scan weighs no chunk after it.
+    basis, ranges = _late_z4_basis()
+    params = make_ring(2, 2)
+    full, full_trees, full_weighed = _counted_scan(basis, ranges, params, 1 << 20, 0)
+    res, trees, weighed = _counted_scan(basis, ranges, params, 1 << 20, 4)
+    assert res == full == (4, 4096, (1 << 20) - 1)
+    assert len(trees) == len(full_trees) == 1
+    assert len(weighed) == 1 < len(full_weighed)
+    assert sum(weighed) < sum(full_weighed)
 
 
 def test_split_of_the_full_z8_sweep():

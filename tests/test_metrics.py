@@ -1,10 +1,11 @@
 import concurrent.futures
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from zqu import metrics
-from zqu.codes import CyclicCode, build_crt
+from zqu import metrics, verify
+from zqu.codes import BchCertificate, CyclicCode, build_crt
 from zqu.errors import DistanceUndefinedError, UnsupportedMetricError
 from zqu.metrics import (
     WordR,
@@ -17,14 +18,16 @@ from zqu.metrics import (
     phi_map,
     weight_of,
 )
-from zqu.poly import RPoly, parse_r_poly
+from zqu.poly import RPoly, divmod_monic, factor_xn_minus_1, parse_r_poly
 from zqu.ring import make_ring
 from zqu.verify import _code_element_set
 
-from helpers import brute_min_weight, hamming_pairs, lee_pairs
+from helpers import (brute_min_weight, enumerated_min_hamming, full_scan_distance, hamming_pairs,
+                     lee_pairs, product, residue_code_distance)
 
 R4 = make_ring(2, 2)
 R8 = make_ring(2, 3)
+R9 = make_ring(3, 2)
 
 Z8_GEN = "x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1"
 Z4_GENS = ["3*x^3+x^2+2*x+1", "0+u*(x+3)"]
@@ -244,10 +247,99 @@ def test_bch_delta_bounded_by_exact_distance():
             c = CyclicCode(n, R4, [g])
             if c.span().size() - 1 > 1 << 22:
                 continue
-            cert = c.bch_bound()
-            exact = min_distance(c, "hamming")
-            assert exact.exhaustive
-            assert cert.delta <= exact.value
+            assert c.bch_bound().delta <= full_scan_distance(c)
+
+
+def test_oracles_fail_on_a_floor_above_the_bch_bound(monkeypatch):
+    # bch_bound and min_distance read one BCH routine: raised by one, every
+    # check that holds it against a scan with no floor must fail.
+    bch_floor = CyclicCode.bch_floor
+
+    def raised(self):
+        cert = bch_floor(self)
+        return BchCertificate(cert.n, cert.b, cert.delta + 1, cert.root_exponents)
+
+    monkeypatch.setattr(CyclicCode, "bch_floor", raised)
+    passed, detail = verify.check_property_suite()
+    assert not passed and "exceeds exact distance" in detail
+    assert not verify.check_z8_length15_chain()[0]
+    with pytest.raises(AssertionError):
+        test_bch_delta_bounded_by_exact_distance()
+
+
+def test_floor_reads_the_span_divisibility(monkeypatch):
+    # Counts calls, not a timing: the floor reads the (factor, generator)
+    # divisibility that the code span's d_g already tested.
+    divides = RPoly.divides
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return divides(f, g)
+
+    monkeypatch.setattr(RPoly, "divides", counted)
+    cases = [(R8, 15, [Z8_GEN], "ideal", "hamming"), (R4, 7, Z4_GENS, "module", "lee"),
+             (R4, 7, Z4_GENS, "ideal", "hamming"), (R9, 5, ["x+8", "3+u*(x^2+1)"], "module", "hamming")]
+    for params, n, texts, mode, metric in cases:
+        code(params, n, texts, mode).span()
+        alone = len(calls)
+        calls.clear()
+        min_distance(code(params, n, texts, mode), metric)
+        assert len(calls) == alone == len(texts) * len(factor_xn_minus_1(n, params).factors)
+        calls.clear()
+
+
+# (ring, n) with gcd(n, p) = 1, n in {3, 5, 7}
+SMALL_LENGTHS = [(R4, 3), (R4, 5), (R4, 7), (R8, 3), (R8, 5), (R8, 7), (R9, 5), (R9, 7)]
+
+
+@st.composite
+def small_codes(draw):
+    """A code of at most 2^16 words: generators p^e * (a + u*b) times some
+    factors of x^n - 1, all sharing a drawn proper subset of the factors (a
+    free code is their product alone), while too large multiplied by the
+    factors outside that subset, then by p."""
+    params, n = draw(st.sampled_from(SMALL_LENGTHS))
+    p, q = params.p, params.q
+    factors = factor_xn_minus_1(n, params).factors
+    chosen = draw(st.lists(st.sampled_from(factors), unique=True, max_size=len(factors) - 1))
+    shared = product(chosen, params)
+    if draw(st.booleans()):
+        gens = [shared]
+    else:
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            pairs = draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
+                                  min_size=1, max_size=n))
+            extra = product(draw(st.lists(st.sampled_from(factors), unique=True)), params)
+            scale = p ** draw(st.integers(0, params.s - 1))
+            gens.append(RPoly.make(params, [(scale * a, scale * b) for a, b in pairs]) * extra * shared)
+    mode = draw(st.sampled_from(["ideal", "module"]))
+    rest = [f for f in factors if f not in chosen]
+    c = CyclicCode(n, params, gens, mode)
+    while c.cardinality()[1] * math.log2(p) > 16:
+        scale = rest.pop() if len(rest) > 1 else p
+        c = CyclicCode(n, params, [g * scale for g in c.generators], mode)
+    return c
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+def test_bch_floor_is_a_bound(c):
+    base, exp = c.cardinality()
+    assume(exp > 0)  # not the zero code
+    floor = c.bch_floor().delta
+    exact = enumerated_min_hamming(c)
+    assert floor <= exact
+    # g_0, the product of the factors dividing every generator, by remainders
+    g0 = product([f for f in factor_xn_minus_1(c.n, c.params).factors
+                  if all(divmod_monic(g, f)[1].is_zero() for g in c.generators)], c.params)
+    residue = residue_code_distance(g0.a, c.n, c.params.p)
+    assert floor <= residue <= exact
+    if c.closure_mode == "ideal":
+        assert exact == residue
+    if c.is_free() is not None:
+        assert floor == c.bch_bound().delta
 
 
 def test_report_serialization():
