@@ -194,15 +194,23 @@ class CyclicCode:
     def from_components(cls, n: int, params: RingParams,
                         descriptors: Sequence[IdealDescriptor]) -> "CyclicCode":
         """Build the ideal with the given component at each factor, realizing
-        generators as multiples of the CRT cofactors."""
-        crt = build_crt(n, params)
-        if len(descriptors) != crt.t:
-            raise PreconditionError(f"expected {crt.t} component descriptors")
-        gens = []
-        for desc, fhat, m in zip(descriptors, crt.cofactors, crt.factorization.degrees):
-            for g in reading_generators(desc.reading(params.s, m), params):
-                gens.append((RPoly.make(params, g) * fhat).reduce_cyclic(n))
-        return cls(n, params, gens, MODE_IDEAL)
+        generators as multiples of the CRT cofactors.
+
+        A generator G * fhat_l of component l is divisible by every other
+        factor, which divides the cofactor fhat_l, and not by f_l: fhat_l is a
+        unit mod f_l, and G is nonzero of degree < deg f_l.  So the code's
+        divisibility table is known without a `divides` test."""
+        t = build_crt(n, params).t
+        if len(descriptors) != t:
+            raise PreconditionError(f"expected {t} component descriptors")
+        gens, divides = [], []
+        for l, desc in enumerate(descriptors):
+            made = _component_generators(n, params, l, desc)
+            gens += made
+            divides += [tuple(k != l for k in range(t))] * len(made)
+        code = cls(n, params, gens, MODE_IDEAL)
+        code._divides = tuple(divides)
+        return code
 
     # -- canonical generators ----------------------------------------------
 
@@ -332,6 +340,22 @@ class CyclicCode:
 
 
 # -- component ideals ---------------------------------------------------------
+
+
+# Most (n, ring, factor, descriptor) generator tuples `from_components` keeps:
+# the enumerate benchmark's census uses 255.
+COMPONENT_GENERATORS_CACHE = 1024
+
+
+@lru_cache(maxsize=COMPONENT_GENERATORS_CACHE)
+def _component_generators(n: int, params: RingParams, l: int,
+                          desc: IdealDescriptor) -> tuple[RPoly, ...]:
+    """The generators G * fhat_l mod x^n - 1 of the code whose only nonzero
+    component is desc, at factor l: G runs over its reading's generators."""
+    crt = build_crt(n, params)
+    fhat, m = crt.cofactors[l], crt.factorization.degrees[l]
+    return tuple((RPoly.make(params, g) * fhat).reduce_cyclic(n)
+                 for g in reading_generators(desc.reading(params.s, m), params))
 
 
 def _read_component(span: ZqSpan, m: int) -> Reading:

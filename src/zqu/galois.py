@@ -53,9 +53,11 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True,
             g = divmod_monic(g, f)[1]
         a = list(g.a.coeffs) + [0] * (m - len(g.a.coeffs))
         b = list(g.b.coeffs) + [0] * (m - len(g.b.coeffs))
+        # u * (a + u*b) = u*a is zero when a is, and a stays zero at every shift
+        u_rows = with_u and any(a)
         for _ in range(d):
             rows.append(a + b)
-            if with_u:
+            if u_rows:
                 rows.append([0] * m + a)
             a, b = times_x_mod(a, b, fa, fb, q)
     return ZqSpan.from_rows(rows, params.p, params.s, 2 * m)

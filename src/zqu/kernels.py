@@ -40,6 +40,17 @@ after the first block or after any chunk: every later word weighs at least
 the floor and comes later, so it is excluded just as a block bound would
 exclude it.
 
+When the first block holds no word at the floor, the words with one
+nonzero digit past it, d * rows[i] at index d * P_i (P_i the product of
+the ranges below digit i), are weighed in one vectorized pass: light words
+are often a multiple of one basis row.  The first of them at index I that
+weighs no more than the floor weighs exactly the floor, so the answer is
+the first word at or below the floor in [first block end, I), or the word
+at I if there is none, and only that prefix is scanned.  A prefix whose
+digits span at most _BLOCK_TARGET words is one block; a longer one starts
+its epochs with the ceiling floor + 1 as its best weight, so a block is
+live only if its bound is at most the floor.
+
 While the live blocks times n stay within the blocks of the epoch, the
 groups are single coordinates.  Beyond that, weighing them one coordinate
 at a time would cost more than a pass over every block, so the coordinates
@@ -68,6 +79,7 @@ from __future__ import annotations
 import array
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -91,12 +103,24 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     """Scan span words with linear indices in [start, stop); returns
     (min weight, first index attaining it, words scanned).  `floor` is a
     lower bound, proven by the caller, on the weight of every word of the
-    range: the scan ends at the first word that weighs no more."""
+    range: the scan ends at the first word that weighs no more, and past
+    the first block it is sought first among the multiples of one basis
+    row, which leaves only the words before that one to scan."""
     if stop <= start:
         return (1 << 62, -1, 0)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     ranges = [int(r) for r in ranges]
-    table = weight_array(table)
+    best, index = _least(rows, ranges, weight_array(table), q, n, start, stop, floor, None)
+    return best, index, stop - start
+
+
+def _least(rows, ranges, table, q, n, start, stop, floor, row_word):
+    """The least weight of a word of [start, stop) and the first index
+    attaining it.  `row_word`, if given, is the (weight, index) of a word at
+    stop that weighs at most the floor: then only words at or below the
+    floor count, and row_word stands when the range holds none."""
+    if stop <= start:
+        return row_word
     # Digits from k on are 0 at every index below stop, and the top digit
     # that moves stays below ceil(stop / size).
     k, size = 0, 1
@@ -109,7 +133,10 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
         ranges[-1] = min(ranges[-1], -(-stop // (size // ranges[-1])))
     wdt = np.min_scalar_type(int(table.max()) * n)
     pair_dt = np.min_scalar_type(4 * q * q - 1)  # values and sums below 2q fit too
-    k0, k2 = _split(ranges, q, n, wdt.itemsize)
+    if row_word is not None and math.prod(ranges) <= _BLOCK_TARGET:
+        k0 = k2 = k  # a short prefix is one block
+    else:
+        k0, k2 = _split(ranges, q, n, wdt.itemsize)
 
     block = _words(rows[:k0], ranges[:k0], q, pair_dt)
     pairs = block[:n] * (2 * q) + block[n:]
@@ -127,9 +154,19 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     lo, hi = start - first * width, min(stop - first * width, width)
     j = lo + int(np.argmin(flat[lo:hi]))
     best, best_idx = int(flat[j]), first * width + j
-    if best <= floor or last - first == 1:
-        return best, best_idx, stop - start
+    if best <= floor:
+        return best, best_idx
+    if row_word is not None:
+        best = floor + 1  # a ceiling: a block is live only if its bound is at most the floor
+    if last - first == 1:
+        return row_word or (best, best_idx)
     del idx, flat
+    # The first word at or below the floor past the first block is the
+    # first of [first block end, I) or, failing that, the word at I.
+    if row_word is None and stop <= 1 << 62:  # int64 indices
+        hit = _row_hit(rows[k0:], ranges[k0:], width, table, q, n, (first + 1) * width, floor)
+        if hit is not None:
+            return _least(rows, ranges, table, q, n, (first + 1) * width, hit[1], floor, hit)
 
     span = math.prod(ranges[k0:k2])  # blocks per epoch
     epochs = (last - 1) // span - first // span + 1
@@ -209,8 +246,33 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
                 if weight < best:
                     best, best_idx = weight, idx
                     if best <= floor:
-                        return best, best_idx, stop - start
-    return best, best_idx, stop - start
+                        return best, best_idx
+    return row_word or (best, best_idx)
+
+
+def _row_hit(rows, ranges, size, table, q, n, lo, floor):
+    """(weight, index) of the first word at or past lo with one nonzero
+    digit, d * rows[i] at index d * P_i, that weighs at most floor; None if
+    there is none.  P_0 = size, P_i = P_(i-1) * ranges[i-1], and the top
+    range is cut at stop, so every such index lies below it.
+
+    Indices grow with (i, d), since d * P_i < P_(i+1), so the first hit of
+    the (digit, value) grid in row-major order is the least.  The grid is
+    weighed a few digits at a time, in at most _CHUNK_WORDS entries."""
+    sizes = list(itertools.accumulate(ranges[:-1], operator.mul, initial=size))
+    d = np.arange(1, max(ranges))
+    valid = d < np.array(ranges)[:, None]
+    if lo > size:  # single-digit words of the scan's first block or before it
+        valid &= np.multiply.outer(sizes, d) >= lo
+    step = max(1, _CHUNK_WORDS // (len(d) * 2 * n))
+    for i in range(0, len(sizes), step):
+        words = rows[i : i + step, None, :] * d[:, None] % q
+        weight = np.take(table, words[..., :n] * q + words[..., n:]).sum(axis=2)
+        hit = (weight <= floor) & valid[i : i + step]
+        t = int(np.argmax(hit))
+        if hit.flat[t]:
+            return int(weight.flat[t]), sizes[i + t // len(d)] * (1 + t % len(d))
+    return None
 
 
 def _weigh(weights, slot, ids, acc, tmp):

@@ -152,7 +152,10 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
     `code.bch_floor().delta`, which no nonzero word undercuts in any of the
     three metrics: d_H(C) >= delta, and each table weighs every nonzero
     coordinate at least 1.  No later word is lighter, and the words past it
-    count as scanned, so the report is the one weighing every word gives."""
+    count as scanned, so the report is the one weighing every word gives.
+    A multiple of one Howell row that weighs delta certifies the value at
+    once; the scan then weighs only the words before it, for an earlier
+    witness."""
     return _scan_distance(code, metric, budget, threads, None)
 
 

@@ -24,7 +24,7 @@ from zqu.galois import gr_ideal_span, ideal_elements
 from zqu.howell import ZqSpan
 from zqu.poly import RPoly, ZqPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
 from zqu.ring import (IdealDescriptor, KIND_U_P_POWER, RingParams, census_size, ideal_descriptors,
-                      make_ring)
+                      make_ring, reading_generators)
 from zqu.verify import _closure, _code_element_set
 
 from helpers import (
@@ -690,6 +690,48 @@ def test_code_span_rows_stop_at_the_annihilator_degree(monkeypatch):
     for c in codes:
         c.span()
     assert counts == [102, 10, 10]
+
+
+# (n, ring) whose whole code census the component-built codes are checked on
+SMALL_CENSUSES = [(3, R4), (7, R4), (3, R8), (5, R9)]
+
+
+def census_codes(n, params):
+    """Every code of the census, as (descriptors, the code built from them)."""
+    degrees = factor_xn_minus_1(n, params).degrees
+    for descs in itertools.product(*(ideal_descriptors(params.p, params.s, m) for m in degrees)):
+        yield descs, CyclicCode.from_components(n, params, descs)
+
+
+@pytest.mark.parametrize("n, params", SMALL_CENSUSES, ids=["z4-n3", "z4-n7", "z8-n3", "z9-n5"])
+def test_spans_without_zero_u_rows_match_rotation_oracle(n, params):
+    # ideal_span_mod adds no u-row for a generator whose a-part is zero, as
+    # u*p^j and the canonical u*g1 are; the oracle rotates every row, zero
+    # rows included.  The component readings come from the same builder.
+    for descs, c in census_codes(n, params):
+        for mode in ("ideal", "module"):
+            built = CyclicCode(n, params, c.generators, mode)
+            assert built.fingerprint() == span_by_rotation(built).fingerprint()
+        assert c.components() == descs
+        can = c.canonical()
+        pair = CyclicCode(n, params, [RPoly(can.f0, can.f1), RPoly.from_zq(can.g1).mul_u()])
+        assert span_by_rotation(pair).fingerprint() == c.fingerprint()
+
+
+@pytest.mark.parametrize("n, params", SMALL_CENSUSES, ids=["z4-n3", "z4-n7", "z8-n3", "z9-n5"])
+def test_codes_from_components_know_their_divisibility(n, params):
+    # from_components seeds the (generator, factor) table from the
+    # construction; it must be the one RPoly.divides gives, and the cached
+    # generators those built afresh from the cofactors.
+    crt = build_crt(n, params)
+    factors = crt.factorization.factors
+    for descs, c in census_codes(n, params):
+        assert c._divides == tuple(tuple(f.divides(g) for f in factors) for g in c.generators)
+        assert c.bch_floor() == CyclicCode(n, params, c.generators).bch_floor()
+        fresh = [(RPoly.make(params, g) * fhat).reduce_cyclic(n)
+                 for desc, fhat, m in zip(descs, crt.cofactors, crt.factorization.degrees)
+                 for g in reading_generators(desc.reading(params.s, m), params)]
+        assert c.generators == tuple(fresh)
 
 
 # -- membership and shifts -------------------------------------------------------------

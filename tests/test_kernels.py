@@ -597,10 +597,10 @@ def test_a_floor_up_to_the_minimum_keeps_the_triple(instance, block_words, chunk
 
 
 def _counted_scan(basis, ranges, params, stop, floor):
-    """A scan's triple, with the _Tree instances and the blocks of each
-    _weigh call it made."""
-    trees, weighed = [], []
-    weigh = kernels._weigh
+    """A scan's triple, with the _Tree instances, the blocks of each _weigh
+    call and the results of each row-word probe it made."""
+    trees, weighed, hits = [], [], []
+    weigh, row_hit = kernels._weigh, kernels._row_hit
 
     class Recorded(kernels._Tree):
         def __init__(self, codes, q):
@@ -611,51 +611,164 @@ def _counted_scan(basis, ranges, params, stop, floor):
         weighed.append(len(ids))
         return weigh(weights, slot, ids, *args)
 
+    def probed(*args):
+        hits.append(row_hit(*args))
+        return hits[-1]
+
     table = weight_table("hamming", params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_Tree", Recorded)
         mp.setattr(kernels, "_weigh", recorded)
+        mp.setattr(kernels, "_row_hit", probed)
         res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, 1, stop, floor)
-    return res, trees, weighed
+    return res, trees, weighed, hits
 
 
 def test_z8_paper_scan_at_its_floor_ends_in_the_first_block():
     # Counts calls, not a timing: the first block holds a weight-7 word and
     # delta = 7, so the budget scan builds no table and weighs no block past it.
-    res, trees, weighed = _counted_scan(*_z8_paper_basis(), make_ring(2, 3), (1 << 22) + 1, 7)
+    res, trees, weighed, hits = _counted_scan(*_z8_paper_basis(), make_ring(2, 3), (1 << 22) + 1, 7)
     assert res == (7, 4, 1 << 22)
-    assert trees == [] and weighed == []
+    assert trees == [] and weighed == [] and hits == []
 
 
-def _late_z4_basis():
-    """A code of 2^20 words over Z4 at n = 15, delta = d = 4, whose first
-    weight-4 word, index 4096, lies in the fifth block of 1024 words."""
+def _z4_basis(gens, delta):
+    """The enumeration basis of a Z4 length-15 ideal of 2^20 words whose
+    BCH floor is delta."""
     from zqu import CyclicCode
     from zqu.poly import parse_r_poly
 
     params = make_ring(2, 2)
-    gens = [
+    code = CyclicCode(15, params, [parse_r_poly(g, params) for g in gens], "ideal")
+    assert code.bch_floor().delta == delta and code.cardinality() == (2, 20)
+    return code.span().enumeration_basis()
+
+
+def _late_z4_basis():
+    """delta = d = 4, and the first weight-4 word, index 4096 = 2^12, lies
+    in the fifth block of 1024 words: one row of the basis."""
+    return _z4_basis([
         "0+u*(x^13+3*x^12+x^10+3*x^9+x^7+3*x^6+x^4+3*x^3+x+3)",
         "2*x^11+2*x^10+2*x^6+2*x^5+2*x+2+u*(x^13+3*x^11+x^8+3*x^6+x^3+3*x)",
         "2*x^11+2*x^10+2*x^9+2*x^8+2*x^6+2*x^4+2*x^3+2"
         "+u*(x^14+2*x^13+x^12+2*x^11+3*x^10+x^9+2*x^8+2*x^7+3*x^6+2*x^5+2*x^4+x^2+3*x+3)",
-    ]
-    code = CyclicCode(15, params, [parse_r_poly(g, params) for g in gens], "ideal")
-    assert code.bch_floor().delta == 4
-    return code.span().enumeration_basis()
+    ], 4)
+
+
+def _loop_z4_basis():
+    """delta = d = 3, and the first weight-3 word, index 393344, has three
+    nonzero digits; no word of one nonzero digit weighs 3."""
+    return _z4_basis([
+        "x^14+x^13+x^12+x^11+x^10+x^9+x^8+x^7+x^6+x^5+x^4+x^3+x^2+x+1",
+        "2*x^11+2*x^10+2*x^6+2*x^5+2*x+2+u*(x^14+3*x^11+x^9+3*x^6+x^4+3*x)",
+        "0+u*(x^11+x^10+3*x^9+x^8+2*x^7+3*x^6+x^4+3*x^3+2*x^2+3)",
+    ], 3)
+
+
+def _ceiling_z4_basis():
+    """delta = d = 4; the first weight-4 word is index 393216, and the
+    first of one nonzero digit is index 524288 = 2^19."""
+    return _z4_basis([
+        "2*x^11+2*x^10+2*x^6+2*x^5+2*x+2+u*(x^13+3*x^12+x^8+3*x^7+x^3+3*x^2)",
+        "2*x^11+2*x^10+2*x^9+2*x^8+2*x^6+2*x^4+2*x^3+2",
+        "0+u*(x^11+x^10+3*x^9+x^8+2*x^7+3*x^6+x^4+3*x^3+2*x^2+3)",
+    ], 4)
 
 
 def test_late_minimum_ends_the_scan_in_the_live_block_loop():
-    # Counts calls, not a timing: the floor is met in the first live chunk,
-    # and the scan weighs no chunk after it.
+    # Counts calls, not a timing: the probe finds no word of one nonzero
+    # digit at the floor, and the floor, met in a live chunk, ends the scan
+    # before its last chunk.
+    basis, ranges = _loop_z4_basis()
+    params = make_ring(2, 2)
+    full, full_trees, full_weighed, _ = _counted_scan(basis, ranges, params, 1 << 20, 0)
+    res, trees, weighed, hits = _counted_scan(basis, ranges, params, 1 << 20, 3)
+    assert res == full == (3, 393344, (1 << 20) - 1)
+    assert hits == [None]
+    assert len(trees) == len(full_trees) == 1
+    assert len(weighed) < len(full_weighed)
+    assert sum(weighed) < sum(full_weighed)
+
+
+def test_late_row_word_at_the_floor_ends_the_scan_without_a_table():
+    # Counts calls, not a timing: basis row 10 weighs 4 = delta at index
+    # P_10 = 4096, so only [1024, 4096) is left to scan, a prefix of at most
+    # _BLOCK_TARGET words and so one block: no _Tree, no _weigh call.
     basis, ranges = _late_z4_basis()
     params = make_ring(2, 2)
-    full, full_trees, full_weighed = _counted_scan(basis, ranges, params, 1 << 20, 0)
-    res, trees, weighed = _counted_scan(basis, ranges, params, 1 << 20, 4)
+    full, _, _, _ = _counted_scan(basis, ranges, params, 1 << 20, 0)
+    res, trees, weighed, hits = _counted_scan(basis, ranges, params, 1 << 20, 4)
     assert res == full == (4, 4096, (1 << 20) - 1)
-    assert len(trees) == len(full_trees) == 1
-    assert len(weighed) == 1 < len(full_weighed)
+    assert hits == [(4, 4096)]
+    assert trees == [] and weighed == []
+
+
+def test_far_row_word_scans_its_prefix_under_a_ceiling():
+    # Counts calls, not a timing: the row word at index 2^19 leaves a
+    # prefix of more than _BLOCK_TARGET words, scanned with the ceiling
+    # delta + 1, so only blocks bounded by delta are live; the first of
+    # them holds index 393216 and ends the scan.
+    basis, ranges = _ceiling_z4_basis()
+    params = make_ring(2, 2)
+    full, _, full_weighed, _ = _counted_scan(basis, ranges, params, 1 << 20, 0)
+    res, trees, weighed, hits = _counted_scan(basis, ranges, params, 1 << 20, 4)
+    assert res == full == (4, 393216, (1 << 20) - 1)
+    assert hits == [(4, 1 << 19)]
+    assert len(trees) == 1 and len(weighed) == 1
     assert sum(weighed) < sum(full_weighed)
+
+
+@st.composite
+def row_word_instance(draw):
+    """A chunked instance with light words planted: at a digit i2, a row
+    with one nonzero coordinate, and maybe at two earlier digits i0 < i1,
+    rows whose sum has one nonzero coordinate, so that the word of index
+    P_i0 + P_i1 may weigh as little as the row and come before it.  The table weighs
+    (0, 0) at 0, and is the Hamming table half of the time."""
+    q, n, rows, ranges, table, _, _ = draw(chunked_instance())
+
+    def light():
+        word = np.zeros(2 * n, np.int64)
+        word[draw(st.integers(0, 2 * n - 1))] = draw(st.integers(1, q - 1))
+        return word
+
+    digits = sorted(draw(st.lists(st.integers(0, len(ranges) - 1), min_size=1, max_size=3, unique=True)))
+    rows[digits[-1]] = light()
+    if len(digits) == 3:
+        rows[digits[1]] = (light() - rows[digits[0]]) % q
+    if draw(st.booleans()):
+        table = np.ones(q * q, np.int64)
+    table[0] = 0
+    return q, n, rows, ranges, table
+
+
+@settings(max_examples=120, deadline=None)
+@given(row_word_instance(), st.integers(1, 16), st.sampled_from([1, 16, 64, 256, 1 << 14]),
+       st.integers(1, 64), st.lists(st.floats(0, 1), max_size=3), st.data())
+def test_row_certificate_keeps_the_triple(instance, block_words, block_target, chunk_words,
+                                          cuts, data):
+    # Small blocks put the planted word's index d * P_i past the first
+    # block; the block target makes the prefix before it one block or many,
+    # scanned under the ceiling floor + 1.  Cuts split [start, stop) as
+    # threads do, and every floor up to the least weight of the range must
+    # give each part the triple of a floor-free scan.
+    q, n, rows, ranges, table = instance
+    total = int(np.prod(ranges))
+    # long ranges more often than uniform draws give them
+    start = data.draw(st.one_of(st.integers(2, min(8, total - 1)), st.integers(2, total - 1)))
+    stop = data.draw(st.one_of(st.just(total), st.integers(start + 1, total)))  # below total: a budget cut
+    bounds = sorted({start, stop} | {start + int(c * (stop - start)) for c in cuts})
+    parts = list(zip(bounds[:-1], bounds[1:]))
+    refs = [_reference_scan(rows, ranges, table, q, n, a, b) for a, b in parts]
+    least = min(w for w, _, _ in refs)
+    floors = range(least + 1) if least <= 8 else [0, 1, least // 2, least - 1, least]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_WORDS", block_words)
+        mp.setattr(kernels, "_BLOCK_TARGET", block_target)
+        mp.setattr(kernels, "_CHUNK_WORDS", chunk_words)
+        for floor in floors:
+            got = [kernels.min_weight_scan(rows, ranges, table, q, n, a, b, floor) for a, b in parts]
+            assert got == refs
 
 
 def test_split_of_the_full_z8_sweep():
