@@ -342,12 +342,8 @@ class CyclicCode:
 # -- component ideals ---------------------------------------------------------
 
 
-# Most (n, ring, factor, descriptor) generator tuples `from_components` keeps:
-# the enumerate benchmark's census uses 255.
-COMPONENT_GENERATORS_CACHE = 1024
-
-
-@lru_cache(maxsize=COMPONENT_GENERATORS_CACHE)
+# 1024 (n, ring, factor, descriptor) entries: the enumerate benchmark's census uses 255.
+@lru_cache(maxsize=1024)
 def _component_generators(n: int, params: RingParams, l: int,
                           desc: IdealDescriptor) -> tuple[RPoly, ...]:
     """The generators G * fhat_l mod x^n - 1 of the code whose only nonzero

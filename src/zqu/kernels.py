@@ -46,10 +46,10 @@ the ranges below digit i), are weighed in one vectorized pass: light words
 are often a multiple of one basis row.  The first of them at index I that
 weighs no more than the floor weighs exactly the floor, so the answer is
 the first word at or below the floor in [first block end, I), or the word
-at I if there is none, and only that prefix is scanned.  A prefix whose
-digits span at most _BLOCK_TARGET words is one block; a longer one starts
-its epochs with the ceiling floor + 1 as its best weight, so a block is
-live only if its bound is at most the floor.
+at I if there is none.  So the scan's stop moves to I, and its epochs
+start from the ceiling floor + 1 as their best weight: a block is live
+only if its bound is at most the floor.  The split stays that of the
+whole range.
 
 While the live blocks times n stay within the blocks of the epoch, the
 groups are single coordinates.  Beyond that, weighing them one coordinate
@@ -108,19 +108,10 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     row, which leaves only the words before that one to scan."""
     if stop <= start:
         return (1 << 62, -1, 0)
+    scanned = stop - start
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     ranges = [int(r) for r in ranges]
-    best, index = _least(rows, ranges, weight_array(table), q, n, start, stop, floor, None)
-    return best, index, stop - start
-
-
-def _least(rows, ranges, table, q, n, start, stop, floor, row_word):
-    """The least weight of a word of [start, stop) and the first index
-    attaining it.  `row_word`, if given, is the (weight, index) of a word at
-    stop that weighs at most the floor: then only words at or below the
-    floor count, and row_word stands when the range holds none."""
-    if stop <= start:
-        return row_word
+    table = weight_array(table)
     # Digits from k on are 0 at every index below stop, and the top digit
     # that moves stays below ceil(stop / size).
     k, size = 0, 1
@@ -133,10 +124,7 @@ def _least(rows, ranges, table, q, n, start, stop, floor, row_word):
         ranges[-1] = min(ranges[-1], -(-stop // (size // ranges[-1])))
     wdt = np.min_scalar_type(int(table.max()) * n)
     pair_dt = np.min_scalar_type(4 * q * q - 1)  # values and sums below 2q fit too
-    if row_word is not None and math.prod(ranges) <= _BLOCK_TARGET:
-        k0 = k2 = k  # a short prefix is one block
-    else:
-        k0, k2 = _split(ranges, q, n, wdt.itemsize)
+    k0, k2 = _split(ranges, q, n, wdt.itemsize)
 
     block = _words(rows[:k0], ranges[:k0], q, pair_dt)
     pairs = block[:n] * (2 * q) + block[n:]
@@ -154,19 +142,21 @@ def _least(rows, ranges, table, q, n, start, stop, floor, row_word):
     lo, hi = start - first * width, min(stop - first * width, width)
     j = lo + int(np.argmin(flat[lo:hi]))
     best, best_idx = int(flat[j]), first * width + j
-    if best <= floor:
-        return best, best_idx
-    if row_word is not None:
-        best = floor + 1  # a ceiling: a block is live only if its bound is at most the floor
-    if last - first == 1:
-        return row_word or (best, best_idx)
+    if best <= floor or last - first == 1:
+        return best, best_idx, scanned
     del idx, flat
     # The first word at or below the floor past the first block is the
-    # first of [first block end, I) or, failing that, the word at I.
-    if row_word is None and stop <= 1 << 62:  # int64 indices
-        hit = _row_hit(rows[k0:], ranges[k0:], width, table, q, n, (first + 1) * width, floor)
-        if hit is not None:
-            return _least(rows, ranges, table, q, n, (first + 1) * width, hit[1], floor, hit)
+    # first of [first block end, I) or, failing that, the row word at I:
+    # the scan stops at I, with the ceiling floor + 1 as its best weight,
+    # so a block is live only if its bound is at most the floor.
+    row_word = None
+    if floor and stop <= 1 << 62:  # int64 indices
+        row_word = _row_hit(rows[k0:], ranges[k0:], width, table, q, n, (first + 1) * width, floor)
+        if row_word is not None:
+            best, stop = floor + 1, row_word[1]
+            last = -(-stop // width)
+            if last - first == 1:
+                return (*row_word, scanned)
 
     span = math.prod(ranges[k0:k2])  # blocks per epoch
     epochs = (last - 1) // span - first // span + 1
@@ -246,8 +236,8 @@ def _least(rows, ranges, table, q, n, start, stop, floor, row_word):
                 if weight < best:
                     best, best_idx = weight, idx
                     if best <= floor:
-                        return best, best_idx
-    return row_word or (best, best_idx)
+                        return best, best_idx, scanned
+    return (*(row_word or (best, best_idx)), scanned)
 
 
 def _row_hit(rows, ranges, size, table, q, n, lo, floor):

@@ -678,36 +678,36 @@ def _ceiling_z4_basis():
 def test_late_minimum_ends_the_scan_in_the_live_block_loop():
     # Counts calls, not a timing: the probe finds no word of one nonzero
     # digit at the floor, and the floor, met in a live chunk, ends the scan
-    # before its last chunk.
+    # before its last chunk.  A floor-free scan runs no probe.
     basis, ranges = _loop_z4_basis()
     params = make_ring(2, 2)
-    full, full_trees, full_weighed, _ = _counted_scan(basis, ranges, params, 1 << 20, 0)
+    full, full_trees, full_weighed, full_hits = _counted_scan(basis, ranges, params, 1 << 20, 0)
     res, trees, weighed, hits = _counted_scan(basis, ranges, params, 1 << 20, 3)
     assert res == full == (3, 393344, (1 << 20) - 1)
-    assert hits == [None]
+    assert full_hits == [] and hits == [None]
     assert len(trees) == len(full_trees) == 1
     assert len(weighed) < len(full_weighed)
     assert sum(weighed) < sum(full_weighed)
 
 
-def test_late_row_word_at_the_floor_ends_the_scan_without_a_table():
+def test_late_row_word_at_the_floor_cuts_the_scan_at_its_index():
     # Counts calls, not a timing: basis row 10 weighs 4 = delta at index
-    # P_10 = 4096, so only [1024, 4096) is left to scan, a prefix of at most
-    # _BLOCK_TARGET words and so one block: no _Tree, no _weigh call.
+    # P_10 = 4096, so the scan stops there: of the blocks past the first
+    # one, only the three of [1024, 4096) may be weighed.
     basis, ranges = _late_z4_basis()
     params = make_ring(2, 2)
     full, _, _, _ = _counted_scan(basis, ranges, params, 1 << 20, 0)
     res, trees, weighed, hits = _counted_scan(basis, ranges, params, 1 << 20, 4)
     assert res == full == (4, 4096, (1 << 20) - 1)
     assert hits == [(4, 4096)]
-    assert trees == [] and weighed == []
+    assert len(trees) == 1 and sum(weighed) <= 3
 
 
 def test_far_row_word_scans_its_prefix_under_a_ceiling():
-    # Counts calls, not a timing: the row word at index 2^19 leaves a
-    # prefix of more than _BLOCK_TARGET words, scanned with the ceiling
-    # delta + 1, so only blocks bounded by delta are live; the first of
-    # them holds index 393216 and ends the scan.
+    # Counts calls, not a timing: the row word at index 2^19 leaves the
+    # prefix [1024, 2^19), scanned with the ceiling delta + 1, so only
+    # blocks bounded by delta are live; the first of them holds index
+    # 393216 and ends the scan.
     basis, ranges = _ceiling_z4_basis()
     params = make_ring(2, 2)
     full, _, full_weighed, _ = _counted_scan(basis, ranges, params, 1 << 20, 0)
@@ -748,8 +748,8 @@ def row_word_instance(draw):
 def test_row_certificate_keeps_the_triple(instance, block_words, block_target, chunk_words,
                                           cuts, data):
     # Small blocks put the planted word's index d * P_i past the first
-    # block; the block target makes the prefix before it one block or many,
-    # scanned under the ceiling floor + 1.  Cuts split [start, stop) as
+    # block, and the prefix before it, scanned under the ceiling floor + 1,
+    # spans one block or many; the block target varies the split.  Cuts split [start, stop) as
     # threads do, and every floor up to the least weight of the range must
     # give each part the triple of a floor-free scan.
     q, n, rows, ranges, table = instance
