@@ -75,7 +75,8 @@ def _build_parser() -> _Parser:
     pd.add_argument("--metric", choices=list(METRICS), default="hamming")
     pd.add_argument("--budget", type=int, default=None,
                     help=f"word budget (default {DEFAULT_DISTANCE_BUDGET})")
-    pd.add_argument("--threads", type=int, default=1)
+    pd.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility (must be >= 1); the scan is serial")
 
     pv = sub.add_parser("verify-paper", help="run the reference verification suite")
     pv.add_argument("--format", choices=["json", "csv", "text"], default="text")

@@ -330,7 +330,8 @@ class CyclicCode:
                 )
         free = self.is_free() is not None
         out["free"] = free
-        if free:
+        # the zero code has no nonzero word, so no distance for a bound to bound
+        if free and exp:
             cert = self.bch_floor()
             out["bch"] = {"b": cert.b, "delta": cert.delta}
         else:

@@ -66,12 +66,14 @@ scan's length.  Weights are summed in the narrowest unsigned dtype holding
 max(table) * n.  A scan returns (best weight, index of the first word
 attaining it, words scanned): every word of [start, stop) counts as
 scanned, whether weighed or excluded by its block's bound or the floor, and
-the triple is the same for every split, every grouping, every thread
-partition and every floor up to the least weight of the range.
+the triple is the same for every split, every grouping and every floor up to
+the least weight of the range.  It is also the same for every [start, stop)
+cut: the triples of the pieces merge to that of the whole range, by the
+least (weight, index) and the sum of the words scanned.
 
 This is the only zqu module that imports numpy; `metrics.min_distance`
-imports it on the first scan, converts the weight table once with
-`weight_array`, and passes plain lists for the basis.
+imports it on the first scan and passes plain sequences for the weight
+table and the basis.
 """
 
 from __future__ import annotations

@@ -7,13 +7,11 @@ binary Hamming weight.  All three metrics reduce to a per-coordinate lookup
 on the (a, b) pair, which is what the scan kernel consumes.
 
 This module is pure Python: numpy is loaded with `zqu.kernels` on the first
-scan, and the thread pool only when a scan is split over several workers, so
-the algebra commands never pay for either.
+scan, so the algebra commands never pay for it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 from . import DEFAULT_DISTANCE_BUDGET, METRIC_GRAY_HAMMING, METRIC_HAMMING, METRIC_LEE, METRICS
@@ -116,12 +114,6 @@ def weight_table(metric: str, params: RingParams) -> tuple[int, ...]:
     return tuple(LEE_WEIGHT_Z4[b] + LEE_WEIGHT_Z4[(a + b) % 4] for a in range(4) for b in range(4))
 
 
-def partition_bounds(stop: int, parts: int) -> list[int]:
-    """Integer bounds 1 = b_0 <= ... <= b_parts = stop splitting [1, stop)
-    into `parts` near-equal index ranges (exact for any size of stop)."""
-    return [1 + (stop - 1) * k // parts for k in range(parts + 1)]
-
-
 class DistanceReport(Value):
     __slots__ = ("metric", "value", "witness", "exhaustive", "words_scanned")
 
@@ -155,19 +147,22 @@ def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
     count as scanned, so the report is the one weighing every word gives.
     A multiple of one Howell row that weighs delta certifies the value at
     once; the scan then weighs only the words before it, for an earlier
-    witness."""
-    return _scan_distance(code, metric, budget, threads, None)
+    witness.
+
+    `threads` is accepted and must be >= 1, but it has no effect: the scan
+    is one serial kernel call, which beat every thread split measured."""
+    if threads < 1:
+        raise PreconditionError("threads must be >= 1")
+    return _scan_distance(code, metric, budget, None)
 
 
-def _scan_distance(code: CyclicCode, metric: str, budget: Optional[int], threads: int,
+def _scan_distance(code: CyclicCode, metric: str, budget: Optional[int],
                    floor: Optional[int]) -> DistanceReport:
     """`min_distance` with the scan's floor given: None takes the code's BCH
     floor, and 0 weighs or bounds every word, as the oracles that check the
     floor must."""
     if metric not in METRICS:
         raise UnsupportedMetricError(f"unknown metric {metric!r}")
-    if threads < 1:
-        raise PreconditionError("threads must be >= 1")
     if budget is None:
         budget = DEFAULT_DISTANCE_BUDGET
     if budget < 1:
@@ -183,31 +178,10 @@ def _scan_distance(code: CyclicCode, metric: str, budget: Optional[int], threads
     exhaustive = total <= budget
     stop = total + 1 if exhaustive else budget + 1
     q, n = code.params.q, code.n
-    # One partition per worker, and no more workers than CPUs: the result
-    # does not depend on the partition count.
-    if threads > 1:
-        threads = min(threads, os.cpu_count() or 1)
 
     from . import kernels
 
-    # one array for every partition
-    table = kernels.weight_array(table)
-    if threads == 1 or stop - 1 < 4 * threads:
-        best, idx, scanned = kernels.min_weight_scan(basis, ranges, table, q, n, 1, stop, floor)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = partition_bounds(stop, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: kernels.min_weight_scan(basis, ranges, table, q, n, *se, floor),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-        best, idx = min((b, i) for b, i, _ in parts)
-        scanned = sum(sc for _, _, sc in parts)
-
+    best, idx, scanned = kernels.min_weight_scan(basis, ranges, table, q, n, 1, stop, floor)
     vec = kernels.word_at_index(basis, ranges, q, idx)
     witness = WordR(code.params, tuple((int(vec[i]), int(vec[n + i])) for i in range(n)))
     return DistanceReport(metric, int(best), witness, exhaustive, scanned)

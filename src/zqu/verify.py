@@ -183,7 +183,7 @@ def _exact_distance(code: CyclicCode, budget: Optional[int] = None) -> DistanceR
     """The minimum Hamming distance from a scan with no floor.  The checks
     hold it against the BCH bound, the floor `min_distance` stops at: a scan
     stopping there would end at a word of a floor set too high, and hide it."""
-    return _scan_distance(code, "hamming", budget, 1, 0)
+    return _scan_distance(code, "hamming", budget, 0)
 
 
 _Z8_GEN = "x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1"

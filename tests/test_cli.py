@@ -110,9 +110,9 @@ def test_codes_enumerate_stream_distinct():
 
 
 @pytest.mark.parametrize("n,p,s,fmt,md5", [
-    ("3", "2", "2", "json", "6a185ae821cddc8beb03c981b5829ac7"),
-    ("3", "2", "3", "json", "3cec7eff64c0eec80aa6c31b9dd43e82"),
-    ("5", "3", "2", "json", "0e9b7e835df83720d973671c17c6c24e"),
+    ("3", "2", "2", "json", "a56324a349b2b1326518c58c60a6b568"),
+    ("3", "2", "3", "json", "dc87c6a4190bf2db6a81e37e9d05944e"),
+    ("5", "3", "2", "json", "eaf9a9351662cf818beb4acb350eca95"),
     ("3", "2", "3", "csv", "83947d795240073606689486834e3a8f"),
     ("7", "2", "2", "text", "7cc6c1fe6fbc65696e4afb7fb5eb0aa0"),
     ("7", "2", "2", "csv", "488c4e6446fa27f39a6c375b16839c7e"),
@@ -267,7 +267,7 @@ N51_MODULE = ("2*x^33+2*x^31+2*x^25+2*x^16+2*x^15+2*x^12+2*x^7+2*x^3+2*x+2+u*(2*
 @pytest.mark.parametrize("n,s,gens,md5", [
     ("7", "2", "3*x^3+x^2+2*x+1, u*(x+3)", "0b1eb9dc04cf8953f1cfdaba52a009a7"),
     ("3", "2", "x+3, u*(x+3)", "5dfe756099fe7ebe321df467111eab5d"),  # free
-    ("3", "2", "0", "219b8ffc1bf548f7786a2193bc9da624"),
+    ("3", "2", "0", "4872714a3f10e6dde0aaf2c4b2e20e77"),
     ("51", "2", N51_MODULE, "429543c34e98600f5967830c0154470b"),
     ("3", "3", "4+u*(2)", "261f613b7db8bccfbb23db2770a3dc37"),
     ("3", "3", "4, u*(2)", "902a5fe871fce837412b22fb348cc71f"),
@@ -277,6 +277,19 @@ def test_analyze_module_output_pinned(n, s, gens, md5):
                "--closure", "module", "--format", "json")
     assert proc.returncode == 0
     assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("closure", ["ideal", "module"])
+def test_zero_code_reports_no_bch_bound(closure):
+    # the zero code is free but has no nonzero word, so no distance to bound
+    args = ("analyze", "--n", "7", "--p", "2", "--s", "2", "--closure", closure)
+    zero = json.loads(run(*args, "--gens", "0", "--format", "json").stdout)
+    assert (zero["cardinality"]["exponent"], zero["free"], zero["bch"]) == (0, True, None)
+    text = run(*args, "--gens", "0").stdout
+    assert "free: True" in text and "bch bound" not in text
+    free = json.loads(run(*args, "--gens", "x+3, u*(x+3)", "--format", "json").stdout)
+    assert free["free"] is True and free["bch"] == {"b": 0, "delta": 2}
+    assert "bch bound: delta = 2" in run(*args, "--gens", "x+3, u*(x+3)").stdout
 
 
 def test_analyze_csv_rejected(monkeypatch, capsys):
@@ -333,6 +346,15 @@ def test_distance_output_pinned(args, md5):
     proc = run("distance", *args)
     assert proc.returncode == 0
     assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("budget", ["10000000000000000000000000", str(2**63)])
+def test_two_thread_budget_past_2_63_matches_one_thread(budget):
+    # --threads has no effect even where half the budget lies past 2^63, beyond an int64 index
+    args = ("distance", "--n", "15", "--p", "2", "--s", "3", "--gens", "1", "--budget", budget)
+    one, two = run(*args, "--threads", "1"), run(*args, "--threads", "2")
+    assert (two.returncode, two.stderr) == (0, "")
+    assert two.stdout == one.stdout and one.returncode == 0
 
 
 def test_distance_zero_code_structured():
@@ -553,9 +575,8 @@ def test_two_thread_distance_output_matches_one_thread():
     one, _ = probe_imports(DISTANCE_README + ["--threads", "1"])
     two, report = probe_imports(DISTANCE_README + ["--threads", "2"])
     assert two == one
-    assert report["exit"] == [0]
-    # with two CPUs the scan really is partitioned (and so loads the pool)
-    assert ("concurrent.futures" in report["loaded"]) == ((os.cpu_count() or 1) >= 2)
+    # --threads has no effect: two threads load what one thread loads, no pool
+    assert (report["exit"], report["loaded"]) == ([0], ["numpy", "zqu.metrics"])
 
 
 def test_src_reads_no_environment():
@@ -567,6 +588,29 @@ def test_src_reads_no_environment():
     readers = [path.name for path in sources
                if re.search(r"\b(environ|getenv|env_int)\b", path.read_text())]
     assert readers == []
+
+
+def test_src_imports_no_concurrency_module():
+    # the distance scan is one serial kernel call: no second, concurrent route
+    import ast
+
+    import zqu
+
+    sources = sorted(pathlib.Path(zqu.__file__).parent.glob("*.py"))
+    assert "metrics.py" in [path.name for path in sources]
+    banned = ("concurrent", "threading", "multiprocessing")
+    users = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in banned for name in names):
+                users.append(path.name)
+    assert users == []
 
 
 def test_src_has_one_value_class_implementation():

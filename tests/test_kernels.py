@@ -749,9 +749,9 @@ def test_row_certificate_keeps_the_triple(instance, block_words, block_target, c
                                           cuts, data):
     # Small blocks put the planted word's index d * P_i past the first
     # block, and the prefix before it, scanned under the ceiling floor + 1,
-    # spans one block or many; the block target varies the split.  Cuts split [start, stop) as
-    # threads do, and every floor up to the least weight of the range must
-    # give each part the triple of a floor-free scan.
+    # spans one block or many; the block target varies the split.  Cuts split [start, stop)
+    # into pieces, and every floor up to the least weight of the range must
+    # give each piece the triple of a floor-free scan.
     q, n, rows, ranges, table = instance
     total = int(np.prod(ranges))
     # long ranges more often than uniform draws give them

@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from zqu import metrics, verify
 from zqu.codes import BchCertificate, CyclicCode, build_crt
-from zqu.errors import DistanceUndefinedError, UnsupportedMetricError
+from zqu.errors import DistanceUndefinedError, PreconditionError, UnsupportedMetricError
 from zqu.metrics import (
     WordR,
     gray_hamming_weight,
@@ -181,57 +180,14 @@ def test_lee_requires_q4():
 
 
 def test_threads_deterministic():
+    # threads is accepted and ignored: the scan is one serial kernel call
     c = code(R4, 7, Z4_GENS, "module")
     single = min_distance(c, "lee", threads=1)
     multi = min_distance(c, "lee", threads=4)
     assert (single.value, single.witness) == (multi.value, multi.witness)
     assert single.words_scanned == multi.words_scanned
-
-
-def test_threads_capped_at_cpu_count(monkeypatch):
-    started = []
-
-    class SerialExecutor:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    c = code(R4, 7, Z4_GENS, "module")
-    single = min_distance(c, "lee", threads=1)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
-    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
-    multi = min_distance(c, "lee", threads=64)
-    assert started == [3]
-    assert (multi.value, multi.witness, multi.words_scanned) == (
-        single.value, single.witness, single.words_scanned)
-
-
-def test_single_thread_scan_reads_no_cpu_count(monkeypatch):
-    def refuse():
-        raise AssertionError("cpu_count read by a one-thread scan")
-
-    monkeypatch.setattr(metrics.os, "cpu_count", refuse)
-    assert min_distance(code(R4, 7, Z4_GENS, "module"), "lee").value == 4
-
-
-def test_partition_bounds_are_exact_integers():
-    # np.linspace rounded these through float64: at 2^53 + 3 its last bound was 2^53 + 4.
-    for stop in (2**53 + 3, 2**53 + 4, 2**63 - 1, 10**30 + 7):
-        for parts in (1, 2, 3, 7, 64):
-            bounds = metrics.partition_bounds(stop, parts)
-            assert len(bounds) == parts + 1
-            assert bounds[0] == 1 and bounds[-1] == stop
-            assert all(type(b) is int for b in bounds)
-            sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-            assert min(sizes) >= 0 and max(sizes) - min(sizes) <= 1
+    with pytest.raises(PreconditionError):
+        min_distance(c, "lee", threads=0)
 
 
 def test_bch_delta_bounded_by_exact_distance():
