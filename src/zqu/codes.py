@@ -166,11 +166,18 @@ class CyclicCode:
 
     def _component_readings(self) -> tuple[Reading, ...]:
         """(i, j, alpha) of the code's component at every factor: the ideal of GR(R, m)
-        the generators span, in module closure their Z_q[x]-span (p^i, beta), (0, p^j)."""
+        the generators span, in module closure their Z_q[x]-span (p^i, beta), (0, p^j).
+
+        A generator that f_l divides is zero mod f_l and adds only zero rows,
+        so the span at f_l takes only the generators f_l does not divide, as
+        the divisibility table says: a code built from components divides no
+        generator and reduces each at its own factor alone."""
         if self._readings is None:
             out = []
-            for f in self.crt().factorization.factors:
-                span = ideal_span_mod(self.generators, f, with_u=self.closure_mode == MODE_IDEAL)
+            table = self._divisibility()
+            for l, f in enumerate(self.crt().factorization.factors):
+                gens = [g for g, row in zip(self.generators, table) if not row[l]]
+                span = ideal_span_mod(gens, f, with_u=self.closure_mode == MODE_IDEAL)
                 out.append(_read_component(span, f.degree))
             self._readings = tuple(out)
         return self._readings
@@ -199,7 +206,8 @@ class CyclicCode:
         A generator G * fhat_l of component l is divisible by every other
         factor, which divides the cofactor fhat_l, and not by f_l: fhat_l is a
         unit mod f_l, and G is nonzero of degree < deg f_l.  So the code's
-        divisibility table is known without a `divides` test."""
+        divisibility table is known without a `divides` test, and the
+        component readings skip every generator at every factor but its own."""
         t = build_crt(n, params).t
         if len(descriptors) != t:
             raise PreconditionError(f"expected {t} component descriptors")

@@ -186,12 +186,14 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     def least(ids, slot):
         """The least weight below stop of the blocks of mid words ids
         (ascending) of this epoch, all past the scan's first block, and the
-        first index attaining it."""
+        first index attaining it.  The ids are int64 and count from the
+        epoch's first block; absolute indices are Python ints, which may
+        pass 2^63."""
         flat = _weigh(weights, slot, ids, acc, tmp)
-        o = ids + epoch * span
-        hi = (len(o) - 1) * width + min(stop - int(o[-1]) * width, width)
+        base = epoch * span
+        hi = (len(ids) - 1) * width + min(stop - (base + int(ids[-1])) * width, width)
         j = int(np.argmin(flat[:hi]))
-        return int(flat[j]), int(o[j // width]) * width + j % width
+        return int(flat[j]), (base + int(ids[j // width])) * width + j % width
 
     def bound(slot, m0, m1):
         """sum_G min W_G[slot[G, m]] for m in [m0, m1): no word of block m

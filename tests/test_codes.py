@@ -20,7 +20,7 @@ from zqu.errors import (
     LengthNotCoprimeError,
     PreconditionError,
 )
-from zqu.galois import gr_ideal_span, ideal_elements
+from zqu.galois import gr_ideal_span, ideal_elements, ideal_span_mod
 from zqu.howell import ZqSpan
 from zqu.poly import RPoly, ZqPoly, divmod_monic, factor_xn_minus_1, format_zq_poly, parse_r_poly
 from zqu.ring import (IdealDescriptor, KIND_U_P_POWER, RingParams, census_size, ideal_descriptors,
@@ -732,6 +732,48 @@ def test_codes_from_components_know_their_divisibility(n, params):
                  for desc, fhat, m in zip(descs, crt.cofactors, crt.factorization.degrees)
                  for g in reading_generators(desc.reading(params.s, m), params)]
         assert c.generators == tuple(fresh)
+
+
+def readings_over_every_generator(c):
+    """The component readings from the span of every generator at every
+    factor, dividing ones included: the route the divisibility skip cuts."""
+    return tuple(_read_component(ideal_span_mod(c.generators, f, with_u=c.closure_mode == "ideal"),
+                                 f.degree)
+                 for f in c.crt().factorization.factors)
+
+
+@pytest.mark.parametrize("n, params", SMALL_CENSUSES, ids=["z4-n3", "z4-n7", "z8-n3", "z9-n5"])
+def test_readings_skip_only_zero_residues_on_the_census(n, params):
+    # The readings span only the generators a factor does not divide; the
+    # component-built codes read a seeded table, their generator twins a
+    # tested one, in both closures.
+    for _, c in census_codes(n, params):
+        assert c._component_readings() == readings_over_every_generator(c)
+        for mode in ("ideal", "module"):
+            twin = CyclicCode(n, params, c.generators, mode)
+            assert twin._component_readings() == readings_over_every_generator(twin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_readings_skip_only_zero_residues_on_generator_codes(c):
+    assert c._component_readings() == readings_over_every_generator(c)
+
+
+@pytest.mark.parametrize("n, params", SMALL_CENSUSES, ids=["z4-n3", "z4-n7", "z8-n3", "z9-n5"])
+def test_a_false_divisibility_entry_changes_the_readings(n, params):
+    # The oracle above has teeth: marking the first generator of any
+    # component as divided by its own factor drops the only generator with
+    # that component's a-part, or its only generator, so the reading moves.
+    for _, c in census_codes(n, params):
+        table = c._divisibility()
+        for k, row in enumerate(table):
+            l = row.index(False)
+            if k and not table[k - 1][l]:
+                continue  # not the first generator of component l
+            broken = CyclicCode(n, params, c.generators)
+            broken._divides = table[:k] + (row[:l] + (True,) + row[l + 1:],) + table[k + 1:]
+            assert broken._component_readings() != readings_over_every_generator(c)
 
 
 # -- membership and shifts -------------------------------------------------------------

@@ -778,3 +778,34 @@ def test_split_of_the_full_z8_sweep():
     k0, k2 = kernels._split(ranges, 8, 15, 1)
     assert (k0, k2) == (4, 9)
     assert math.prod(ranges[k2:]) == 8
+
+
+def test_window_past_two_to_the_63_weighs_live_blocks():
+    # The Z8 length-15 code generated by 1 has 8^30 words, digit i the
+    # coordinate i, and 512-word blocks.  A window a few blocks long near
+    # 5 * 10^24 starts in a block whose digits 3 to 5 are all 7, so the next
+    # block, where they carry to 0, is live: the scan weighs blocks whose
+    # indices pass int64, and its triple is that of the word-by-word scan.
+    from zqu import CyclicCode
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 3)
+    code = CyclicCode(15, params, [parse_r_poly("1", params)], "ideal")
+    basis, ranges = code.span().enumeration_basis()
+    table = weight_table("hamming", params)
+    block = (5 * 10**24 // 512) | (8**3 - 1)
+    start = block * 512 + 37
+    stop = start + 3 * 512 + 100
+    weighed = []
+    weigh = kernels._weigh
+
+    def recorded(weights, slot, ids, *args):
+        weighed.append(len(ids))
+        return weigh(weights, slot, ids, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_weigh", recorded)
+        res = kernels.min_weight_scan(basis, ranges, table, 8, 15, start, stop, 0)
+    assert block > 1 << 63
+    assert weighed
+    assert res == _reference_scan(basis, ranges, table, 8, 15, start, stop)

@@ -18,7 +18,7 @@ from zqu.metrics import (
     weight_of,
 )
 from zqu.poly import RPoly, divmod_monic, factor_xn_minus_1, parse_r_poly
-from zqu.ring import make_ring
+from zqu.ring import ideal_descriptors, make_ring
 from zqu.verify import _code_element_set
 
 from helpers import (brute_min_weight, enumerated_min_hamming, full_scan_distance, hamming_pairs,
@@ -224,25 +224,63 @@ def test_oracles_fail_on_a_floor_above_the_bch_bound(monkeypatch):
 
 
 def test_floor_reads_the_span_divisibility(monkeypatch):
-    # Counts calls, not a timing: the floor reads the (factor, generator)
-    # divisibility that the code span's d_g already tested.
+    # Counts calls, not a timing: the floor and the component readings read
+    # the (factor, generator) divisibility that the code span's d_g already
+    # tested, once per pair.
     divides = RPoly.divides
     calls = []
 
     def counted(f, g):
-        calls.append(1)
+        calls.append(g)
         return divides(f, g)
 
     monkeypatch.setattr(RPoly, "divides", counted)
     cases = [(R8, 15, [Z8_GEN], "ideal", "hamming"), (R4, 7, Z4_GENS, "module", "lee"),
              (R4, 7, Z4_GENS, "ideal", "hamming"), (R9, 5, ["x+8", "3+u*(x^2+1)"], "module", "hamming")]
     for params, n, texts, mode, metric in cases:
+        t = len(factor_xn_minus_1(n, params).factors)
         code(params, n, texts, mode).span()
         alone = len(calls)
         calls.clear()
         min_distance(code(params, n, texts, mode), metric)
-        assert len(calls) == alone == len(texts) * len(factor_xn_minus_1(n, params).factors)
+        assert len(calls) == alone == len(texts) * t
         calls.clear()
+        c = code(params, n, texts, mode)
+        c.to_descriptor()
+        min_distance(c, metric)
+        own = sum(any(g is h for h in c.generators) for g in calls)
+        assert own == len(texts) * t
+        # in ideal closure, the canonical pair that must regenerate the code
+        # is a code of two generators with a table of its own
+        assert len(calls) - own == (2 * t if mode == "ideal" else 0)
+        calls.clear()
+
+
+def test_component_readings_reduce_each_generator_at_its_own_factor(monkeypatch):
+    # Counts calls, not a timing: a code built from components knows which
+    # factor each generator is nonzero at, so its readings test no
+    # divisibility and long-divide each generator once, by that factor.
+    # At n = 15 over Z4 every generator G * fhat_l has degree >= 11, past
+    # every factor's degree, so each of them is long-divided.
+    import zqu.galois
+
+    divisions = []
+
+    def counted_division(g, f):
+        divisions.append((g, f))
+        return divmod_monic(g, f)
+
+    def refuse(f, g):
+        raise AssertionError("a code built from components tests no divisibility")
+
+    factors = factor_xn_minus_1(15, R4).factors
+    descs = [ideal_descriptors(2, 2, f.degree)[k] for f, k in zip(factors, (6, 0, 5, 20, 12))]
+    c = CyclicCode.from_components(15, R4, descs)
+    monkeypatch.setattr(zqu.galois, "divmod_monic", counted_division)
+    monkeypatch.setattr(RPoly, "divides", refuse)
+    c._component_readings()
+    assert [g for g, _ in divisions] == list(c.generators) and len(c.generators) > len(factors)
+    assert [f for _, f in divisions] == [factors[row.index(False)] for row in c._divisibility()]
 
 
 # (ring, n) with gcd(n, p) = 1, n in {3, 5, 7}
