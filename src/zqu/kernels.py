@@ -86,7 +86,6 @@ import operator
 import numpy as np
 
 _BLOCK_WORDS = 1 << 11  # words in one block, unless the mid table overflows
-_BLOCK_TARGET = 1 << 14  # most words in one block
 _CHUNK_WORDS = 1 << 18  # words weighed per pass (a quarter of it per row gather)
 _ROW_BYTES = 1 << 22  # budget for the weight rows of one epoch
 _MID_BYTES = 1 << 22  # budget for the mid table, at 8 bytes an entry
@@ -133,6 +132,7 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     width = pairs.shape[1]
     del block
     tiled = np.tile(table.reshape(q, q).astype(wdt), (2, 2)).ravel()
+    per_gather = max(1, (_CHUNK_WORDS >> 2) // width)  # rows: take() copies its indices to intp
     first, last = start // width, -(-stop // width)
     # The scan's first block alone, from the block words and its base word:
     # a scan that ends there builds no table.
@@ -140,7 +140,7 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     if first:
         base = word_at_index(rows[k0:], ranges[k0:], q, first)
         idx = pairs + (base[:n] * (2 * q) + base[n:]).astype(pair_dt)[:, None]
-    flat = np.take(tiled, idx).sum(axis=0, dtype=wdt)
+    flat = sum(np.take(tiled, idx[t : t + per_gather]).sum(axis=0, dtype=wdt) for t in range(0, n, per_gather))
     lo, hi = start - first * width, min(stop - first * width, width)
     j = lo + int(np.argmin(flat[lo:hi]))
     best, best_idx = int(flat[j]), first * width + j
@@ -179,7 +179,6 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     low = np.empty(leaves, wdt)  # row minima
     merged = None  # (rows, joins, slot) of the planned tree
     per_chunk = max(1, _CHUNK_WORDS // max(width, 2 * n))  # blocks
-    per_gather = max(1, (_CHUNK_WORDS >> 2) // width)  # rows
     acc = np.empty((per_chunk, width), wdt)
     tmp = np.empty((per_chunk, width), wdt)
 
@@ -406,24 +405,23 @@ def _plan(tree, blocks, epochs, width, itemsize):
 
 def _split(ranges, q, n, itemsize):
     """Block digits [0, k0): the longest prefix of at most _BLOCK_WORDS
-    words, widened toward _BLOCK_TARGET only while the digits above it
-    overflow one mid table and the next digit, as a mid digit, still fits
-    _ROW_BYTES.  Mid digits [k0, k2): the longest run after it whose table
-    fits _MID_BYTES and whose single-coordinate rows, min(q^2, mid words)
-    a coordinate, fit _ROW_BYTES."""
-    def fits(width, span):
-        return span * n * 8 <= _MID_BYTES and n * min(q * q, span) * width * itemsize <= _ROW_BYTES
-
+    words, widened only while the digits above it overflow one mid table
+    and the rows of a full one, q^2 a coordinate, still fit _ROW_BYTES for
+    the wider block: at most _ROW_BYTES / (n q^2 itemsize) words, 2^16 at
+    q = 2 and n = 15.  Mid digits [k0, k2): the longest run after it whose
+    table fits _MID_BYTES and whose single-coordinate rows, min(q^2, mid
+    words) a coordinate, fit _ROW_BYTES."""
     k, k0, width = len(ranges), 0, 1
     while k0 < k and width * ranges[k0] <= _BLOCK_WORDS:
         width *= ranges[k0]
         k0 += 1
-    while (k0 + 1 < k and math.prod(ranges[k0:]) * n * 8 > _MID_BYTES
-           and width * ranges[k0] <= _BLOCK_TARGET and fits(width * ranges[k0], ranges[k0 + 1])):
+    while (k0 < k and math.prod(ranges[k0:]) * n * 8 > _MID_BYTES
+           and n * q * q * width * ranges[k0] * itemsize <= _ROW_BYTES):
         width *= ranges[k0]
         k0 += 1
     k2, span = k0, 1
-    while k2 < k and fits(width, span * ranges[k2]):
+    while (k2 < k and span * ranges[k2] * n * 8 <= _MID_BYTES
+           and n * min(q * q, span * ranges[k2]) * width * itemsize <= _ROW_BYTES):
         span *= ranges[k2]
         k2 += 1
     return k0, k2

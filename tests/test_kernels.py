@@ -414,6 +414,29 @@ def test_scan_memory_holds_with_the_largest_mid_table():
     assert peak < 8 << 20
 
 
+def test_scan_memory_holds_with_the_widest_block():
+    # Binary digits over Z2+uZ2 at n = 31: the split widens 2^11-word
+    # blocks to 2^15, as far as the rows of a full mid table (q^2 codes a
+    # coordinate) fit _ROW_BYTES, and the scan still keeps to the same cap.
+    import tracemalloc
+
+    from zqu import CyclicCode
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 1)
+    basis, ranges = CyclicCode(31, params, [parse_r_poly("1", params)], "ideal").span().enumeration_basis()
+    budget = 1 << 28
+    tracemalloc.start()
+    try:
+        res, splits, _ = _split_scan(basis, ranges, params, 31, budget + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == (1, 1, budget)
+    assert splits == [(15, 29)] and set(ranges) == {2}
+    assert peak < 8 << 20
+
+
 def _seeded_z4_basis():
     """A code of 2^20 words over Z4 at n = 15 with 20 binary digits."""
     from zqu import CyclicCode
@@ -525,11 +548,9 @@ ONE_EPOCH_SCANS = [
 ]
 
 
-@pytest.mark.parametrize("build, ring, words, split", ONE_EPOCH_SCANS, ids=["z4-seeded", "z8-paper"])
-def test_split_keeps_mid_digits_in_one_epoch(build, ring, words, split):
-    # Counts what the split decides, not a timing: the block and mid digits
-    # it picks and the epochs (one outer word each) the scan walks.
-    basis, ranges = build()
+def _split_scan(basis, ranges, params, n, stop):
+    """A floor-free Hamming scan of [1, stop): its triple, the (k0, k2) of
+    each _split call and the outer index of each epoch it walked."""
     splits, outer = [], []
     split_of, word_at_index = kernels._split, kernels.word_at_index
 
@@ -541,12 +562,19 @@ def test_split_keeps_mid_digits_in_one_epoch(build, ring, words, split):
         outer.append(args[3])
         return word_at_index(*args)
 
-    params = make_ring(*ring)
     table = weight_table("hamming", params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_split", recorded_split)
         mp.setattr(kernels, "word_at_index", recorded_word)
-        res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, 1, 1 + words)
+        res = kernels.min_weight_scan(basis, ranges, table, params.q, n, 1, stop)
+    return res, splits, outer
+
+
+@pytest.mark.parametrize("build, ring, words, split", ONE_EPOCH_SCANS, ids=["z4-seeded", "z8-paper"])
+def test_split_keeps_mid_digits_in_one_epoch(build, ring, words, split):
+    # Counts what the split decides, not a timing: the block and mid digits
+    # it picks and the epochs (one outer word each) the scan walks.
+    res, splits, outer = _split_scan(*build(), make_ring(*ring), 15, 1 + words)
     assert res[2] == words
     assert splits == [split] and len(outer) == 1
 
@@ -743,15 +771,18 @@ def row_word_instance(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(row_word_instance(), st.integers(1, 16), st.sampled_from([1, 16, 64, 256, 1 << 14]),
-       st.integers(1, 64), st.lists(st.floats(0, 1), max_size=3), st.data())
-def test_row_certificate_keeps_the_triple(instance, block_words, block_target, chunk_words,
+@given(row_word_instance(), st.integers(1, 16), st.sampled_from([64, 512, 4096, 1 << 22]),
+       st.sampled_from([8, 64, 512, 1 << 22]), st.integers(1, 64),
+       st.lists(st.floats(0, 1), max_size=3), st.data())
+def test_row_certificate_keeps_the_triple(instance, block_words, row_bytes, mid_bytes, chunk_words,
                                           cuts, data):
     # Small blocks put the planted word's index d * P_i past the first
     # block, and the prefix before it, scanned under the ceiling floor + 1,
-    # spans one block or many; the block target varies the split.  Cuts split [start, stop)
-    # into pieces, and every floor up to the least weight of the range must
-    # give each piece the triple of a floor-free scan.
+    # spans one block or many.  Small mid tables make the digits above the
+    # block overflow one, so the split widens the block as far as the row
+    # budget lets it.  Cuts split [start, stop) into pieces, and every floor
+    # up to the least weight of the range must give each piece the triple
+    # of a floor-free scan.
     q, n, rows, ranges, table = instance
     total = int(np.prod(ranges))
     # long ranges more often than uniform draws give them
@@ -764,7 +795,8 @@ def test_row_certificate_keeps_the_triple(instance, block_words, block_target, c
     floors = range(least + 1) if least <= 8 else [0, 1, least // 2, least - 1, least]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK_WORDS", block_words)
-        mp.setattr(kernels, "_BLOCK_TARGET", block_target)
+        mp.setattr(kernels, "_ROW_BYTES", row_bytes)
+        mp.setattr(kernels, "_MID_BYTES", mid_bytes)
         mp.setattr(kernels, "_CHUNK_WORDS", chunk_words)
         for floor in floors:
             got = [kernels.min_weight_scan(rows, ranges, table, q, n, a, b, floor) for a, b in parts]
@@ -778,6 +810,60 @@ def test_split_of_the_full_z8_sweep():
     k0, k2 = kernels._split(ranges, 8, 15, 1)
     assert (k0, k2) == (4, 9)
     assert math.prod(ranges[k2:]) == 8
+
+
+def _seeded_z8_basis():
+    """A code of 2^28 words over Z8 at n = 15, drawn uniformly among the
+    ideal codes of that size: six binary digits, then eleven of range 4."""
+    from zqu import CyclicCode
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 3)
+    gens = [
+        "u*(2*x^14+2*x^13+2*x^12+2*x^11+2*x^10+2*x^9+2*x^8+2*x^7+2*x^6+2*x^5+2*x^4+2*x^3+2*x^2+2*x+2)",
+        "4*x^13+4*x^12+4*x^10+4*x^9+4*x^7+4*x^6+4*x^4+4*x^3+4*x+4"
+        "+u*(x^14+7*x^13+x^11+7*x^10+x^8+7*x^7+x^5+7*x^4+x^2+7*x)",
+        "u*(2*x^11+6*x^10+2*x^6+6*x^5+2*x+6)",
+        "4*x^11+4*x^10+4*x^9+4*x^8+4*x^6+4*x^4+4*x^3+4"
+        "+u*(x^14+5*x^13+4*x^12+2*x^11+5*x^10+6*x^8+7*x^6+3*x^5+7*x^4+5*x^3+4*x^2+7*x)",
+    ]
+    basis, ranges = CyclicCode(15, params, [parse_r_poly(g, params) for g in gens], "ideal").span().enumeration_basis()
+    assert ranges == [2] * 6 + [4] * 11
+    return basis, ranges
+
+
+def _n21_z4_basis():
+    """The Z4 length-21 ideal generated by x^6+x^4+x^2+x+1: 2^72 words."""
+    from zqu import CyclicCode
+    from zqu.poly import parse_r_poly
+
+    params = make_ring(2, 2)
+    code = CyclicCode(21, params, [parse_r_poly("x^6+x^4+x^2+x+1", params)], "ideal")
+    return code.span().enumeration_basis()
+
+
+# (basis, ring, n, stop, split, block words, epochs) of two floor-free scans
+# whose digits above 2^11-word blocks overflow one mid table
+WIDENED_SCANS = [
+    (_seeded_z8_basis, (2, 3), 15, 1 << 28, (9, 16), 1 << 12, 4),
+    (_n21_z4_basis, (2, 2), 21, (1 << 28) + 1, (6, 13), 1 << 12, 5),
+]
+
+
+@pytest.mark.parametrize("build, ring, n, stop, split, width, epochs", WIDENED_SCANS, ids=["z8-seeded", "z4-n21"])
+def test_widened_block_leaves_a_full_mid_table(build, ring, n, stop, split, width, epochs):
+    # Counts what the split decides, not a timing: the block widens only
+    # while the rows of a full mid table still fit the row budget, so the
+    # mid table holds 2^14 words and the scan walks a few epochs (one outer
+    # word each).  Widening to 2^14-word blocks would leave 16- or 4-word
+    # mid tables and 1024 or 4097 epochs.
+    basis, ranges = build()
+    res, splits, outer = _split_scan(basis, ranges, make_ring(*ring), n, stop)
+    assert res[2] == stop - 1
+    (k0, k2), = splits
+    assert (k0, k2) == split and math.prod(ranges[:k0]) == width
+    assert math.prod(ranges[k0:k2]) == 1 << 14
+    assert outer == list(range(epochs))
 
 
 def test_window_past_two_to_the_63_weighs_live_blocks():
