@@ -1,7 +1,7 @@
 """Minimum-weight scan kernel.
 
 The exhaustive distance scan walks the span of a Howell basis in mixed-radix
-order (digit 0 fastest) over the linear indices [start, stop).  Digits that
+order (digit 0 fastest) over the linear indices [1, stop).  Digits that
 stay 0 below stop are dropped, and the top digit that moves keeps only the
 values it reaches.  The others split three ways, lowest first:
 
@@ -23,33 +23,33 @@ mid word its row at every coordinate.  Block o weighs as
 sum_c W_c[slot(c, o mod M)], so no word of it weighs less than its bound
 sum_c min W_c[slot(c, o mod M)].
 
-Blocks are taken in index order.  The scan's first block is weighed alone,
-straight from the block words and its base word, before any mid table, tree
-or weight row is built; then each epoch weighs only the live blocks, those
-whose bound is below the best weight found so far (checked again per chunk,
-as the best falls).  A skipped block holds no lighter word, nor, coming
-later, an earlier one of equal weight, so the result is that of weighing
-every word.  A chunk of live blocks is packed into two buffers allocated
-once per call, as one row copy (and, after the first group, one narrow add)
-per group and one argmin, mapped back to (block, word).
+Blocks are taken in index order.  Block 0, which always holds digit 0 and
+so more than the zero word, is weighed alone, straight from the block
+words, before any mid table, tree or weight row is built; then each epoch
+weighs only the live blocks, those whose bound is below the best weight
+found so far (checked again per chunk, as the best falls).  A skipped
+block holds no lighter word, nor, coming later, an earlier one of equal
+weight, so the result is that of weighing every word.  A chunk of live
+blocks is packed into two buffers allocated once per call, as one row copy
+(and, after the first group, one narrow add) per group and one argmin,
+mapped back to (block, word).
 
-The caller may pass a floor, a lower bound it has proven on the weight of
-every word of the range (`metrics.min_distance` passes the BCH bound of the
-code).  The scan returns as soon as the best weight is at or below it,
-after the first block or after any chunk: every later word weighs at least
-the floor and comes later, so it is excluded just as a block bound would
-exclude it.
+The caller passes a floor, a lower bound it has proven on the weight of
+every word of the range, or 0 (`metrics.min_distance` passes the BCH bound
+of the code).  The scan returns as soon as the best weight is at or below
+it, after the first block or after any chunk: every later word weighs at
+least the floor and comes later, so it is excluded just as a block bound
+would exclude it.
 
-When the first block holds no word at the floor, the words with one
+When the first block holds no word at a floor above 0, the words with one
 nonzero digit past it, d * rows[i] at index d * P_i (P_i the product of
 the ranges below digit i), are weighed in one vectorized pass: light words
 are often a multiple of one basis row.  The first of them at index I that
 weighs no more than the floor weighs exactly the floor, so the answer is
-the first word at or below the floor in [first block end, I), or the word
-at I if there is none.  So the scan's stop moves to I, and its epochs
-start from the ceiling floor + 1 as their best weight: a block is live
-only if its bound is at most the floor.  The split stays that of the
-whole range.
+the first word at or below the floor in [B, I), or the word at I if there
+is none.  So the scan's stop moves to I, and its epochs start from the
+ceiling floor + 1 as their best weight: a block is live only if its bound
+is at most the floor.  The split stays that of the whole range.
 
 While the live blocks times n stay within the blocks of the epoch, the
 groups are single coordinates.  Beyond that, weighing them one coordinate
@@ -64,12 +64,10 @@ The digits split by a rule on the two memory bounds, not by a search
 (`_split`).  Memory is therefore bounded by constants and q, never by the
 scan's length.  Weights are summed in the narrowest unsigned dtype holding
 max(table) * n.  A scan returns (best weight, index of the first word
-attaining it, words scanned): every word of [start, stop) counts as
-scanned, whether weighed or excluded by its block's bound or the floor, and
-the triple is the same for every split, every grouping and every floor up to
-the least weight of the range.  It is also the same for every [start, stop)
-cut: the triples of the pieces merge to that of the whole range, by the
-least (weight, index) and the sum of the words scanned.
+attaining it, words scanned): every word of [1, stop) counts as scanned,
+whether weighed or excluded by its block's bound or the floor, and the
+triple is the same for every split, every grouping and every floor up to the
+least weight of the range.
 
 This is the only zqu module that imports numpy; `metrics.min_distance`
 imports it on the first scan and passes plain sequences for the weight
@@ -100,16 +98,14 @@ def weight_array(table) -> np.ndarray:
     return np.frombuffer(array.array("Q", table), np.uint64)
 
 
-def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
-    """Scan span words with linear indices in [start, stop); returns
+def min_weight_scan(rows, ranges, table, q, n, stop, floor):
+    """Scan span words with linear indices in [1, stop), stop >= 2; returns
     (min weight, first index attaining it, words scanned).  `floor` is a
     lower bound, proven by the caller, on the weight of every word of the
     range: the scan ends at the first word that weighs no more, and past
     the first block it is sought first among the multiples of one basis
     row, which leaves only the words before that one to scan."""
-    if stop <= start:
-        return (1 << 62, -1, 0)
-    scanned = stop - start
+    scanned = stop - 1
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     ranges = [int(r) for r in ranges]
     table = weight_array(table)
@@ -121,11 +117,13 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
         k += 1
     rows = rows[:k]
     ranges = ranges[:k]
-    if k:
-        ranges[-1] = min(ranges[-1], -(-stop // (size // ranges[-1])))
+    ranges[-1] = min(ranges[-1], -(-stop // (size // ranges[-1])))
     wdt = np.min_scalar_type(int(table.max()) * n)
     pair_dt = np.min_scalar_type(4 * q * q - 1)  # values and sums below 2q fit too
     k0, k2 = _split(ranges, q, n, wdt.itemsize)
+    # The first block holds digit 0, so more than the zero word.
+    k0 = max(k0, 1)
+    k2 = max(k2, k0)
 
     block = _words(rows[:k0], ranges[:k0], q, pair_dt)
     pairs = block[:n] * (2 * q) + block[n:]
@@ -133,38 +131,33 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     del block
     tiled = np.tile(table.reshape(q, q).astype(wdt), (2, 2)).ravel()
     per_gather = max(1, (_CHUNK_WORDS >> 2) // width)  # rows: take() copies its indices to intp
-    first, last = start // width, -(-stop // width)
-    # The scan's first block alone, from the block words and its base word:
-    # a scan that ends there builds no table.
-    idx = pairs
-    if first:
-        base = word_at_index(rows[k0:], ranges[k0:], q, first)
-        idx = pairs + (base[:n] * (2 * q) + base[n:]).astype(pair_dt)[:, None]
-    flat = sum(np.take(tiled, idx[t : t + per_gather]).sum(axis=0, dtype=wdt) for t in range(0, n, per_gather))
-    lo, hi = start - first * width, min(stop - first * width, width)
-    j = lo + int(np.argmin(flat[lo:hi]))
-    best, best_idx = int(flat[j]), first * width + j
-    if best <= floor or last - first == 1:
+    last = -(-stop // width)
+    # The first block alone, words [1, min(stop, width)) straight from the
+    # block words: a scan that ends there builds no table.
+    flat = sum(np.take(tiled, pairs[t : t + per_gather]).sum(axis=0, dtype=wdt) for t in range(0, n, per_gather))
+    j = 1 + int(np.argmin(flat[1 : min(stop, width)]))
+    best, best_idx = int(flat[j]), j
+    if best <= floor or last == 1:
         return best, best_idx, scanned
-    del idx, flat
+    del flat
     # The first word at or below the floor past the first block is the
-    # first of [first block end, I) or, failing that, the row word at I:
-    # the scan stops at I, with the ceiling floor + 1 as its best weight,
-    # so a block is live only if its bound is at most the floor.
+    # first of [width, I) or, failing that, the row word at I: the scan
+    # stops at I, with the ceiling floor + 1 as its best weight, so a block
+    # is live only if its bound is at most the floor.
     row_word = None
-    if floor and stop <= 1 << 62:  # int64 indices
-        row_word = _row_hit(rows[k0:], ranges[k0:], width, table, q, n, (first + 1) * width, floor)
+    if floor:
+        row_word = _row_hit(rows[k0:], ranges[k0:], width, table, q, n, floor)
         if row_word is not None:
             best, stop = floor + 1, row_word[1]
             last = -(-stop // width)
-            if last - first == 1:
+            if last == 1:
                 return (*row_word, scanned)
 
     span = math.prod(ranges[k0:k2])  # blocks per epoch
-    epochs = (last - 1) // span - first // span + 1
+    epochs = (last - 1) // span + 1
     # A single epoch reads no mid word at or past the block of stop, so
     # its table ends there, and its top digit stops at the last value read.
-    used = span if epochs > 1 else last - first // span * span
+    used = span if epochs > 1 else last
     mid_ranges = ranges[k0:k2]
     if mid_ranges:
         mid_ranges[-1] = -(-used // (span // mid_ranges[-1]))
@@ -199,9 +192,9 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
         weighs less."""
         return np.take(low, slot[:, m0:m1]).sum(axis=0, dtype=low.dtype)
 
-    for epoch in range(first // span, (last - 1) // span + 1):
-        m0 = max(first + 1, epoch * span) - epoch * span
-        m1 = min(last, (epoch + 1) * span) - epoch * span
+    for epoch in range(epochs):
+        m0 = 0 if epoch else 1  # block 0 is weighed already
+        m1 = min(last - epoch * span, span)
         if m0 == m1:  # the first block ends this epoch
             continue
         outer = word_at_index(rows[k2:], ranges[k2:], q, epoch)
@@ -220,7 +213,7 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
         # every block of the epoch takes the merged groups.
         if len(live) * n > m1 - m0:
             if merged is None:
-                merged = _plan(tree, last - first, epochs, width, wdt.itemsize).layout()
+                merged = _plan(tree, last, epochs, width, wdt.itemsize).layout()
                 # in place, keeping the leaf rows: no view of either is alive
                 weights.resize((merged[0], width), refcheck=False)
                 low.resize(merged[0], refcheck=False)
@@ -243,11 +236,12 @@ def min_weight_scan(rows, ranges, table, q, n, start, stop, floor=0):
     return (*(row_word or (best, best_idx)), scanned)
 
 
-def _row_hit(rows, ranges, size, table, q, n, lo, floor):
-    """(weight, index) of the first word at or past lo with one nonzero
-    digit, d * rows[i] at index d * P_i, that weighs at most floor; None if
-    there is none.  P_0 = size, P_i = P_(i-1) * ranges[i-1], and the top
-    range is cut at stop, so every such index lies below it.
+def _row_hit(rows, ranges, size, table, q, n, floor):
+    """(weight, index) of the first word with one nonzero digit, d * rows[i]
+    at index d * P_i, that weighs at most floor; None if there is none.
+    The digits are those above the scan's first block, P_0 = size its words
+    and P_i = P_(i-1) * ranges[i-1], and the top range is cut at stop, so
+    every such index lies past the first block and below stop.
 
     Indices grow with (i, d), since d * P_i < P_(i+1), so the first hit of
     the (digit, value) grid in row-major order is the least.  The grid is
@@ -255,8 +249,6 @@ def _row_hit(rows, ranges, size, table, q, n, lo, floor):
     sizes = list(itertools.accumulate(ranges[:-1], operator.mul, initial=size))
     d = np.arange(1, max(ranges))
     valid = d < np.array(ranges)[:, None]
-    if lo > size:  # single-digit words of the scan's first block or before it
-        valid &= np.multiply.outer(sizes, d) >= lo
     step = max(1, _CHUNK_WORDS // (len(d) * 2 * n))
     for i in range(0, len(sizes), step):
         words = rows[i : i + step, None, :] * d[:, None] % q

@@ -181,7 +181,7 @@ def _scan_distance(code: CyclicCode, metric: str, budget: Optional[int],
 
     from . import kernels
 
-    best, idx, scanned = kernels.min_weight_scan(basis, ranges, table, q, n, 1, stop, floor)
+    best, idx, scanned = kernels.min_weight_scan(basis, ranges, table, q, n, stop, floor)
     vec = kernels.word_at_index(basis, ranges, q, idx)
     witness = WordR(code.params, tuple((int(vec[i]), int(vec[n + i])) for i in range(n)))
     return DistanceReport(metric, int(best), witness, exhaustive, scanned)

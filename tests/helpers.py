@@ -252,7 +252,7 @@ def full_scan_distance(code):
     span = code.span()
     basis, ranges = span.enumeration_basis()
     table = weight_table("hamming", code.params)
-    return kernels.min_weight_scan(basis, ranges, table, code.params.q, code.n, 1, span.size())[0]
+    return kernels.min_weight_scan(basis, ranges, table, code.params.q, code.n, span.size(), 0)[0]
 
 
 def enumerated_min_hamming(code):

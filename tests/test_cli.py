@@ -323,6 +323,8 @@ PAPER_Z4_MODULE = ("--n", "7", "--p", "2", "--s", "2", "--gens", "3*x^3+x^2+2*x+
                    "--closure", "module")
 PAPER_Z8_BUDGET = ("--n", "15", "--p", "2", "--s", "3", "--gens",
                    "x^10+6*x^9+x^8+6*x^7+3*x^5+7*x^4+4*x^3+7*x^2+5*x+1", "--budget", "4194304")
+# floor 1, met by a multiple of one basis row at index 2^30
+N21_Z4 = ("--n", "21", "--p", "2", "--s", "2", "--gens", "x^6+x^4+x^2+x+1")
 
 
 @pytest.mark.parametrize("args, md5", [
@@ -338,6 +340,9 @@ PAPER_Z8_BUDGET = ("--n", "15", "--p", "2", "--s", "3", "--gens",
     (("--n", "1", "--p", "2", "--s", "10", "--gens", "1", "--format", "json"),
      "cdc0fd566abdadfcdb1855c256d9132d"),
     (("--n", "3", "--p", "5", "--s", "2", "--gens", "x+24"), "58d51a0cb626ca70e642dcc5784bb02a"),
+    (N21_Z4 + ("--budget", str(2**62 - 1)), "6af233ef6c17debffb32b895a2db3646"),
+    (N21_Z4 + ("--budget", str(2**62)), "28bc91de12261a898e7017b552522126"),
+    (N21_Z4 + ("--budget", str(10**25)), "1be35225ca6676b5df11b0a762a037c3"),
 ])
 def test_distance_output_pinned(args, md5):
     # the value, the witness (the first word of least weight in scan order)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zqu import kernels
 from zqu.metrics import weight_table
@@ -24,20 +24,17 @@ def scan_instance(draw):
     ranges = np.array(
         [p ** draw(st.integers(1, s)) for _ in range(k)], dtype=np.int64
     )
-    total = int(np.prod(ranges))
-    start = draw(st.integers(1, total))
-    stop = draw(st.integers(start, total))
-    return p, s, q, n, rows, ranges, start, stop
+    stop = draw(st.integers(2, int(np.prod(ranges))))
+    return p, s, q, n, rows, ranges, stop
 
 
 @settings(max_examples=120, deadline=None)
 @given(scan_instance())
-def test_backends_agree(instance):
-    p, s, q, n, rows, ranges, start, stop = instance
+def test_scan_matches_the_word_by_word_reference(instance):
+    p, s, q, n, rows, ranges, stop = instance
     table = weight_table("hamming", make_ring(p, s))
-    res_ref = _reference_scan(rows, ranges, table, q, n, start, stop)
-    res_numpy = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
-    assert res_numpy == res_ref
+    res = kernels.min_weight_scan(rows, ranges, table, q, n, stop, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, stop)
 
 
 @st.composite
@@ -65,22 +62,20 @@ def table_instance(draw, pairs):
     ranges = np.array(
         [p ** draw(st.integers(1, s)) for _ in range(k)], dtype=np.int64
     )
-    total = int(np.prod(ranges))
-    start = draw(st.integers(1, total))
-    stop = draw(st.integers(start, total))
-    return q, n, rows, ranges, table, start, stop
+    stop = draw(st.integers(2, int(np.prod(ranges))))
+    return q, n, rows, ranges, table, stop
 
 
 @settings(max_examples=100, deadline=None)
 @given(table_instance([(2, 2), (2, 3), (3, 1)]), st.integers(1, 16))
 def test_multi_block_scan_agrees(instance, block_words):
     # A small block cap splits even tiny spans into many blocks, so the
-    # per-block offset runs with nonzero base words and unaligned start/stop.
-    q, n, rows, ranges, table, start, stop = instance
+    # per-block offset runs with nonzero base words and an unaligned stop.
+    q, n, rows, ranges, table, stop = instance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK_WORDS", block_words)
-        res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
-    assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, stop, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, stop)
 
 
 @settings(max_examples=100, deadline=None)
@@ -89,22 +84,22 @@ def test_budget_one_word_into_a_top_digit_value_agrees(instance, block_words, da
     # The shape of the Z8 paper item's budget scan: the last index scanned is
     # the first word at which digit i takes a new value, so the last block
     # holds one word and the mid table ends inside a value of its top digit.
-    q, n, rows, ranges, table, _, _ = instance
+    q, n, rows, ranges, table, _ = instance
     i = data.draw(st.integers(0, len(ranges) - 1))
     stop = math.prod(int(r) for r in ranges[:i]) * data.draw(st.integers(1, int(ranges[i]) - 1)) + 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK_WORDS", block_words)
-        res = kernels.min_weight_scan(rows, ranges, table, q, n, 1, stop)
-    assert res == _reference_scan(rows, ranges, table, q, n, 1, stop)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, stop, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, stop)
 
 
 @settings(max_examples=80, deadline=None)
 @given(table_instance([(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]))
 def test_dtype_edges_agree(instance):
     # (3, 2) needs uint16 pair indices; tables up to 300 need uint16 sums.
-    q, n, rows, ranges, table, start, stop = instance
-    res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
-    assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
+    q, n, rows, ranges, table, stop = instance
+    res = kernels.min_weight_scan(rows, ranges, table, q, n, stop, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, stop)
 
 
 def test_gray_hamming_sums_pass_a_byte():
@@ -114,8 +109,8 @@ def test_gray_hamming_sums_pass_a_byte():
     rows = rng.integers(0, q, size=(len(ranges), 2 * n)).astype(np.int64)
     table = weight_table("gray-hamming", make_ring(2, 2))
     total = int(np.prod(ranges))
-    res = kernels.min_weight_scan(rows, ranges, table, q, n, 1, total)
-    assert res == _reference_scan(rows, ranges, table, q, n, 1, total)
+    res = kernels.min_weight_scan(rows, ranges, table, q, n, total, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, total)
     assert res[0] > 255
 
 
@@ -126,18 +121,18 @@ def test_q1024_scan_agrees():
     rows = rng.integers(0, q, size=(2, 2 * n)).astype(np.int64)
     table = rng.integers(0, 50, size=q * q).astype(np.int64)
     total = int(np.prod(ranges))
-    res = kernels.min_weight_scan(rows, ranges, table, q, n, 3, total)
-    assert res == _reference_scan(rows, ranges, table, q, n, 3, total)
+    res = kernels.min_weight_scan(rows, ranges, table, q, n, total, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, total)
 
 
-def _reference_scan(rows, ranges, table, q, n, start, stop):
-    best, best_idx = 1 << 62, -1
-    for idx in range(start, stop):
+def _reference_scan(rows, ranges, table, q, n, stop):
+    best, best_idx = None, None
+    for idx in range(1, stop):
         word = kernels.word_at_index(rows, ranges, q, idx)
         w = int(sum(table[int(word[j]) * q + int(word[n + j])] for j in range(n)))
-        if w < best:
+        if best is None or w < best:
             best, best_idx = w, idx
-    return best, best_idx, stop - start
+    return best, best_idx, stop - 1
 
 
 def test_word_at_index_walks_mixed_radix():
@@ -147,25 +142,10 @@ def test_word_at_index_walks_mixed_radix():
     assert words == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
-def test_partitioned_scans_merge_to_full_scan():
-    rng = np.random.default_rng(7)
-    q, n, k = 4, 3, 4
-    rows = rng.integers(0, q, size=(k, 2 * n)).astype(np.int64)
-    ranges = np.array([4, 2, 4, 2], dtype=np.int64)
-    table = weight_table("hamming", make_ring(2, 2))
-    total = int(np.prod(ranges))
-    full = kernels.min_weight_scan(rows, ranges, table, q, n, 1, total)
-    mid = total // 2
-    left = kernels.min_weight_scan(rows, ranges, table, q, n, 1, mid)
-    right = kernels.min_weight_scan(rows, ranges, table, q, n, mid, total)
-    assert min((left[0], left[1]), (right[0], right[1])) == (full[0], full[1])
-    assert left[2] + right[2] == full[2]
-
-
 @st.composite
 def chunked_instance(draw):
     """A scan instance over q in {4, 8, 9, 25} with a random asymmetric table
-    up to 300, at most 4096 words, and unaligned start/stop."""
+    up to 300, at most 4096 words, and an unaligned stop."""
     p, s = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]))
     q = p**s
     n = draw(st.integers(1, 4))
@@ -182,10 +162,9 @@ def chunked_instance(draw):
         dtype=np.int64,
     )
     total = int(np.prod(ranges))
-    # drawn as distances from the ends, so that the whole span is common
-    start = 1 + draw(st.integers(0, total - 1))
-    stop = total - draw(st.integers(0, total - start))
-    return q, n, rows, np.array(ranges, dtype=np.int64), table, start, stop
+    # drawn as a distance from the end, so that the whole span is common
+    stop = total - draw(st.integers(0, total - 2))
+    return q, n, rows, np.array(ranges, dtype=np.int64), table, stop
 
 
 # A forced partition of the coordinates into groups: None keeps the kernel's
@@ -260,8 +239,8 @@ def test_merge_slots_hold_the_second_part_count():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_split", lambda *_: (1, 3))
         mp.setattr(kernels, "_plan", plan)
-        res = kernels.min_weight_scan(rows, ranges, table, q, n, 1, 16**3)
-    assert res == _reference_scan(rows, ranges, table, q, n, 1, 16**3)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, 16**3, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, 16**3)
     assert len(planned) == 1
 
 
@@ -276,7 +255,7 @@ def test_chunked_scan_agrees(instance, chunk_words, row_bytes, mid_bytes, split,
     # depend on: `split` forces the block and mid digits (tiny scans would
     # seldom pick mid digits, and few of them give many epochs) and `labels`
     # the groups.
-    q, n, rows, ranges, table, start, stop = instance
+    q, n, rows, ranges, table, stop = instance
 
     def forced_split(ranges, *_):
         k0 = min(split[0], len(ranges))
@@ -290,14 +269,15 @@ def test_chunked_scan_agrees(instance, chunk_words, row_bytes, mid_bytes, split,
             mp.setattr(kernels, "_split", forced_split)
         if labels is not None:
             mp.setattr(kernels, "_plan", forced_plan(labels))
-        res = kernels.min_weight_scan(rows, ranges, table, q, n, start, stop)
-    assert res == _reference_scan(rows, ranges, table, q, n, start, stop)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, stop, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, stop)
 
 
 def test_forced_group_past_the_row_budget_stays_in_memory():
-    # One forced group of four Z25 coordinates over a two-digit mid table
-    # (625 mid words, one word a block) would need up to 625^4 merged rows;
-    # the forced plan merges what fits and the scan still agrees.
+    # The forced split (0, 2) keeps digit 0 in the block, as every split
+    # does: 25-word blocks over a 25-word mid table.  One forced group of
+    # four Z25 coordinates would need up to 25^4 merged rows; the forced
+    # plan merges what fits, far past _ROW_BYTES, and the scan still agrees.
     rng = np.random.default_rng(25)
     q, n = 25, 4
     ranges = np.array([25, 25, 5], dtype=np.int64)
@@ -315,8 +295,8 @@ def test_forced_group_past_the_row_budget_stays_in_memory():
         mp.setattr(kernels, "_MID_BYTES", 8)
         mp.setattr(kernels, "_split", lambda *_: (0, 2))
         mp.setattr(kernels, "_plan", plan)
-        res = kernels.min_weight_scan(rows, ranges, table, q, n, 2585, 3065)
-    assert res == _reference_scan(rows, ranges, table, q, n, 2585, 3065)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, 3065, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, 3065)
     assert len(trees) == 1 and trees[0].merges
     assert sum(trees[0].counts) <= _FORCED_ROW_BYTES
 
@@ -341,22 +321,9 @@ def test_forced_groups_on_both_routes(seed, merged):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_split", lambda *_: (3, 6))
         mp.setattr(kernels, "_plan", plan)
-        res = kernels.min_weight_scan(rows, ranges, table, q, n, 5, stop)
-    assert res == _reference_scan(rows, ranges, table, q, n, 5, stop)
+        res = kernels.min_weight_scan(rows, ranges, table, q, n, stop, 0)
+    assert res == _reference_scan(rows, ranges, table, q, n, stop)
     assert len(planned) == merged
-
-
-@settings(max_examples=60, deadline=None)
-@given(chunked_instance(), st.lists(st.floats(0, 1), min_size=1, max_size=4))
-def test_random_partitions_merge_to_full_scan(instance, cuts):
-    q, n, rows, ranges, table, _, _ = instance
-    total = int(np.prod(ranges))
-    bounds = [1] + sorted(1 + int(c * (total - 1)) for c in cuts) + [total]
-    full = kernels.min_weight_scan(rows, ranges, table, q, n, 1, total)
-    parts = [kernels.min_weight_scan(rows, ranges, table, q, n, lo, hi)
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
-    assert min((v, i) for v, i, _ in parts) == (full[0], full[1])
-    assert sum(sc for _, _, sc in parts) == full[2] == total - 1
 
 
 @pytest.mark.parametrize("budget", [1 << 22, 1 << 24])
@@ -369,7 +336,7 @@ def test_scan_memory_does_not_grow_with_its_length(budget):
     table = weight_table("hamming", make_ring(2, 3))
     tracemalloc.start()
     try:
-        res = kernels.min_weight_scan(basis, ranges, table, 8, 15, 1, budget + 1)
+        res = kernels.min_weight_scan(basis, ranges, table, 8, 15, budget + 1, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,7 +371,7 @@ def test_scan_memory_holds_with_the_largest_mid_table():
         mp.setattr(kernels, "_Tree", Recorded)
         tracemalloc.start()
         try:
-            res = kernels.min_weight_scan(basis, ranges, table, 4, 31, 1, budget + 1)
+            res = kernels.min_weight_scan(basis, ranges, table, 4, 31, budget + 1, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -482,7 +449,7 @@ def test_grouping_cuts_the_passes_of_a_seeded_code():
     table = weight_table("hamming", params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_plan", recorded)
-        res = kernels.min_weight_scan(basis, ranges, table, 4, 15, 1, 1 << 20)
+        res = kernels.min_weight_scan(basis, ranges, table, 4, 15, 1 << 20, 0)
     assert res == (4, 1024, (1 << 20) - 1)
     (tree,) = trees
     assert len(tree.groups) <= 5
@@ -535,7 +502,7 @@ def test_bound_skips_most_blocks_of_the_z8_paper_code():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_weigh", recorded)
         mp.setattr(kernels, "_plan", None)
-        res = kernels.min_weight_scan(basis, ranges, table, 8, 15, 1, (1 << 22) + 1)
+        res = kernels.min_weight_scan(basis, ranges, table, 8, 15, (1 << 22) + 1, 0)
     assert res == (7, 4, 1 << 22)
     blocks = (1 << 22) // 512 + 1
     assert sum(weighed) <= 0.02 * blocks
@@ -566,7 +533,7 @@ def _split_scan(basis, ranges, params, n, stop):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_split", recorded_split)
         mp.setattr(kernels, "word_at_index", recorded_word)
-        res = kernels.min_weight_scan(basis, ranges, table, params.q, n, 1, stop)
+        res = kernels.min_weight_scan(basis, ranges, table, params.q, n, stop, 0)
     return res, splits, outer
 
 
@@ -597,7 +564,7 @@ def test_one_epoch_scan_builds_no_mid_word_past_stop(build, ring, words, split):
     table = weight_table("hamming", params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_Tree", Recorded)
-        res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, 1, 1 + words)
+        res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, 1 + words, 0)
     assert res[2] == words
     width = math.prod(ranges[:split[0]])
     assert tables == [-(-(1 + words) // width)]
@@ -608,20 +575,17 @@ def test_one_epoch_scan_builds_no_mid_word_past_stop(build, ring, words, split):
 def test_a_floor_up_to_the_minimum_keeps_the_triple(instance, block_words, chunk_words, data):
     # Small blocks and chunks put the first word of least weight in the
     # first block, in a later live chunk or in a later epoch; a floor at or
-    # below the least weight of [start, stop) may end the scan early but
+    # below the least weight of [1, stop) may end the scan early but
     # changes none of (value, index, words scanned).
-    q, n, rows, ranges, table, _, _ = instance
-    total = int(np.prod(ranges))
-    assume(total > 2)
-    start = data.draw(st.integers(2, total - 1))
-    stop = data.draw(st.integers(start + 1, total))  # below total: a budget cut
-    ref = _reference_scan(rows, ranges, table, q, n, start, stop)
+    q, n, rows, ranges, table, _ = instance
+    stop = data.draw(st.integers(2, int(np.prod(ranges))))  # below total: a budget cut
+    ref = _reference_scan(rows, ranges, table, q, n, stop)
     floors = range(ref[0] + 1) if ref[0] <= 24 else [0, 1, ref[0] // 2, ref[0] - 1, ref[0]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK_WORDS", block_words)
         mp.setattr(kernels, "_CHUNK_WORDS", chunk_words)
         for floor in floors:
-            assert kernels.min_weight_scan(rows, ranges, table, q, n, start, stop, floor) == ref
+            assert kernels.min_weight_scan(rows, ranges, table, q, n, stop, floor) == ref
 
 
 def _counted_scan(basis, ranges, params, stop, floor):
@@ -648,7 +612,7 @@ def _counted_scan(basis, ranges, params, stop, floor):
         mp.setattr(kernels, "_Tree", Recorded)
         mp.setattr(kernels, "_weigh", recorded)
         mp.setattr(kernels, "_row_hit", probed)
-        res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, 1, stop, floor)
+        res = kernels.min_weight_scan(basis, ranges, table, params.q, 15, stop, floor)
     return res, trees, weighed, hits
 
 
@@ -753,7 +717,7 @@ def row_word_instance(draw):
     rows whose sum has one nonzero coordinate, so that the word of index
     P_i0 + P_i1 may weigh as little as the row and come before it.  The table weighs
     (0, 0) at 0, and is the Hamming table half of the time."""
-    q, n, rows, ranges, table, _, _ = draw(chunked_instance())
+    q, n, rows, ranges, table, _ = draw(chunked_instance())
 
     def light():
         word = np.zeros(2 * n, np.int64)
@@ -772,35 +736,26 @@ def row_word_instance(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(row_word_instance(), st.integers(1, 16), st.sampled_from([64, 512, 4096, 1 << 22]),
-       st.sampled_from([8, 64, 512, 1 << 22]), st.integers(1, 64),
-       st.lists(st.floats(0, 1), max_size=3), st.data())
-def test_row_certificate_keeps_the_triple(instance, block_words, row_bytes, mid_bytes, chunk_words,
-                                          cuts, data):
+       st.sampled_from([8, 64, 512, 1 << 22]), st.integers(1, 64), st.data())
+def test_row_certificate_keeps_the_triple(instance, block_words, row_bytes, mid_bytes, chunk_words, data):
     # Small blocks put the planted word's index d * P_i past the first
     # block, and the prefix before it, scanned under the ceiling floor + 1,
     # spans one block or many.  Small mid tables make the digits above the
     # block overflow one, so the split widens the block as far as the row
-    # budget lets it.  Cuts split [start, stop) into pieces, and every floor
-    # up to the least weight of the range must give each piece the triple
-    # of a floor-free scan.
+    # budget lets it.  Every floor up to the least weight of [1, stop) must
+    # give the triple of a floor-free scan.
     q, n, rows, ranges, table = instance
     total = int(np.prod(ranges))
-    # long ranges more often than uniform draws give them
-    start = data.draw(st.one_of(st.integers(2, min(8, total - 1)), st.integers(2, total - 1)))
-    stop = data.draw(st.one_of(st.just(total), st.integers(start + 1, total)))  # below total: a budget cut
-    bounds = sorted({start, stop} | {start + int(c * (stop - start)) for c in cuts})
-    parts = list(zip(bounds[:-1], bounds[1:]))
-    refs = [_reference_scan(rows, ranges, table, q, n, a, b) for a, b in parts]
-    least = min(w for w, _, _ in refs)
-    floors = range(least + 1) if least <= 8 else [0, 1, least // 2, least - 1, least]
+    stop = data.draw(st.one_of(st.just(total), st.integers(2, total)))  # below total: a budget cut
+    ref = _reference_scan(rows, ranges, table, q, n, stop)
+    floors = range(ref[0] + 1) if ref[0] <= 8 else [0, 1, ref[0] // 2, ref[0] - 1, ref[0]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK_WORDS", block_words)
         mp.setattr(kernels, "_ROW_BYTES", row_bytes)
         mp.setattr(kernels, "_MID_BYTES", mid_bytes)
         mp.setattr(kernels, "_CHUNK_WORDS", chunk_words)
         for floor in floors:
-            got = [kernels.min_weight_scan(rows, ranges, table, q, n, a, b, floor) for a, b in parts]
-            assert got == refs
+            assert kernels.min_weight_scan(rows, ranges, table, q, n, stop, floor) == ref
 
 
 def test_split_of_the_full_z8_sweep():
@@ -866,32 +821,23 @@ def test_widened_block_leaves_a_full_mid_table(build, ring, n, stop, split, widt
     assert outer == list(range(epochs))
 
 
-def test_window_past_two_to_the_63_weighs_live_blocks():
-    # The Z8 length-15 code generated by 1 has 8^30 words, digit i the
-    # coordinate i, and 512-word blocks.  A window a few blocks long near
-    # 5 * 10^24 starts in a block whose digits 3 to 5 are all 7, so the next
-    # block, where they carry to 0, is live: the scan weighs blocks whose
-    # indices pass int64, and its triple is that of the word-by-word scan.
-    from zqu import CyclicCode
-    from zqu.poly import parse_r_poly
+@pytest.mark.parametrize("stop", [(1 << 62) - 1, (1 << 62) + 1, 10**25 + 1], ids=["2^62-1", "2^62+1", "10^25+1"])
+def test_row_probe_runs_past_two_to_the_62(stop):
+    # Counts calls, not a timing: the Z4 length-21 code has floor 1, and
+    # basis row 15, at index 4^15 = 2^30, weighs 1.  At every stop the
+    # probe finds it in one call, and the scan weighs only the words
+    # before it.
+    basis, ranges = _n21_z4_basis()
+    table = weight_table("hamming", make_ring(2, 2))
+    hits = []
+    row_hit = kernels._row_hit
 
-    params = make_ring(2, 3)
-    code = CyclicCode(15, params, [parse_r_poly("1", params)], "ideal")
-    basis, ranges = code.span().enumeration_basis()
-    table = weight_table("hamming", params)
-    block = (5 * 10**24 // 512) | (8**3 - 1)
-    start = block * 512 + 37
-    stop = start + 3 * 512 + 100
-    weighed = []
-    weigh = kernels._weigh
-
-    def recorded(weights, slot, ids, *args):
-        weighed.append(len(ids))
-        return weigh(weights, slot, ids, *args)
+    def probed(*args):
+        hits.append(row_hit(*args))
+        return hits[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_weigh", recorded)
-        res = kernels.min_weight_scan(basis, ranges, table, 8, 15, start, stop, 0)
-    assert block > 1 << 63
-    assert weighed
-    assert res == _reference_scan(basis, ranges, table, 8, 15, start, stop)
+        mp.setattr(kernels, "_row_hit", probed)
+        res = kernels.min_weight_scan(basis, ranges, table, 4, 21, stop, 1)
+    assert res == (1, 1 << 30, stop - 1)
+    assert hits == [(1, 1 << 30)]
