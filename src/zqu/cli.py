@@ -291,9 +291,6 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except ZquError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

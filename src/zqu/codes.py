@@ -30,9 +30,12 @@ from .poly import (
     check_length,
     cyclotomic_cosets,
     factor_xn_minus_1,
+    format_r_poly,
     powmod,
+    r_poly_to_json,
     xn_minus_1,
     xn_minus_1_zq,
+    zq_poly_to_json,
 )
 from .ring import (
     IdealDescriptor,
@@ -114,7 +117,7 @@ class CyclicCode:
         self.generators = tuple(g.reduce_cyclic(n) for g in generators)
         self.closure_mode = closure_mode
         self._span: Optional[ZqSpan] = None
-        self._divides: Optional[tuple[tuple[bool, ...], ...]] = None
+        self._residues: Optional[tuple[tuple[RPoly, ...], ...]] = None
         self._readings: Optional[tuple[Reading, ...]] = None
         self._canonical = None
 
@@ -125,19 +128,20 @@ class CyclicCode:
         the ideal of R[x]/(x^n - 1), or in module closure the Z_q[x]-span."""
         if self._span is None:
             degrees = factor_xn_minus_1(self.n, self.params).degrees
-            shifts = [sum(m for m, d in zip(degrees, row) if not d) for row in self._divisibility()]
+            shifts = [sum(m for m, r in zip(degrees, row) if not r.is_zero())
+                      for row in self._residue_table()]
             self._span = ideal_span_mod(self.generators, xn_minus_1(self.params, self.n),
                                         with_u=self.closure_mode == MODE_IDEAL, shifts=shifts)
         return self._span
 
-    def _divisibility(self) -> tuple[tuple[bool, ...], ...]:
-        """Whether each factor of x^n - 1 divides each generator, a row per
-        generator: the one divisibility pass of the code, read by the span's
-        d_g and by the BCH floor."""
-        if self._divides is None:
+    def _residue_table(self) -> tuple[tuple[RPoly, ...], ...]:
+        """g mod f_l for each generator g (a row) and each factor f_l of
+        x^n - 1: the one reduction of the code, read by the span's d_g, the
+        BCH floor and the component readings."""
+        if self._residues is None:
             factors = factor_xn_minus_1(self.n, self.params).factors
-            self._divides = tuple(tuple(f.divides(g) for f in factors) for g in self.generators)
-        return self._divides
+            self._residues = tuple(tuple(g % f for f in factors) for g in self.generators)
+        return self._residues
 
     def fingerprint(self) -> tuple:
         return self.span().fingerprint()
@@ -168,15 +172,14 @@ class CyclicCode:
         """(i, j, alpha) of the code's component at every factor: the ideal of GR(R, m)
         the generators span, in module closure their Z_q[x]-span (p^i, beta), (0, p^j).
 
-        A generator that f_l divides is zero mod f_l and adds only zero rows,
-        so the span at f_l takes only the generators f_l does not divide, as
-        the divisibility table says: a code built from components divides no
-        generator and reduces each at its own factor alone."""
+        The span at f_l takes the generators' residues mod f_l from the
+        residue table, the nonzero ones only: a zero residue adds only zero
+        rows."""
         if self._readings is None:
             out = []
-            table = self._divisibility()
+            table = self._residue_table()
             for l, f in enumerate(self.crt().factorization.factors):
-                gens = [g for g, row in zip(self.generators, table) if not row[l]]
+                gens = [row[l] for row in table if not row[l].is_zero()]
                 span = ideal_span_mod(gens, f, with_u=self.closure_mode == MODE_IDEAL)
                 out.append(_read_component(span, f.degree))
             self._readings = tuple(out)
@@ -204,20 +207,20 @@ class CyclicCode:
         generators as multiples of the CRT cofactors.
 
         A generator G * fhat_l of component l is divisible by every other
-        factor, which divides the cofactor fhat_l, and not by f_l: fhat_l is a
-        unit mod f_l, and G is nonzero of degree < deg f_l.  So the code's
-        divisibility table is known without a `divides` test, and the
-        component readings skip every generator at every factor but its own."""
+        factor, which divides the cofactor fhat_l, so its residue is zero
+        there; its residue at f_l is cached with it.  So the code's residue
+        table is known without reducing any generator."""
         t = build_crt(n, params).t
         if len(descriptors) != t:
             raise PreconditionError(f"expected {t} component descriptors")
-        gens, divides = [], []
+        zero = RPoly.zero(params)
+        gens, residues = [], []
         for l, desc in enumerate(descriptors):
-            made = _component_generators(n, params, l, desc)
-            gens += made
-            divides += [tuple(k != l for k in range(t))] * len(made)
+            for g, r in _component_generators(n, params, l, desc):
+                gens.append(g)
+                residues.append((zero,) * l + (r,) + (zero,) * (t - l - 1))
         code = cls(n, params, gens, MODE_IDEAL)
-        code._divides = tuple(divides)
+        code._residues = tuple(residues)
         return code
 
     # -- canonical generators ----------------------------------------------
@@ -284,14 +287,12 @@ class CyclicCode:
         BCH bound over F_p.  In ideal closure the first is an equality:
         p^(s-1) u (g_0 mod p), the socle of the ideal, lies in C."""
         t = len(factor_xn_minus_1(self.n, self.params).factors)
-        shared = [all(row[l] for row in self._divisibility()) for l in range(t)]
+        shared = [all(row[l].is_zero() for row in self._residue_table()) for l in range(t)]
         return bch_bound_of(shared, self.n, self.params)
 
     # -- serialization --------------------------------------------------------
 
     def to_descriptor(self) -> dict:
-        from .poly import format_r_poly, r_poly_to_json, zq_poly_to_json
-
         out = {
             "n": self.n,
             "p": self.params.p,
@@ -354,13 +355,15 @@ class CyclicCode:
 # 1024 (n, ring, factor, descriptor) entries: the enumerate benchmark's census uses 255.
 @lru_cache(maxsize=1024)
 def _component_generators(n: int, params: RingParams, l: int,
-                          desc: IdealDescriptor) -> tuple[RPoly, ...]:
+                          desc: IdealDescriptor) -> tuple[tuple[RPoly, RPoly], ...]:
     """The generators G * fhat_l mod x^n - 1 of the code whose only nonzero
-    component is desc, at factor l: G runs over its reading's generators."""
+    component is desc, at factor l, each with its residue mod f_l: G runs
+    over its reading's generators."""
     crt = build_crt(n, params)
-    fhat, m = crt.cofactors[l], crt.factorization.degrees[l]
-    return tuple((RPoly.make(params, g) * fhat).reduce_cyclic(n)
-                 for g in reading_generators(desc.reading(params.s, m), params))
+    fhat, f = crt.cofactors[l], crt.factorization.factors[l]
+    made = [(RPoly.make(params, g) * fhat).reduce_cyclic(n)
+            for g in reading_generators(desc.reading(params.s, f.degree), params)]
+    return tuple((g, g % f) for g in made)
 
 
 def _read_component(span: ZqSpan, m: int) -> Reading:
@@ -385,7 +388,8 @@ DEFAULT_ENUM_BUDGET = 1 << 20
 def enumerate_cyclic_codes(n: int, params: RingParams,
                            limit: Optional[int] = None) -> Iterator[CyclicCode]:
     """The first `limit` cyclic codes in canonical component order, or all of
-    them when there are at most DEFAULT_ENUM_BUDGET."""
+    them when there are at most DEFAULT_ENUM_BUDGET.  Refused for s >= 3,
+    where the four ideal families miss some components."""
     if limit is None:
         if count_cyclic_codes(n, params) > DEFAULT_ENUM_BUDGET:
             # without the count, which can be too long to print
@@ -395,6 +399,11 @@ def enumerate_cyclic_codes(n: int, params: RingParams,
             )
     elif limit < 0:
         raise PreconditionError("limit must be >= 0")
+    if params.s >= 3:
+        raise PreconditionError(
+            f"codes over {params} are not enumerated: at s >= 3 the census lists only "
+            "four ideal families, which miss some ideals"
+        )
     crt = build_crt(n, params)
     per_factor = [ideal_descriptors(params.p, params.s, m) for m in crt.factorization.degrees]
     for combo in itertools.islice(itertools.product(*per_factor), limit):

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .errors import GuardExceededError
 from .howell import ZqSpan
-from .poly import RPoly, divmod_monic, times_x_mod, xn_minus_1
+from .poly import RPoly, times_x_mod, xn_minus_1
 from .ring import IdealDescriptor, RingParams, reading_generators
 
 # Largest q for which `ideal_elements` lists an ideal of R element by element.
@@ -50,7 +50,7 @@ def ideal_span_mod(gens: Sequence[RPoly], f: RPoly, with_u: bool = True,
     rows = []
     for g, d in zip(gens, [m] * len(gens) if shifts is None else shifts):
         if g.degree >= m:
-            g = divmod_monic(g, f)[1]
+            g = g % f
         a = list(g.a.coeffs) + [0] * (m - len(g.a.coeffs))
         b = list(g.b.coeffs) + [0] * (m - len(g.b.coeffs))
         # u * (a + u*b) = u*a is zero when a is, and a stays zero at every shift

@@ -51,7 +51,8 @@ class ZqSpan(Value):
         annihilator multiple p^(s-e) * pivot vanishes at c and joins the live
         rows, so every span element that is zero before column c stays in the
         span of the pivots at c and later: the Howell property holds without a
-        closure pass.
+        closure pass.  The same step reduces column c of the earlier pivots
+        mod p^e, which lands on the unique fully reduced form.
         """
         q = p**s
         live = []
@@ -75,22 +76,15 @@ class ZqSpan(Value):
             unit_inv = pow(pivot[c] // pe, -1, q)
             tail = [(unit_inv * x) % q for x in pivot[c:]]
             pivot[c:] = tail
-            for v in live:
-                if v[c]:
-                    m = v[c] // pe
+            # p^e divides column c of every live row, which clears there; an
+            # earlier pivot keeps its entry there mod p^e
+            for v in itertools.chain(live, [row for _, _, row in pivots]):
+                m = v[c] // pe
+                if m:
                     v[c:] = [(x - m * y) % q for x, y in zip(v[c:], tail)]
             if e:
                 live.append([(x * p ** (s - e)) % q for x in pivot])
             pivots.append((c, e, pivot))
-        # Reduce the entries above each pivot mod p^e, left to right, to land
-        # on the unique fully reduced form.
-        for k, (c, e, row) in enumerate(pivots):
-            pe = p**e
-            tail = row[c:]
-            for _, _, row2 in pivots[:k]:
-                m = row2[c] // pe
-                if m:
-                    row2[c:] = [(x - m * y) % q for x, y in zip(row2[c:], tail)]
         # From a list, not a generator: a tuple grown from an iterator is
         # resized, and freeing it then fills CPython's tuple free lists.
         return cls(p, s, ncols, tuple([(c, e, tuple(row)) for c, e, row in pivots]))

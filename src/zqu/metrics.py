@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     UnsupportedMetricError,
 )
-from .poly import RPoly
+from .poly import RPoly, format_r_poly
 from .ring import RingParams
 from .value import Value
 
@@ -123,8 +123,6 @@ class DistanceReport(Value):
         self.exhaustive, self.words_scanned = exhaustive, words_scanned
 
     def to_json(self) -> dict:
-        from .poly import format_r_poly
-
         return {
             "metric": self.metric,
             "value": self.value,

@@ -10,8 +10,9 @@ p-adic digits of Z_q run over the Teichmuller set, reached in closed form.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import PreconditionError
 from .howell import pval
@@ -30,15 +31,6 @@ def prime_factors(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
-    return out
-
-
-def base_digits(v: int, p: int, m: int) -> list[int]:
-    """The m base-p digits of v, least significant first."""
-    out = []
-    for _ in range(m):
-        v, d = divmod(v, p)
-        out.append(d)
     return out
 
 
@@ -110,12 +102,7 @@ KIND_U_P_POWER = "u_times_p_power"
 KIND_P_ALPHA_U = "p_power_plus_alpha_u"
 KIND_P_AND_U = "p_power_and_u"
 
-_KIND_ORDER = {
-    KIND_P_POWER: 0,
-    KIND_U_P_POWER: 1,
-    KIND_P_ALPHA_U: 2,
-    KIND_P_AND_U: 3,
-}
+_KINDS = (KIND_P_POWER, KIND_U_P_POWER, KIND_P_ALPHA_U, KIND_P_AND_U)
 
 # (i, j, alpha): an ideal of GR(R, m) is (p^i) mod u and u*(p^j) inside
 # uGR(R, m); when i < s it holds p^i + alpha*u, alpha (m coefficients)
@@ -127,7 +114,7 @@ class IdealDescriptor(Value):
     __slots__ = ("kind", "index", "alpha")
 
     def __init__(self, kind: str, index: int, alpha: Optional[tuple[int, ...]] = None):
-        if kind not in _KIND_ORDER:
+        if kind not in _KINDS:
             raise PreconditionError(f"unknown ideal family {kind!r}")
         if kind == KIND_P_ALPHA_U:
             if alpha is None or not any(alpha):
@@ -135,9 +122,6 @@ class IdealDescriptor(Value):
         elif alpha is not None:
             raise PreconditionError(f"family {kind} carries no alpha")
         self.kind, self.index, self.alpha = kind, index, alpha
-
-    def sort_key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.index, self.alpha or ())
 
     def is_zero_ideal(self, s: int) -> bool:
         return self.kind == KIND_P_POWER and self.index == s
@@ -200,24 +184,21 @@ def reading_generators(reading: Reading, params: RingParams) -> list[tuple[tuple
 
 
 def census_size(p: int, s: int, m: int = 1) -> int:
-    """Number of ideals of GR(R, m) in the four families, 3s + (s-1)(p^m - 1):
-    all of them for s <= 2, too few for s >= 3 (Z8 + uZ8 has 13, not 11)."""
-    return 3 * s + (s - 1) * (p**m - 1)
-
-
-def _alpha_range(p: int, m: int) -> Iterator[tuple[int, ...]]:
-    # nonzero F_{p^m} elements as little-endian coefficient tuples, in
-    # ascending integer-encoding order
-    for enc in range(1, p**m):
-        yield tuple(base_digits(enc, p, m))
+    """Number of ideals of GR(R, m): each is (p^i + u*beta, u*p^j) for one
+    0 <= j <= i <= s and one of p^(m(j - max(0, i+j-s))) values of beta
+    (Dinh and Lopez-Permouth 2004).  For s <= 2 the four families are all
+    of them, 3s + (s-1)(p^m - 1); for s >= 3 they miss some (Z8 + uZ8 has
+    13, the families 11)."""
+    return sum(p ** (m * (j - max(0, i + j - s))) for i in range(s + 1) for j in range(i + 1))
 
 
 def ideal_descriptors(p: int, s: int, m: int = 1) -> list[IdealDescriptor]:
-    """All ideal descriptors of GR(R, m) in canonical family/index/alpha order."""
+    """The ideals of GR(R, m) in the four families, in canonical family,
+    index, alpha order; alpha, little-endian, runs lexicographically."""
+    alphas = list(itertools.product(range(p), repeat=m))[1:]  # all but the zero tuple
     out = [IdealDescriptor(KIND_P_POWER, i) for i in range(s + 1)]
     out += [IdealDescriptor(KIND_U_P_POWER, k) for k in range(s)]
     for j in range(1, s):
-        out += [IdealDescriptor(KIND_P_ALPHA_U, j, alpha) for alpha in _alpha_range(p, m)]
+        out += [IdealDescriptor(KIND_P_ALPHA_U, j, alpha) for alpha in alphas]
     out += [IdealDescriptor(KIND_P_AND_U, j) for j in range(1, s)]
-    out.sort(key=IdealDescriptor.sort_key)
     return out

@@ -254,7 +254,8 @@ def test_reading_recovers_census_descriptors(p, s):
 
 @pytest.mark.parametrize("params,total", [(R4, 63), (R8, 165)])
 def test_components_match_census_oracle(params, total):
-    codes3 = list(enumerate_cyclic_codes(3, params))
+    # every code of the four families; at s = 3 they are 165 of the 247 codes
+    codes3 = [c for _, c in census_codes(3, params)]
     assert len(codes3) == total
     for enumerated in codes3:
         rebuilt = CyclicCode(3, params, enumerated.generators)
@@ -560,7 +561,7 @@ def test_bch_matches_evaluation_oracle_on_any_g(data):
 
 def test_span_and_bch_divide_nothing(monkeypatch):
     # Counts calls, not a timing: the d_g count of a code span and the BCH
-    # root test read divisibility off RPoly.divides, which builds no quotient;
+    # root test read the residue table, whose `%` builds no quotient;
     # test_howell pins the Howell rows these spans produce.
     def last_of_each(n, params):
         return [ideal_descriptors(params.p, params.s, m)[-1]
@@ -571,7 +572,7 @@ def test_span_and_bch_divide_nothing(monkeypatch):
              CyclicCode(15, R4, [product(factor_xn_minus_1(15, R4).factors[1:4:2], R4)]),
              CyclicCode.from_components(15, R4, last_of_each(15, R4)),
              CyclicCode.from_components(5, R9, last_of_each(5, R9))]
-    free = [c.is_free() for c in built]  # the readings divide; they come first
+    free = [c.is_free() for c in built]  # the readings fill the residue table first
     assert sum(g is not None for g in free) == 2
     calls = []
 
@@ -719,26 +720,40 @@ def test_spans_without_zero_u_rows_match_rotation_oracle(n, params):
 
 
 @pytest.mark.parametrize("n, params", SMALL_CENSUSES, ids=["z4-n3", "z4-n7", "z8-n3", "z9-n5"])
-def test_codes_from_components_know_their_divisibility(n, params):
-    # from_components seeds the (generator, factor) table from the
-    # construction; it must be the one RPoly.divides gives, and the cached
-    # generators those built afresh from the cofactors.
+def test_codes_from_components_know_their_divisibility(n, params, monkeypatch):
+    # from_components seeds the (generator, factor) residue table from the
+    # construction; it must be the one `%` gives, and the cached generators
+    # those built afresh from the cofactors.  Once the cache is warm, a
+    # rebuilt code reduces nothing for its span, floor and size.
     crt = build_crt(n, params)
     factors = crt.factorization.factors
+    remainder = RPoly.__mod__
+    calls = []
+
+    def counted(g, f):
+        calls.append(g)
+        return remainder(g, f)
+
     for descs, c in census_codes(n, params):
-        assert c._divides == tuple(tuple(f.divides(g) for f in factors) for g in c.generators)
+        assert c._residue_table() == tuple(tuple(g % f for f in factors) for g in c.generators)
         assert c.bch_floor() == CyclicCode(n, params, c.generators).bch_floor()
         fresh = [(RPoly.make(params, g) * fhat).reduce_cyclic(n)
                  for desc, fhat, m in zip(descs, crt.cofactors, crt.factorization.degrees)
                  for g in reading_generators(desc.reading(params.s, m), params)]
         assert c.generators == tuple(fresh)
+        with monkeypatch.context() as patch:
+            patch.setattr(RPoly, "__mod__", counted)
+            again = CyclicCode.from_components(n, params, descs)
+            again.span(), again.bch_floor(), again.cardinality()
+        assert calls == []
 
 
 def readings_over_every_generator(c):
     """The component readings from the span of every generator at every
-    factor, dividing ones included: the route the divisibility skip cuts."""
-    return tuple(_read_component(ideal_span_mod(c.generators, f, with_u=c.closure_mode == "ideal"),
-                                 f.degree)
+    factor, dividing ones included, each reduced by long division: the
+    route the residue table cuts."""
+    return tuple(_read_component(ideal_span_mod([divmod_monic(g, f)[1] for g in c.generators], f,
+                                                with_u=c.closure_mode == "ideal"), f.degree)
                  for f in c.crt().factorization.factors)
 
 
@@ -762,17 +777,18 @@ def test_readings_skip_only_zero_residues_on_generator_codes(c):
 
 @pytest.mark.parametrize("n, params", SMALL_CENSUSES, ids=["z4-n3", "z4-n7", "z8-n3", "z9-n5"])
 def test_a_false_divisibility_entry_changes_the_readings(n, params):
-    # The oracle above has teeth: marking the first generator of any
-    # component as divided by its own factor drops the only generator with
-    # that component's a-part, or its only generator, so the reading moves.
+    # The oracle above has teeth: zeroing the residue of the first generator
+    # of any component at its own factor drops the only generator with that
+    # component's a-part, or its only generator, so the reading moves.
+    zero = RPoly.zero(params)
     for _, c in census_codes(n, params):
-        table = c._divisibility()
+        table = c._residue_table()
         for k, row in enumerate(table):
-            l = row.index(False)
-            if k and not table[k - 1][l]:
+            l = next(i for i, r in enumerate(row) if not r.is_zero())
+            if k and not table[k - 1][l].is_zero():
                 continue  # not the first generator of component l
             broken = CyclicCode(n, params, c.generators)
-            broken._divides = table[:k] + (row[:l] + (True,) + row[l + 1:],) + table[k + 1:]
+            broken._residues = table[:k] + (row[:l] + (zero,) + row[l + 1:],) + table[k + 1:]
             assert broken._component_readings() != readings_over_every_generator(c)
 
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from zqu.errors import PreconditionError
 from zqu.galois import ideal_span_mod, unit_group_order
+from zqu.howell import ZqSpan
 from zqu.poly import RPoly, factor_xn_minus_1, parse_r_poly, xn_minus_1
 from zqu.ring import census_size, ideal_descriptors, make_ring
 
@@ -74,12 +75,37 @@ def test_unit_group_order_vs_brute_force(p, s, m, expected):
     [(ctx_4_2, 9), (lambda: ctx_m1(R4), 7), (lambda: ctx_m1(R8), 11)],
 )
 def test_gr_ideal_census(make_ctx, expected):
+    # `expected` counts the four families; at s = 3 they miss ideals
     ctx = make_ctx()
     descs = ideal_descriptors(ctx.params.p, ctx.params.s, ctx.m)
     assert len(descs) == expected
-    assert census_size(ctx.params.p, ctx.params.s, ctx.m) == expected
+    assert census_size(ctx.params.p, ctx.params.s, ctx.m) == (13 if ctx.params.s == 3 else expected)
     element_sets = {gr_ideal_elements(d, ctx) for d in descs}
     assert len(element_sets) == expected
+
+
+def ideals_by_brute_force(ctx):
+    """Every ideal of GR(R, m): its principal ideals, built by Galois-ring
+    multiplication, closed under sums."""
+    p, s, width = ctx.params.p, ctx.params.s, 2 * ctx.m
+
+    def total(a, b):
+        return ZqSpan.from_rows([row for _, _, row in a.rows + b.rows], p, s, width)
+
+    principal = {gr_span_by_multiplication(ctx, [e]) for e in ctx.elements()}
+    ideals, frontier = set(principal), principal
+    while frontier:
+        frontier = {total(a, b) for a in frontier for b in principal} - ideals
+        ideals |= frontier
+    return ideals
+
+
+@pytest.mark.parametrize("p,s,m,expected", [(2, 2, 1, 7), (3, 2, 1, 8), (2, 2, 2, 9),
+                                            (2, 3, 1, 13), (2, 3, 2, 19), (2, 4, 1, 23)])
+def test_census_size_counts_every_ideal(p, s, m, expected):
+    params = make_ring(p, s)
+    f = next(f for f in factor_xn_minus_1(p**m - 1, params).factors if f.degree == m)
+    assert len(ideals_by_brute_force(build_ctx(f))) == census_size(p, s, m) == expected
 
 
 # Every factor of degree m <= 4 of x^n - 1, n in {1, 3, 5, 7}, over Z4, Z8,

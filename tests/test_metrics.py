@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from zqu import metrics, verify
-from zqu.codes import BchCertificate, CyclicCode, build_crt
+from zqu.codes import BchCertificate, CyclicCode, _component_generators, build_crt
 from zqu.errors import DistanceUndefinedError, PreconditionError, UnsupportedMetricError
 from zqu.metrics import (
     WordR,
@@ -225,16 +225,16 @@ def test_oracles_fail_on_a_floor_above_the_bch_bound(monkeypatch):
 
 def test_floor_reads_the_span_divisibility(monkeypatch):
     # Counts calls, not a timing: the floor and the component readings read
-    # the (factor, generator) divisibility that the code span's d_g already
-    # tested, once per pair.
-    divides = RPoly.divides
+    # the (generator, factor) residues that the code span's d_g already
+    # computed, once per pair.
+    remainder = RPoly.__mod__
     calls = []
 
-    def counted(f, g):
-        calls.append(g)
-        return divides(f, g)
+    def counted(g, f):
+        calls.append((g, f))
+        return remainder(g, f)
 
-    monkeypatch.setattr(RPoly, "divides", counted)
+    monkeypatch.setattr(RPoly, "__mod__", counted)
     cases = [(R8, 15, [Z8_GEN], "ideal", "hamming"), (R4, 7, Z4_GENS, "module", "lee"),
              (R4, 7, Z4_GENS, "ideal", "hamming"), (R9, 5, ["x+8", "3+u*(x^2+1)"], "module", "hamming")]
     for params, n, texts, mode, metric in cases:
@@ -248,39 +248,46 @@ def test_floor_reads_the_span_divisibility(monkeypatch):
         c = code(params, n, texts, mode)
         c.to_descriptor()
         min_distance(c, metric)
-        own = sum(any(g is h for h in c.generators) for g in calls)
+        own = sum(any(g is h for h in c.generators) for g, _ in calls)
         assert own == len(texts) * t
         # in ideal closure, the canonical pair that must regenerate the code
         # is a code of two generators with a table of its own
         assert len(calls) - own == (2 * t if mode == "ideal" else 0)
         calls.clear()
+        # each (generator, factor) residue once, whichever reads it first
+        c = code(params, n, texts, mode)
+        c.span(), c.bch_floor(), c.cardinality()
+        factors = factor_xn_minus_1(n, params).factors
+        assert sorted((id(g), str(f)) for g, f in calls) == sorted(
+            (id(g), str(f)) for g in c.generators for f in factors)
+        calls.clear()
 
 
 def test_component_readings_reduce_each_generator_at_its_own_factor(monkeypatch):
     # Counts calls, not a timing: a code built from components knows which
-    # factor each generator is nonzero at, so its readings test no
-    # divisibility and long-divide each generator once, by that factor.
-    # At n = 15 over Z4 every generator G * fhat_l has degree >= 11, past
-    # every factor's degree, so each of them is long-divided.
-    import zqu.galois
-
+    # factor each generator is nonzero at, so it reduces each generator
+    # once, by that factor, when its generators are made, and its readings
+    # reduce nothing.  At n = 15 over Z4 every generator G * fhat_l has
+    # degree >= 11, past every factor's degree.
+    remainder = RPoly.__mod__
     divisions = []
 
-    def counted_division(g, f):
+    def counted(g, f):
         divisions.append((g, f))
-        return divmod_monic(g, f)
-
-    def refuse(f, g):
-        raise AssertionError("a code built from components tests no divisibility")
+        return remainder(g, f)
 
     factors = factor_xn_minus_1(15, R4).factors
     descs = [ideal_descriptors(2, 2, f.degree)[k] for f, k in zip(factors, (6, 0, 5, 20, 12))]
+    _component_generators.cache_clear()
+    monkeypatch.setattr(RPoly, "__mod__", counted)
     c = CyclicCode.from_components(15, R4, descs)
-    monkeypatch.setattr(zqu.galois, "divmod_monic", counted_division)
-    monkeypatch.setattr(RPoly, "divides", refuse)
     c._component_readings()
     assert [g for g, _ in divisions] == list(c.generators) and len(c.generators) > len(factors)
-    assert [f for _, f in divisions] == [factors[row.index(False)] for row in c._divisibility()]
+    own = [next(l for l, r in enumerate(row) if not r.is_zero()) for row in c._residue_table()]
+    assert [f for _, f in divisions] == [factors[l] for l in own]
+    divisions.clear()
+    CyclicCode.from_components(15, R4, descs)._component_readings()
+    assert divisions == []
 
 
 # (ring, n) with gcd(n, p) = 1, n in {3, 5, 7}

@@ -143,10 +143,20 @@ def divisibility_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(divisibility_case())
 def test_divides_matches_the_remainder(case):
+    # `%` reads the remainder off the cached powers of x; long division is
+    # the independent route.  Raising the leading coefficient's valuation,
+    # or giving the u-part the top degree, leaves a divisor that is not monic.
     divisor, dividend, expected = case
+    remainder = divmod_monic(dividend, divisor)[1]
+    assert dividend % divisor == remainder
     divides = divisor.divides(dividend)
-    assert divides == divmod_monic(dividend, divisor)[1].is_zero()
+    assert divides == remainder.is_zero()
     assert expected is None or divides == expected
+    params = divisor.params
+    top = RPoly(ZqPoly.zero(params), ZqPoly.make(params, [0] * divisor.degree + [1]))
+    for not_monic in (divisor * params.p, divisor + top):
+        with pytest.raises(NonMonicDivisorError):
+            dividend % not_monic
 
 
 # -- arithmetic against a coefficient-wise oracle ---------------------------------
