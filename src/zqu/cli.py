@@ -233,7 +233,7 @@ def _cmd_distance(args) -> int:
     elif args.format == "csv":
         _emit_csv([report.to_json()])
     else:
-        kind = "exact minimum" if report.exhaustive else "upper bound"
+        kind = "exact minimum" if report.exact else "upper bound"
         print(f"{report.metric} distance {kind}: {report.value}")
         print(f"  witness: {payload['witness']}")
         print(f"  words scanned: {report.words_scanned}")

@@ -27,7 +27,8 @@ Blocks are taken in index order.  Block 0, which always holds digit 0 and
 so more than the zero word, is weighed alone, straight from the block
 words, before any mid table, tree or weight row is built; then each epoch
 weighs only the live blocks, those whose bound is below the best weight
-found so far (checked again per chunk, as the best falls).  A skipped
+found so far (checked again for the blocks left each time the best
+falls, so every chunk but an epoch's last is full).  A skipped
 block holds no lighter word, nor, coming later, an earlier one of equal
 weight, so the result is that of weighing every word.  A chunk of live
 blocks is packed into two buffers allocated once per call, as one row copy
@@ -51,14 +52,13 @@ is none.  So the scan's stop moves to I, and its epochs start from the
 ceiling floor + 1 as their best weight: a block is live only if its bound
 is at most the floor.  The split stays that of the whole range.
 
-While the live blocks times n stay within the blocks of the epoch, the
-groups are single coordinates.  Beyond that, weighing them one coordinate
-at a time would cost more than a pass over every block, so the coordinates
-are merged into groups once per call by a tree of merges (`_plan`).  A
-merged group's joint value pairs one value of each part, v_a * J_b + v_b,
-so its J_a * J_b rows are one broadcast add of the parts' rows, gathered
-already.  Group rows give fewer passes a chunk and a tighter bound, since
-the least of a sum is at least the sum of the least terms.
+The coordinates are merged into groups once per call, right after the
+mid table is built, by a tree of merges (`_plan`); a scan too short for a
+merge to pay keeps single coordinates.  A merged group's joint value pairs
+one value of each part, v_a * J_b + v_b, so each epoch builds its J_a * J_b
+rows by one broadcast add of the parts' rows, after gathering the leaf
+rows.  Group rows give fewer passes a chunk and a tighter bound, since the
+least of a sum is at least the sum of the least terms.
 
 The digits split by a rule on the two memory bounds, not by a search
 (`_split`).  Memory is therefore bounded by constants and q, never by the
@@ -164,18 +164,18 @@ def min_weight_scan(rows, ranges, table, q, n, stop, floor):
     mid = _words(rows[k0:k2], mid_ranges, q, pair_dt)[:, :used]
     tree = _Tree(mid[:n] * q + mid[n:], q)
     del mid
-    # Singleton row r weighs coordinate coord[r] at code value[r], and
-    # leaf_slot[c, m] is the row of coordinate c that mid word m reads.
-    leaves, _, leaf_slot = tree.layout()
+    # Leaf row r weighs coordinate coord[r] at code value[r]; slot[g, m] is
+    # the row of group g that mid word m reads.
     coord, value = tree.coord, tree.value
-    weights = np.empty((leaves, width), wdt)
-    low = np.empty(leaves, wdt)  # row minima
-    merged = None  # (rows, joins, slot) of the planned tree
+    leaves = len(coord)
+    node_rows, joins, slot = _plan(tree, last, epochs, width, wdt.itemsize).layout()
+    weights = np.empty((node_rows, width), wdt)
+    low = np.empty(node_rows, wdt)  # row minima
     per_chunk = max(1, _CHUNK_WORDS // max(width, 2 * n))  # blocks
     acc = np.empty((per_chunk, width), wdt)
     tmp = np.empty((per_chunk, width), wdt)
 
-    def least(ids, slot):
+    def least(ids):
         """The least weight below stop of the blocks of mid words ids
         (ascending) of this epoch, all past the scan's first block, and the
         first index attaining it.  The ids are int64 and count from the
@@ -186,11 +186,6 @@ def min_weight_scan(rows, ranges, table, q, n, stop, floor):
         hi = (len(ids) - 1) * width + min(stop - (base + int(ids[-1])) * width, width)
         j = int(np.argmin(flat[:hi]))
         return int(flat[j]), (base + int(ids[j // width])) * width + j % width
-
-    def bound(slot, m0, m1):
-        """sum_G min W_G[slot[G, m]] for m in [m0, m1): no word of block m
-        weighs less."""
-        return np.take(low, slot[:, m0:m1]).sum(axis=0, dtype=low.dtype)
 
     for epoch in range(epochs):
         m0 = 0 if epoch else 1  # block 0 is weighed already
@@ -205,34 +200,21 @@ def min_weight_scan(rows, ranges, table, q, n, stop, floor):
         for t in range(0, leaves, per_gather):
             idx = pairs[coord[t : t + per_gather]] + offset[t : t + per_gather, None]
             np.take(tiled, idx, out=weights[t : t + len(idx)], mode="clip")
-        np.min(weights[:leaves], axis=1, out=low[:leaves])
-        slot = leaf_slot
-        lows = bound(slot, m0, m1)
+        for d, a, b in joins:
+            joint = weights[d].reshape(a.stop - a.start, b.stop - b.start, width)
+            np.add(weights[a, None], weights[None, b], out=joint)
+        np.min(weights, axis=1, out=low)
+        # sum_G min W_G[slot[G, m]]: no word of block m weighs less
+        lows = np.take(low, slot[:, m0:m1]).sum(axis=0, dtype=low.dtype)
         live = np.flatnonzero(lows < best)
-        # The live blocks cost a pass per coordinate: more than one pass over
-        # every block of the epoch takes the merged groups.
-        if len(live) * n > m1 - m0:
-            if merged is None:
-                merged = _plan(tree, last, epochs, width, wdt.itemsize).layout()
-                # in place, keeping the leaf rows: no view of either is alive
-                weights.resize((merged[0], width), refcheck=False)
-                low.resize(merged[0], refcheck=False)
-            for d, a, b in merged[1]:
-                joint = weights[d].reshape(a.stop - a.start, b.stop - b.start, width)
-                np.add(weights[a, None], weights[None, b], out=joint)
-            np.min(weights[leaves:], axis=1, out=low[leaves:])
-            slot = merged[2]
-            lows = bound(slot, m0, m1)
-            live = np.flatnonzero(lows < best)
-        for c in range(0, len(live), per_chunk):
-            ids = live[c : c + per_chunk]
-            ids = ids[lows[ids] < best]  # best may have fallen since
-            if len(ids):
-                weight, idx = least(ids + m0, slot)
-                if weight < best:
-                    best, best_idx = weight, idx
-                    if best <= floor:
-                        return best, best_idx, scanned
+        while len(live):
+            ids, live = live[:per_chunk], live[per_chunk:]
+            weight, idx = least(ids + m0)
+            if weight < best:
+                best, best_idx = weight, idx
+                if best <= floor:
+                    return best, best_idx, scanned
+                live = live[lows[live] < best]  # full chunks of what stays live
     return (*(row_word or (best, best_idx)), scanned)
 
 
@@ -264,9 +246,6 @@ def _weigh(weights, slot, ids, acc, tmp):
     """Row i of acc := sum over groups g of weights[slot[g, ids[i]]]: the
     weights of the blocks of mid words ids, returned flat."""
     chunk, part = acc[: len(ids)], tmp[: len(ids)]
-    if len(ids) == 1:  # one gather and one sum, not a call pair per group
-        np.add.reduce(np.take(weights, slot[:, ids[0]], axis=0), axis=0, out=chunk[0])
-        return chunk.reshape(-1)
     np.take(weights, slot[0, ids], axis=0, out=chunk, mode="clip")
     for s in slot[1:, ids]:
         np.take(weights, s, axis=0, out=part, mode="clip")

@@ -115,12 +115,16 @@ def weight_table(metric: str, params: RingParams) -> tuple[int, ...]:
 
 
 class DistanceReport(Value):
-    __slots__ = ("metric", "value", "witness", "exhaustive", "words_scanned")
+    """`exhaustive`: every nonzero word was scanned.  `exact`: the value is
+    the minimum, because the scan was exhaustive or the value meets the
+    floor it was given, a proven lower bound on every nonzero word."""
+
+    __slots__ = ("metric", "value", "witness", "exhaustive", "words_scanned", "exact")
 
     def __init__(self, metric: str, value: int, witness: WordR, exhaustive: bool,
-                 words_scanned: int):
+                 words_scanned: int, exact: bool):
         self.metric, self.value, self.witness = metric, value, witness
-        self.exhaustive, self.words_scanned = exhaustive, words_scanned
+        self.exhaustive, self.words_scanned, self.exact = exhaustive, words_scanned, exact
 
     def to_json(self) -> dict:
         return {
@@ -129,14 +133,16 @@ class DistanceReport(Value):
             "witness": format_r_poly(self.witness.to_rpoly()),
             "exhaustive": self.exhaustive,
             "words_scanned": self.words_scanned,
+            "exact": self.exact,
         }
 
 
 def min_distance(code: CyclicCode, metric: str = METRIC_HAMMING,
                  budget: Optional[int] = None, threads: int = 1) -> DistanceReport:
     """Exact minimum weight by scanning every nonzero codeword once (the span
-    basis enumeration is bijective); degrades to a budget-limited upper bound
-    with exhaustive=False when the code is larger than the budget.
+    basis enumeration is bijective); degrades to a budget-limited scan with
+    exhaustive=False when the code is larger than the budget, whose value is
+    still exact when it meets delta below, and otherwise an upper bound.
 
     The scan ends at the first word weighing at most delta =
     `code.bch_floor().delta`, which no nonzero word undercuts in any of the
@@ -182,4 +188,5 @@ def _scan_distance(code: CyclicCode, metric: str, budget: Optional[int],
     best, idx, scanned = kernels.min_weight_scan(basis, ranges, table, q, n, stop, floor)
     vec = kernels.word_at_index(basis, ranges, q, idx)
     witness = WordR(code.params, tuple((int(vec[i]), int(vec[n + i])) for i in range(n)))
-    return DistanceReport(metric, int(best), witness, exhaustive, scanned)
+    return DistanceReport(metric, int(best), witness, exhaustive, scanned,
+                          exhaustive or best == floor)

@@ -225,7 +225,7 @@ def test_merge_slots_hold_the_second_part_count():
     # takes all 256 codes over Z16, so the merged slots 0 * 256 + v_b need a
     # dtype that holds 256 as well as the 256 joint values.  The first block
     # sets the best to 2 and leaves every other block, bounded by 0 or 1,
-    # live, so the scan merges the two coordinates.
+    # live, so the scan weighs them through the merged coordinates.
     q, n = 16, 2
     rows = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
     ranges = np.array([16, 16, 16], dtype=np.int64)
@@ -301,11 +301,12 @@ def test_forced_group_past_the_row_budget_stays_in_memory():
     assert sum(trees[0].counts) <= _FORCED_ROW_BYTES
 
 
-@pytest.mark.parametrize("seed, merged", [(4, True), (3, False)])
-def test_forced_groups_on_both_routes(seed, merged):
+@pytest.mark.parametrize("seed", [4, 3])
+def test_forced_groups_are_planned_once(seed):
     # Blocks of 64 words bound their words loosely.  On seed 4 most blocks
-    # stay live, so the scan merges the forced groups; on seed 3 few do, and
-    # it weighs them one coordinate at a time without planning.
+    # stay live and on seed 3 few do; either way the scan plans the forced
+    # groups once, before its first epoch, and bounds and weighs every
+    # block through them.
     rng = np.random.default_rng(seed)
     q, n = 4, 4
     ranges = np.array([4, 4, 4, 4, 4, 2], dtype=np.int64)
@@ -323,7 +324,7 @@ def test_forced_groups_on_both_routes(seed, merged):
         mp.setattr(kernels, "_plan", plan)
         res = kernels.min_weight_scan(rows, ranges, table, q, n, stop, 0)
     assert res == _reference_scan(rows, ranges, table, q, n, stop)
-    assert len(planned) == merged
+    assert len(planned) == 1
 
 
 @pytest.mark.parametrize("budget", [1 << 22, 1 << 24])
@@ -361,7 +362,7 @@ def test_scan_memory_holds_with_the_largest_mid_table():
     spans = []
 
     class Recorded(kernels._Tree):
-        # the tree is built on the mid table, whichever route the scan takes
+        # the tree is built on the mid table, once per scan
         def __init__(self, codes, q):
             spans.append(codes.shape)
             super().__init__(codes, q)
@@ -487,9 +488,8 @@ def test_lee_paper_scan_counts_codes_once():
 
 def test_bound_skips_most_blocks_of_the_z8_paper_code():
     # Counts the blocks weighed, not a timing: after the first block, a
-    # block is weighed only if the sum of its rows' minima is below the best
-    # weight found, and the single-coordinate rows leave too few such blocks
-    # to plan merges.
+    # block is weighed only if the sum of its group rows' minima is below
+    # the best weight found.
     basis, ranges = _z8_paper_basis()
     weighed = []
     weigh = kernels._weigh
@@ -501,7 +501,6 @@ def test_bound_skips_most_blocks_of_the_z8_paper_code():
     table = weight_table("hamming", make_ring(2, 3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_weigh", recorded)
-        mp.setattr(kernels, "_plan", None)
         res = kernels.min_weight_scan(basis, ranges, table, 8, 15, (1 << 22) + 1, 0)
     assert res == (7, 4, 1 << 22)
     blocks = (1 << 22) // 512 + 1

@@ -135,6 +135,19 @@ def test_budgeted_scan_is_upper_bound():
     assert c.contains(report.witness.to_rpoly())
 
 
+def test_budgeted_value_is_exact_only_at_the_floor():
+    # The Z8 paper code meets delta = 7 within any budget.  A degree-11
+    # factor of x^23 - 1 over Z4 generates a code of 2^48 words with
+    # delta = 5; cut at 2^20 words, its lightest word found weighs 7.
+    paper = min_distance(code(R8, 15, [Z8_GEN]), "hamming", budget=1 << 12)
+    assert (paper.value, paper.exhaustive, paper.exact) == (7, False, True)
+    c = code(R4, 23, ["x^11+2*x^10+3*x^9+3*x^7+3*x^6+3*x^5+2*x^4+x+3"])
+    assert c.bch_floor().delta == 5
+    report = min_distance(c, "hamming", budget=1 << 20)
+    assert (report.value, report.exhaustive, report.exact) == (7, False, False)
+    assert report.to_json()["exact"] is False
+
+
 @pytest.mark.parametrize("mode", ["ideal", "module"])
 @pytest.mark.parametrize(
     "texts,n",

@@ -30,7 +30,7 @@ def samples():
         CanonicalGenerators(X1, X1, X1, 1, 1, True, True, True),
         BchCertificate(3, 0, 2, (0,)),
         word,
-        DistanceReport("hamming", 2, word, True, 15),
+        DistanceReport("hamming", 2, word, True, 15, True),
         CheckResult("census", True, "ok", 0.5),
     ]
 
@@ -85,8 +85,8 @@ def test_keyword_construction():
     assert can.hypotheses_ok and can.predicted_size_exponent(3, 2) == 8
     word = WordR(params=R, pairs=((1, 0),))
     report = DistanceReport(metric="lee", value=1, witness=word, exhaustive=False,
-                            words_scanned=7)
-    assert report == DistanceReport("lee", 1, word, False, 7)
+                            words_scanned=7, exact=True)
+    assert report == DistanceReport("lee", 1, word, False, 7, True)
     assert report.to_json()["words_scanned"] == 7
 
 
